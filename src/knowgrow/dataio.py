@@ -10,7 +10,7 @@ Formats (all plain text, UTF-8):
 - category:  TSV ``child<TAB>parent<TAB>kind`` with kind of the child in
              {article, category}.
 - citation:  nodes TSV ``id<TAB>year[<TAB>field]`` plus edges TSV
-             ``citing<TAB>cited``.
+             ``citing<TAB>cited``; duplicate citations dropped with a count.
 - samples:   one positive integer per line.
 - id_list:   one paper id per line (order is meaningful for rankings).
 
@@ -270,6 +270,8 @@ def load_citation(
         raise DataFormatError(edges_path, None, str(exc)) from None
     ds_nodes = Dataset("citation", str(nodes_path), _digest_citation_file(nodes_path), len(papers))
     ds_edges = Dataset("citation", str(edges_path), _digest_citation_file(edges_path), len(edges))
+    if graph.duplicate_count:
+        logger.warning("%s: dropped %d duplicate citations", edges_path, graph.duplicate_count)
     return (ds_nodes, ds_edges), graph
 
 

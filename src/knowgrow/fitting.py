@@ -96,13 +96,10 @@ class TimeSeries:
 class FitOptions:
     """Optimizer knobs.
 
-    ``bounds`` constrains the family's single nonlinear parameter.  ``seed``
-    is accepted for interface uniformity; the grid-based optimizer uses no
-    randomness and ignores it.
+    ``bounds`` constrains the family's single nonlinear parameter.
     """
 
     max_iter: int = 200
-    seed: int | None = None
     bounds: tuple[float, float] | None = None
     grid_size: int = 120
     polish: bool = True

@@ -63,21 +63,20 @@ class CategoryGraph:
 
         Parents are categories by construction; declaring a node as an
         article and also using it as a parent is rejected, which enforces
-        the "articles have no children" invariant.
+        the "articles have no children" invariant.  A repeated triple makes
+        one link; adjacency lists keep first-appearance order.
         """
         g = cls()
-        for child, parent, kind in edges:
+        for child, parent, kind in dict.fromkeys(edges):
             if kind not in _KINDS:
                 raise ValueError(f"unknown node kind {kind!r} (expected article/category)")
             c = g._intern(child, kind == CATEGORY)
             p = g._intern(parent, True)
             if kind == CATEGORY:
-                if p not in g.parent_categories[c]:
-                    g.parent_categories[c].append(p)
-                    g.child_categories[p].append(c)
+                g.parent_categories[c].append(p)
+                g.child_categories[p].append(c)
             else:
-                if c not in g.child_articles[p]:
-                    g.child_articles[p].append(c)
+                g.child_articles[p].append(c)
         return g
 
     def __len__(self) -> int:

@@ -133,6 +133,16 @@ class TestOtherLoaders:
         assert len(g) == 2
         assert dsn.digest != dse.digest
 
+    def test_citation_duplicates_dropped_with_warning(self, tmp_path, caplog):
+        nodes = write(tmp_path / "n.tsv", "a\t2000\nb\t1990\n")
+        edges = write(tmp_path / "e.tsv", "a\tb\na\tb\n")
+        with caplog.at_level("WARNING"):
+            (_, dse), g = load_citation(nodes, edges)
+        assert dse.rows == 2
+        assert g.duplicate_count == 1
+        assert g.citation_counts().tolist() == [0, 1]
+        assert "dropped 1 duplicate citations" in caplog.text
+
     def test_citation_unknown_id(self, tmp_path):
         nodes = write(tmp_path / "n.tsv", "a\t2000\n")
         edges = write(tmp_path / "e.tsv", "a\tghost\n")

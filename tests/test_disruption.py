@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowgrow import disruption
 from knowgrow.disruption import (
+    BLOCK_WORK,
     CitationGraph,
     d_index,
     d_index_all,
@@ -145,6 +147,58 @@ class TestDIndex:
                 assert s.n_i > 0 and s.n_j == 0 and s.n_k == 0
             if s.d == -1.0:
                 assert s.n_j > 0 and s.n_i == 0 and s.n_k == 0
+
+
+def random_citation_graph(seed: int, n: int = 60, m: int = 400):
+    """Random citation graph that is no DAG: mutual citations, references
+    citing each other, a hub reference cited by most papers, repeated lines."""
+    rng = np.random.default_rng(seed)
+    papers = [(f"p{i:04d}", 2000) for i in range(n)]
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(m, 2)) if a != b]
+    pairs += [(b, a) for a, b in pairs[:20]]
+    pairs += [(i, 0) for i in range(1, n) if rng.random() < 0.8]
+    pairs += pairs[:10]
+    return papers, [(f"p{a:04d}", f"p{b:04d}") for a, b in pairs]
+
+
+class TestCouplingKernel:
+    @pytest.mark.parametrize("budget", [BLOCK_WORK, 1])
+    def test_oracle_equivalence_cyclic_graphs(self, monkeypatch, budget):
+        # budget 1 puts every row that does any work in a block of its own
+        monkeypatch.setattr(disruption, "BLOCK_WORK", budget)
+        for seed in range(5):
+            papers, edges = random_citation_graph(seed)
+            g = build(papers, edges)
+            ids = [p for p, _ in papers]
+            scores = d_index_all(g)
+            for pid in ids:
+                expected = naive_disruption(ids, edges, pid)
+                s = scores[pid]
+                assert (s.n_i, s.n_j, s.n_k) == expected[:3]
+                assert s.d == pytest.approx(expected[3])
+                assert d_index(g, pid) == s
+
+    def test_duplicate_citation_counts_once(self):
+        papers = [("f", 1990), ("r", 1980), ("c", 2000), ("e", 2001)]
+        edges = [("f", "r"), ("c", "f"), ("c", "f"), ("e", "r")]
+        g = build(papers, edges)
+        assert g.duplicate_count == 1
+        assert g.citation_counts().tolist() == [1, 2, 0, 0]
+        s = d_index(g, "f")
+        assert (s.n_i, s.n_j, s.n_k, s.d) == naive_disruption(["f", "r", "c", "e"], edges, "f")
+        assert rank(g, "citations") == ["r", "f", "c", "e"]
+
+    def test_rank_reuses_scores(self, monkeypatch):
+        papers, edges = random_citation_graph(3)
+        g = build(papers, edges)
+        scores = d_index_all(g)
+
+        def fail(*args):
+            raise AssertionError("scored twice")
+
+        monkeypatch.setattr(disruption, "_counts", fail)
+        ordered = rank(g, "disruption")
+        assert ordered == sorted(scores, key=lambda p: (-scores[p].d, p))
 
 
 class TestRank:

@@ -61,6 +61,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="kind"):
             CategoryGraph.from_edges([("A", "B", "page")])
 
+    def test_repeated_triples_link_once_in_first_order(self):
+        g = CategoryGraph.from_edges(
+            [("C", "A", "category"), ("B", "A", "category"), ("a2", "A", "article"),
+             ("C", "A", "category"), ("a1", "A", "article"), ("a2", "A", "article"),
+             ("C", "B", "category"), ("B", "A", "category")]
+        )
+
+        def names(ids):
+            return [g.names[i] for i in ids]
+
+        a = g.index["A"]
+        assert names(g.child_categories[a]) == ["C", "B"]
+        assert names(g.child_articles[a]) == ["a2", "a1"]
+        assert names(g.parent_categories[g.index["C"]]) == ["A", "B"]
+
 
 class TestDetectCycles:
     def test_mutual_parents(self):
