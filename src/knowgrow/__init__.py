@@ -50,6 +50,7 @@ from .ba import BAParams, compare, generate, theory  # noqa: F401
 from .taxonomy import (  # noqa: F401
     CategoryGraph,
     count_members,
+    count_members_by_level,
     descendants,
     detect_cycles,
     wag_root_presets,

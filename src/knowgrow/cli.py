@@ -47,7 +47,7 @@ from .graph_metrics import (
 )
 from .growth import STANDARD_FAMILIES, DomainError, model_catalog
 from .months import month_index
-from .taxonomy import count_members, detect_cycles, wag_root_presets
+from .taxonomy import count_members, count_members_by_level, detect_cycles, wag_root_presets
 
 SERIES_FORMAT = "CSV with header 'date,value'; date is ISO YYYY-MM, months consecutive"
 EDGES_FORMAT = "TSV 'src<TAB>dst', one arc per line, opaque string node ids"
@@ -286,10 +286,8 @@ def cmd_taxonomy(args) -> int:
     if args.cycles:
         payload["cycles"] = detect_cycles(g)
     if args.plot_csv:
-        rows = []
-        for level in range(args.depth + 1):
-            c = count_members(g, roots, level)
-            rows.append((level, c["categories"], c["articles"]))
+        levels = count_members_by_level(g, roots, args.depth)
+        rows = [(level, *row) for level, row in enumerate(levels)]
         _write_csv(args.plot_csv, ["depth", "categories", "articles"], rows)
     summary = [
         f"{counts['categories']} categories and {counts['articles']} distinct articles "

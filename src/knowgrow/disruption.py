@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .graph_metrics import row_blocks
+
 __all__ = [
     "CitationGraph",
     "DScore",
@@ -144,10 +146,8 @@ def _dscore(g: CitationGraph, focal: int, n_i: int, n_j: int, n_k: int) -> DScor
 def _all_scores(g: CitationGraph) -> list[DScore]:
     """Scores of every paper in index order, computed once and kept on ``g``."""
     if g._scores is None:
-        work = np.concatenate(([0], np.cumsum(g.cites @ g.citation_counts())))
-        cuts = np.flatnonzero(np.diff(work[:-1] // BLOCK_WORK)) + 1
-        bounds = [0, *cuts.tolist(), len(g)]
-        blocks = [_counts(g, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        work = g.cites @ g.citation_counts()
+        blocks = [_counts(g, lo, hi) for lo, hi in row_blocks(work, BLOCK_WORK)]
         counts = zip(*(np.concatenate(c).tolist() for c in zip(*blocks)))
         g._scores = [_dscore(g, i, *c) for i, c in enumerate(counts)]
     return g._scores

@@ -7,6 +7,10 @@ of the degree histogram, BFS-sampled effective diameter and mean distance
 over reachable ordered pairs, mean local clustering on the undirected
 projection, and maximum-likelihood tail fits (discrete power law with
 KS-minimizing k_min in the style of Clauset et al., and lognormal).
+
+Both distance metrics read one seeded traversal: a histogram of distances
+from the sampled sources (every node when exhaustive), computed once per
+graph with scipy's csgraph and counted block by block in O(n) memory.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, zeta
 
@@ -54,6 +59,7 @@ class SnapshotGraph:
     duplicate_count: int = 0
     _out: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
     _in: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _distances: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_edges(
@@ -71,18 +77,14 @@ class SnapshotGraph:
             raise ValueError(f"edge endpoint outside [0, {n})")
         loops = arr[:, 0] == arr[:, 1]
         self_loops = int(np.count_nonzero(loops))
-        arr = arr[~loops]
-        before = len(arr)
-        if len(arr):
-            arr = np.unique(arr, axis=0)
-        dupes = before - len(arr)
+        codes = np.unique((arr[:, 0] * n + arr[:, 1])[~loops])  # sorted by (src, dst)
         return cls(
             n=n,
-            src=arr[:, 0].copy(),
-            dst=arr[:, 1].copy(),
+            src=codes // n,
+            dst=codes % n,
             labels=labels,
             self_loop_count=self_loops,
-            duplicate_count=dupes,
+            duplicate_count=len(arr) - self_loops - len(codes),
         )
 
     @property
@@ -163,58 +165,50 @@ def entropy_reference_curve(n: float, a: float, c: float, x: float) -> float:
     return (a / c**2) * x * (ln * ln - 2.0 * ln + 2.0)
 
 
+# one block of shortest-path distances or of 2-paths holds about this many values
+BLOCK_VALUES = 1 << 20
+
+
+def row_blocks(work: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` row ranges, cut where cumulative ``work`` crosses ``budget``."""
+    total = np.concatenate(([0], np.cumsum(work)))
+    cuts = np.flatnonzero(np.diff(total[:-1] // budget)) + 1
+    bounds = [0, *cuts.tolist(), len(work)]
+    return list(zip(bounds, bounds[1:]))
+
+
 # ---------------------------------------------------------------------------
 # BFS-sampled distance metrics
 
 
-def _frontier_bfs(indptr: np.ndarray, indices: np.ndarray, n: int, source: int) -> np.ndarray:
-    """Distances from ``source`` (-1 where unreachable), level-synchronous."""
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        counts = (indptr[frontier + 1] - indptr[frontier]).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            break
-        excl = np.concatenate([[0], counts[:-1]]).cumsum()
-        offs = np.repeat(indptr[frontier].astype(np.int64) - excl, counts) + np.arange(total)
-        neigh = indices[offs]
-        new = neigh[dist[neigh] < 0]
-        if new.size == 0:
-            break
-        dist[new] = level
-        frontier = np.unique(new)
-    return dist
+def _distance_histogram(g: SnapshotGraph, sources: int, seed: int) -> np.ndarray:
+    """Counts of finite distances d >= 1 from BFS sources, indexed by d.
 
-
-def _sample_distances(g: SnapshotGraph, sources: int, seed: int) -> np.ndarray:
-    """Pooled finite distances (self-pairs excluded) from BFS sources.
-
-    When ``sources >= n`` every node is used in index order (exhaustive and
-    seed-independent); otherwise sources are drawn without replacement from
-    a seeded generator, so results are reproducible.
+    Every node is a source when ``sources >= n`` (exhaustive, seed-free);
+    otherwise sources are drawn without replacement from a seeded generator.
+    Source blocks are counted one at a time, so memory stays O(n) even when
+    exhaustive.  Kept on the graph: both distance metrics read one pass.
     """
     if sources < 1:
         raise ValueError("need at least one BFS source")
-    csr = g.out_csr()
-    indptr, indices = csr.indptr, csr.indices
-    if sources >= g.n:
-        chosen = np.arange(g.n, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        chosen = np.sort(rng.choice(g.n, size=sources, replace=False)).astype(np.int64)
-    pools = []
-    for s in chosen:
-        dist = _frontier_bfs(indptr, indices, g.n, int(s))
-        reachable = dist[dist > 0]
-        if reachable.size:
-            pools.append(reachable)
-    if not pools:
-        return np.empty(0, dtype=np.int32)
-    return np.concatenate(pools)
+    exhaustive = sources >= g.n
+    key = (min(sources, g.n), None if exhaustive else seed)
+    hist = g._distances.get(key)
+    if hist is None:
+        if exhaustive:
+            chosen = np.arange(g.n)
+        else:
+            rng = np.random.default_rng(seed)
+            chosen = np.sort(rng.choice(g.n, size=sources, replace=False))
+        csr = g.out_csr()
+        block = max(1, BLOCK_VALUES // g.n)
+        hist = np.zeros(g.n, dtype=np.int64)
+        for lo in range(0, len(chosen), block):
+            dist = csgraph.shortest_path(csr, unweighted=True, indices=chosen[lo : lo + block])
+            hist += np.bincount(dist[np.isfinite(dist)].astype(np.intp), minlength=g.n)
+        hist[0] = 0
+        g._distances[key] = hist
+    return hist
 
 
 def effective_diameter(
@@ -228,32 +222,37 @@ def effective_diameter(
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError("quantile must lie in (0, 1]")
-    dists = _sample_distances(g, sources, seed)
-    if dists.size == 0:
+    hist = _distance_histogram(g, sources, seed)
+    total = int(hist.sum())
+    if total == 0:
         return 0
-    dists.sort()
-    rank = max(int(math.ceil(quantile * dists.size)) - 1, 0)
-    return int(dists[rank])
+    rank = max(int(math.ceil(quantile * total)) - 1, 0)
+    return int(np.searchsorted(np.cumsum(hist), rank, side="right"))
 
 
 def avg_shortest_path(g: SnapshotGraph, sources: int = 64, seed: int = 0) -> float:
     """Mean distance over sampled reachable ordered pairs (0 if none)."""
-    dists = _sample_distances(g, sources, seed)
-    return float(dists.mean()) if dists.size else 0.0
+    hist = _distance_histogram(g, sources, seed)
+    total = int(hist.sum())
+    return int(hist @ np.arange(g.n)) / total if total else 0.0
 
 
 def clustering_coefficient(g: SnapshotGraph) -> float:
     """Mean local clustering of the undirected projection.
 
     Nodes of degree < 2 contribute 0.  Triangles are counted through the
-    sparse product A.(A@A), which stays tractable well past 10^5 nodes for
-    the sparse graphs this package targets.
+    sparse product A.(A@A) in int32 (int8 wraps past 127 shared
+    neighbours), taken over row blocks of about ``BLOCK_VALUES`` 2-paths
+    so memory stays bounded on hub-heavy graphs.
     """
     if g.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
-    a = g.undirected_csr()
+    a = g.undirected_csr().astype(np.int32)
     deg = np.asarray(a.sum(axis=1)).ravel().astype(np.int64)
-    tri = np.asarray(a.multiply(a @ a).sum(axis=1)).ravel() / 2.0
+    tri = np.zeros(g.n)
+    for lo, hi in row_blocks(a @ deg, BLOCK_VALUES):  # a @ deg: 2-paths per row
+        rows = a[lo:hi]
+        tri[lo:hi] = np.asarray(rows.multiply(rows @ a).sum(axis=1)).ravel() / 2.0
     pairs = deg * (deg - 1) / 2.0
     mask = deg >= 2
     local = np.zeros(g.n)

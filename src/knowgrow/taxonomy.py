@@ -16,11 +16,16 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
+
 __all__ = [
     "CategoryGraph",
     "detect_cycles",
     "descendants",
     "count_members",
+    "count_members_by_level",
     "wag_root_presets",
 ]
 
@@ -91,56 +96,6 @@ class CategoryGraph:
         return i
 
 
-def _tarjan_sccs(n: int, adj: list[list[int]], active: list[bool]) -> list[list[int]]:
-    """Strongly connected components (iterative Tarjan) on active nodes."""
-    idx = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if not active[root] or idx[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                idx[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            for i in range(pi, len(neighbors)):
-                w = neighbors[i]
-                if not active[w]:
-                    continue
-                if idx[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], idx[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == idx[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return sccs
-
-
 def _cycle_through(start: int, members: set[int], adj: list[list[int]]) -> list[int]:
     """One directed cycle through ``start`` inside a strongly connected set."""
     prev: dict[int, int | None] = {start: None}
@@ -166,35 +121,39 @@ def _cycle_through(start: int, members: set[int], adj: list[list[int]]) -> list[
 def detect_cycles(g: CategoryGraph) -> list[list[str]]:
     """One representative cycle per cyclic SCC of the category subgraph.
 
+    Strong components come from scipy's csgraph on the 0/1 child -> parent
+    adjacency; each cycle starts at its component's smallest id.
     Self-parent categories are reported as single-element cycles.  The
     result is empty exactly when the category subgraph is a DAG.
     """
     n = len(g)
-    sccs = _tarjan_sccs(n, g.parent_categories, list(g.is_category))
-    cycles: list[list[str]] = []
-    for comp in sccs:
-        if len(comp) >= 2:
-            start = min(comp)
-            ids = _cycle_through(start, set(comp), g.parent_categories)
-            cycles.append([g.names[i] for i in ids])
-        else:
-            v = comp[0]
-            if v in g.parent_categories[v]:
-                cycles.append([g.names[v]])
+    rows = [c for c, parents in enumerate(g.parent_categories) for _ in parents]
+    cols = [p for parents in g.parent_categories for p in parents]
+    links = sparse.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    _, labels = csgraph.connected_components(links, connection="strong")
+    on_cycle = (np.bincount(labels)[labels] > 1) | (links.diagonal() > 0)
+    components: dict[int, list[int]] = {}
+    for v in np.flatnonzero(on_cycle).tolist():
+        components.setdefault(int(labels[v]), []).append(v)
+    cycles = []
+    for comp in components.values():
+        ids = _cycle_through(comp[0], set(comp), g.parent_categories) if len(comp) > 1 else comp
+        cycles.append([g.names[i] for i in ids])
     cycles.sort(key=lambda c: c[0])
     return cycles
 
 
-def descendants(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> set[str]:
-    """Categories reachable downward within ``depth`` levels of the roots.
+def _levels(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> list[list[int]]:
+    """Category ids first reached at each level, roots at level 0.
 
-    Roots are included at level 0; every category is counted once at its
-    minimum level, so cyclic links cannot loop the traversal.
+    The walk stops once a level adds nothing, so the list can be shorter
+    than ``depth + 1``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     frontier = sorted({g.require_category(r) for r in roots})
     seen = set(frontier)
+    levels = [frontier]
     for _ in range(depth):
         nxt = []
         for u in frontier:
@@ -204,8 +163,45 @@ def descendants(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> se
                     nxt.append(w)
         if not nxt:
             break
+        levels.append(nxt)
         frontier = nxt
-    return {g.names[i] for i in seen}
+    return levels
+
+
+def descendants(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> set[str]:
+    """Categories reachable downward within ``depth`` levels of the roots.
+
+    Roots are included at level 0; every category is counted once at its
+    minimum level, so cyclic links cannot loop the traversal.
+    """
+    return {g.names[i] for level in _levels(g, roots, depth) for i in level}
+
+
+def _member_rows(
+    g: CategoryGraph, roots: set[str] | list[str], depth: int
+) -> list[tuple[int, int]]:
+    """Cumulative ``(categories, articles)`` per level the walk reaches."""
+    rows = []
+    articles: set[int] = set()
+    categories = 0
+    for level in _levels(g, roots, depth):
+        categories += len(level)
+        for c in level:
+            articles.update(g.child_articles[c])
+        rows.append((categories, len(articles)))
+    return rows
+
+
+def count_members_by_level(
+    g: CategoryGraph, roots: set[str] | list[str], depth: int
+) -> list[tuple[int, int]]:
+    """Cumulative ``(categories, articles)`` within each depth 0..``depth``.
+
+    Row ``k`` holds what :func:`count_members` counts at depth ``k``; all
+    rows come from one level walk.
+    """
+    rows = _member_rows(g, roots, depth)
+    return rows + rows[-1:] * (depth + 1 - len(rows))
 
 
 def count_members(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> dict:
@@ -215,11 +211,8 @@ def count_members(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> 
     are members), and an article under several matched categories counts
     once.  Returns ``{"articles": ..., "categories": ...}``.
     """
-    cats = descendants(g, roots, depth)
-    articles: set[int] = set()
-    for name in cats:
-        articles.update(g.child_articles[g.index[name]])
-    return {"articles": len(articles), "categories": len(cats)}
+    categories, articles = _member_rows(g, roots, depth)[-1]
+    return {"articles": articles, "categories": categories}
 
 
 def wag_root_presets() -> dict[str, list[str]]:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and structurally unrelated to the
 package code it checks: fixed-step Simpson quadrature, deque-based BFS,
-per-focal set enumeration for disruption scores, and level-by-level
-closure for category counting.
+per-focal set enumeration for disruption scores, level-by-level closure
+for category counting, neighbour-pair enumeration for clustering, and
+mutual reachability for strong components.
 """
 from __future__ import annotations
 
@@ -63,6 +64,49 @@ def all_pairs_stats(n: int, edges: list[tuple[int, int]]) -> tuple[int, float, l
     if not pooled:
         return 0, 0.0, []
     return max(pooled), sum(pooled) / len(pooled), pooled
+
+
+def local_clustering(n: int, edges: list[tuple[int, int]]) -> list[float]:
+    """Local clustering per node of the undirected projection, from neighbour sets.
+
+    Self-loops are ignored; nodes with fewer than two neighbours score 0.
+    """
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for s, d in edges:
+        if s != d:
+            neighbours[s].add(d)
+            neighbours[d].add(s)
+    local = []
+    for nb in neighbours:
+        ordered = sorted(nb)
+        pairs = [(u, w) for i, u in enumerate(ordered) for w in ordered[i + 1 :]]
+        linked = sum(1 for u, w in pairs if w in neighbours[u])
+        local.append(linked / len(pairs) if pairs else 0.0)
+    return local
+
+
+def cyclic_components(edges: list[tuple[str, str]]) -> list[frozenset[str]]:
+    """Strong components that contain a cycle, by pairwise mutual reachability.
+
+    A component is cyclic when it has two or more members or its single
+    member links to itself.
+    """
+    out: dict[str, set[str]] = {}
+    for a, b in edges:
+        out.setdefault(a, set()).add(b)
+        out.setdefault(b, set())
+    reach = {}
+    for u in out:
+        seen = {u}
+        queue = deque([u])
+        while queue:
+            for w in out[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach[u] = seen
+    comps = {frozenset(v for v in reach[u] if u in reach[v]) for u in out}
+    return [c for c in comps if len(c) >= 2 or next(iter(c)) in out[next(iter(c))]]
 
 
 def naive_disruption(

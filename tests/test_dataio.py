@@ -158,6 +158,62 @@ class TestOtherLoaders:
             load(tmp_path / "x", "citation")
 
 
+class TestGoldenDigests:
+    """Digests pinned to fixed values, so reports written earlier still verify."""
+
+    EDGES = "a\tb\nb\tc\na\tb\nc\tc\nc\ta\nd\tb\n"  # a repeat and a self-loop
+
+    def test_series(self, tmp_path):
+        p = write(tmp_path / "s.csv", "date,value\n2020-01,10\n2020-02,11.5\n2020-03,1e3\n")
+        assert load_series_csv(p)[0].digest == (
+            "4daa126c77fdf4496b664ef63ceb5f4daa50f275a68fce790d94506d044b6f12"
+        )
+
+    def test_edge_list_with_duplicates_and_self_loops(self, tmp_path):
+        ds, g = load_edge_list(write(tmp_path / "e.tsv", self.EDGES))
+        assert ds.digest == "d250222bfdd7796d8cd54c269caae291582978be5af9a8db9a91b4b7025f0237"
+        # labels a, b, c, d -> 0..3; arcs deduplicated in (src, dst) order
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (1, 2), (2, 0), (3, 1)]
+        assert (g.duplicate_count, g.self_loop_count) == (1, 1)
+
+    def test_edge_list_undirected(self, tmp_path):
+        ds, g = load_edge_list(write(tmp_path / "e.tsv", self.EDGES), undirected=True)
+        assert ds.digest == "872ae742dec68f7d664214949094ef877bf1f0a62e67f4c55ed73b5781b099a9"
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == [
+            (0, 1), (0, 2), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1), (3, 1)
+        ]
+        assert (g.duplicate_count, g.self_loop_count) == (2, 2)
+
+    def test_category(self, tmp_path):
+        p = write(
+            tmp_path / "c.tsv",
+            "Algebra\tMathematics\tcategory\nMathematics\tAlgebra\tcategory\n"
+            "a1\tAlgebra\tarticle\na1\tAlgebra\tarticle\n",
+        )
+        assert load_category_tsv(p)[0].digest == (
+            "3132b6698d1ac86f53a5e0277b17d81fba17a1205fafb67c5d2e17fdb2dee559"
+        )
+
+    def test_samples(self, tmp_path):
+        p = write(tmp_path / "k.txt", "5\n10\n\n4\n")
+        assert load_samples(p)[0].digest == (
+            "866b1e16f2ca9b0ec86eb1d37d47f7ce961ebfc295344f04e4e115fdb1f0fed4"
+        )
+
+    def test_id_list(self, tmp_path):
+        p = write(tmp_path / "i.txt", "z9\na1\n\nm5\n")
+        assert load_id_list(p)[0].digest == (
+            "5161b5a07d8f2d9c8c15ac1f4921ca4f25d066f811b4ba44c9d6ac0ce17aa249"
+        )
+
+    def test_citation(self, tmp_path):
+        nodes = write(tmp_path / "n.tsv", "a\t2000\nb\t1990\tphysics\n")
+        edges = write(tmp_path / "e.tsv", "a\tb\na\tb\n")
+        (dsn, dse), _ = load_citation(nodes, edges)
+        assert dsn.digest == "84dd6dba23724aa93b15dad495b9a3303705e8d325c5e7a5a293b7b8e0f9da7a"
+        assert dse.digest == "a282b8f844e1e4be301185e4720d310311a48fd7fa4a2f052eaa47c6866298e4"
+
+
 class TestReports:
     def test_round_trip_lossless(self, tmp_path):
         t = np.arange(1, 31, dtype=float)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowgrow import graph_metrics
 from knowgrow.graph_metrics import (
     SnapshotGraph,
     avg_shortest_path,
@@ -21,7 +22,7 @@ from knowgrow.graph_metrics import (
 )
 
 from conftest import random_digraph
-from _oracles import all_pairs_stats, sample_discrete_powerlaw
+from _oracles import all_pairs_stats, local_clustering, sample_discrete_powerlaw
 
 
 def graph(edges, n=None):
@@ -180,6 +181,31 @@ class TestDistances:
         full = avg_shortest_path(g, sources=150)
         assert full == avg_shortest_path(g, sources=10_000)  # sources >= n: exhaustive
 
+    def test_long_directed_path_exhaustive(self):
+        # distance d occurs n - d times: the quantile-1 diameter is n - 1, the mean (n + 1) / 3
+        n = 3000
+        g = graph([(i, i + 1) for i in range(n - 1)], n=n)
+        assert effective_diameter(g, 1.0, sources=n) == n - 1
+        assert avg_shortest_path(g, sources=n) == (n + 1) / 3  # exact integer sums
+
+    def test_metrics_traverse_once(self, tmp_path, monkeypatch):
+        from scipy.sparse import csgraph
+
+        from knowgrow.cli import main
+
+        rows = []
+        real = csgraph.shortest_path
+
+        def counting(*args, indices, **kwargs):
+            rows.append(len(indices))
+            return real(*args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(csgraph, "shortest_path", counting)
+        edges = tmp_path / "e.tsv"
+        edges.write_text("".join(f"v{i}\tv{(i * 7 + 3) % 40}\n" for i in range(40)))
+        assert main(["metrics", "--edges", str(edges), "--sources", "16", "--quiet"]) == 0
+        assert rows == [16]  # one block of 16 sources, shared by both distance metrics
+
 
 class TestClustering:
     def test_triangle(self):
@@ -187,6 +213,21 @@ class TestClustering:
 
     def test_star(self):
         assert clustering_coefficient(STAR) == pytest.approx(0.0)
+
+    def test_hubs_sharing_more_than_127_neighbours(self):
+        # two adjacent hubs with k shared leaves: leaves score 1, hubs 2 / (k + 1)
+        k = 200
+        g = graph([(0, 1)] + [(h, leaf) for h in (0, 1) for leaf in range(2, k + 2)], n=k + 2)
+        assert clustering_coefficient(g) == pytest.approx((k + 4 / (k + 1)) / (k + 2), rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [graph_metrics.BLOCK_VALUES, 1])
+    def test_matches_local_clustering_oracle(self, rng, monkeypatch, budget):
+        monkeypatch.setattr(graph_metrics, "BLOCK_VALUES", budget)
+        for _ in range(20):
+            n = int(rng.integers(3, 80))
+            edges = random_digraph(rng, n, int(rng.integers(n, 8 * n)))
+            expected = np.mean(local_clustering(n, [tuple(e) for e in edges.tolist()]))
+            assert clustering_coefficient(graph(edges, n=n)) == pytest.approx(expected, rel=1e-12)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from knowgrow.taxonomy import (
     CategoryGraph,
     count_members,
+    count_members_by_level,
     descendants,
     detect_cycles,
     wag_root_presets,
 )
 
-from _oracles import closure_member_counts, topological_order_exists
+from _oracles import closure_member_counts, cyclic_components, topological_order_exists
 
 
 def cat_edges(*pairs):
@@ -107,6 +108,23 @@ class TestDetectCycles:
         cat_only = [(c, p) for c, p, k in edges if k == "category"]
         assert (detect_cycles(g) == []) == topological_order_exists(cat_names, cat_only)
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_one_closed_chain_per_cyclic_component(self, seed):
+        edges = random_hierarchy(seed, cyclic=True)
+        rng = np.random.default_rng(seed)
+        edges += cat_edges(*((f"c{i}", f"c{i}") for i in rng.integers(0, 50, size=3)))
+        g = CategoryGraph.from_edges(edges)
+        comps = cyclic_components([(c, p) for c, p, k in edges if k == "category"])
+        cycles = detect_cycles(g)
+        assert len(cycles) == len(comps)
+        for cycle in cycles:
+            ids = [g.index[name] for name in cycle]
+            assert all(b in g.parent_categories[a] for a, b in zip(ids, ids[1:] + ids[:1]))
+            comp = next(c for c in comps if cycle[0] in c)
+            assert set(cycle) <= comp
+            assert ids[0] == min(g.index[name] for name in comp)
+
 
 class TestDescendants:
     def test_depth_zero_is_roots(self):
@@ -171,6 +189,14 @@ class TestCountMembers:
         got = count_members(g, ["c0", "c1"], depth)
         articles, cats = closure_member_counts(edges, ["c0", "c1"], depth)
         assert got == {"articles": articles, "categories": cats}
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_levels_match_oracle_at_every_depth(self, seed):
+        edges = random_hierarchy(seed, cyclic=True)
+        g = CategoryGraph.from_edges(edges)
+        expected = [closure_member_counts(edges, ["c0", "c1"], k)[::-1] for k in range(8)]
+        assert count_members_by_level(g, ["c0", "c1"], 7) == expected
 
     def test_deep_closure_equals_transitive_closure(self):
         edges = random_hierarchy(123, n_cats=300, n_articles=700, cyclic=True)
