@@ -21,7 +21,6 @@ from .growth import (  # noqa: F401
 )
 from .fitting import (  # noqa: F401
     FitError,
-    FitOptions,
     FitResult,
     TimeSeries,
     fit,

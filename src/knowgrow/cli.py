@@ -32,8 +32,8 @@ from .dataio import (
     report_bytes,
     save_report,
 )
-from .disruption import d_index_all, intersect_analysis, rank
-from .fitting import FitOptions, FitResult, TimeSeries, forecast, segment_break, select
+from .disruption import YEAR_RANGE, d_index_all, intersect_analysis, rank
+from .fitting import FitResult, TimeSeries, forecast, segment_break, select
 from .graph_metrics import (
     avg_shortest_path,
     clustering_coefficient,
@@ -81,7 +81,7 @@ def _emit(args, payload: dict, kind: str, inputs: list[Dataset], summary: list[s
 def _parse_year_range(args) -> tuple[int, int] | None:
     if args.year_min is None and args.year_max is None:
         return None
-    return (args.year_min or 1900, args.year_max or 2100)
+    return (args.year_min or YEAR_RANGE[0], args.year_max or YEAR_RANGE[1])
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +98,7 @@ def cmd_fit(args) -> int:
         ]
     else:
         families = [args.family]
-    options = FitOptions(max_iter=args.max_iter)
-    ranked = select(series, families, options)
+    ranked = select(series, families)
     best = ranked[0]
     payload = {
         "best": best.to_json(),
@@ -404,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write the full JSON report here")
     common.add_argument("--plot-csv", metavar="PATH", help="write the plot-ready x,y CSV here")
-    common.add_argument("--seed", type=int, default=0, help="seed for any sampled computation")
     common.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
 
     parser = argparse.ArgumentParser(
@@ -420,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help=f"series file ({SERIES_FORMAT})")
     p.add_argument("--family", default="auto",
                    help="family tag or 'auto' to rank all standard families")
-    p.add_argument("--max-iter", type=int, default=200, help="refinement iteration budget")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", parents=[common],
@@ -444,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="effective-diameter quantile over reachable pairs")
     p.add_argument("--sources", type=int, default=64,
                    help="BFS sources for distance sampling (>= n for exhaustive)")
+    p.add_argument("--seed", type=int, default=0, help="seed for the BFS source sample")
     p.add_argument("--no-clustering", action="store_true", help="skip the clustering coefficient")
     p.set_defaults(func=cmd_metrics)
 
@@ -455,6 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="edges attached per arriving node")
     p.add_argument("--edges-out", metavar="PATH", help="write the edge list TSV here")
     p.add_argument("--sources", type=int, default=64, help="BFS sources for the compare report")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the generator and the BFS source sample")
     p.set_defaults(func=cmd_ba)
 
     p = sub.add_parser("disrupt", parents=[common],

@@ -4,10 +4,11 @@ Every family in :mod:`knowgrow.growth` is linear in all but at most one
 parameter (a shift inside a logarithm, or an exponential rate).  The fitter
 exploits that: it profiles the single nonlinear parameter over a fixed
 deterministic grid, solving an exact linear least-squares problem at each
-grid point, refines the best bracket with a bounded scalar minimizer, and
-finally polishes the full parameter vector with a damped Gauss-Newton pass
-(:func:`scipy.optimize.least_squares`).  No randomness is involved, so
-fits are exactly reproducible.
+grid point, and refines the best bracket with a bounded scalar minimizer.
+Because the linear coefficients are solved exactly for every value of the
+nonlinear one, the profile optimum is the joint least-squares fit (variable
+projection, Golub & Pereyra 1973).  No randomness is involved, so fits are
+exactly reproducible.
 """
 from __future__ import annotations
 
@@ -15,14 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .growth import FamilySpec, GrowthModel, family_spec
 from .months import add_months, month_index, parse_month
 
 __all__ = [
     "FitError",
-    "FitOptions",
     "TimeSeries",
     "FitResult",
     "SegmentSplit",
@@ -38,6 +38,15 @@ __all__ = [
 
 #: Results whose MAPE differs by less than this are ranked by parsimony.
 MAPE_TIE_WINDOW = 1e-4
+
+#: Points of the nonlinear-parameter grid in a full-precision fit.
+GRID_SIZE = 120
+
+#: Coarser grid used to score candidate splits in :func:`segment_break`.
+SCAN_GRID_SIZE = 36
+
+#: Fewest points on either side of a :func:`segment_break` split.
+MIN_SEGMENT = 6
 
 
 class FitError(ValueError):
@@ -90,19 +99,6 @@ class TimeSeries:
     @classmethod
     def from_json(cls, doc: dict) -> "TimeSeries":
         return cls(origin=doc["origin"], values=tuple(doc["values"]), label=doc.get("label", ""))
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer knobs.
-
-    ``bounds`` constrains the family's single nonlinear parameter.
-    """
-
-    max_iter: int = 200
-    bounds: tuple[float, float] | None = None
-    grid_size: int = 120
-    polish: bool = True
 
 
 @dataclass
@@ -164,7 +160,7 @@ def _lstsq_sse(basis: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray
     return float(resid @ resid), coefs
 
 
-def _nl_bounds(spec: FamilySpec, t: np.ndarray, options: FitOptions) -> tuple[float, float]:
+def _nl_bounds(spec: FamilySpec, t: np.ndarray) -> tuple[float, float]:
     t_min, t_max = float(t.min()), float(t.max())
     if spec.shift_index is not None:
         base = (spec.arg_threshold or 0.0) - t_min
@@ -172,14 +168,6 @@ def _nl_bounds(spec: FamilySpec, t: np.ndarray, options: FitOptions) -> tuple[fl
         hi = base + 4000.0
     else:  # exponential rate: keep exp(r * t_max) representable
         lo, hi = 1e-4, min(4.0, 600.0 / t_max)
-    if options.bounds is not None:
-        blo, bhi = options.bounds
-        if not (blo < bhi) or bhi <= lo:
-            raise FitError(
-                f"bounds {options.bounds} incompatible with family {spec.name!r} "
-                f"(valid range starts at {lo:g})"
-            )
-        lo, hi = max(lo, blo), bhi
     return lo, hi
 
 
@@ -197,15 +185,14 @@ def fit_points(
     t: np.ndarray,
     y: np.ndarray,
     family: str,
-    options: FitOptions | None = None,
     t_origin: str | None = None,
+    _grid_size: int = GRID_SIZE,
 ) -> FitResult:
     """Fit one family to explicit (month index, value) points.
 
     This is the engine behind :func:`fit`; use it directly when observations
     are calendar-anchored but not contiguous.
     """
-    options = options or FitOptions()
     spec = family_spec(family)
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -229,15 +216,13 @@ def fit_points(
 
     converged = True
     if spec.nonlinear_index is None:
-        if options.bounds is not None:
-            raise FitError(f"family {spec.name!r} has no nonlinear parameter to bound")
-        sse, coefs = _lstsq_sse(spec.basis(t, None), target)
+        _, coefs = _lstsq_sse(spec.basis(t, None), target)
         if coefs is None:
             raise FitError(f"degenerate design matrix for {spec.name!r}")
         params = spec.assemble(None, coefs)
     else:
-        lo, hi = _nl_bounds(spec, t, options)
-        grid = _nl_grid(spec, lo, hi, options.grid_size)
+        lo, hi = _nl_bounds(spec, t)
+        grid = _nl_grid(spec, lo, hi, _grid_size)
 
         def profile(v: float) -> float:
             return _lstsq_sse(spec.basis(t, v), target)[0]
@@ -254,15 +239,13 @@ def fit_points(
                 options={"xatol": 1e-10 * (1.0 + abs(grid[best]))},
             )
             nl = float(res.x) if res.fun <= sses[best] else float(grid[best])
+            converged = bool(res.success)
         else:
             nl = float(grid[best])
-        sse, coefs = _lstsq_sse(spec.basis(t, nl), target)
+        _, coefs = _lstsq_sse(spec.basis(t, nl), target)
         if coefs is None:
             raise FitError(f"no feasible {spec.name!r} fit in bounds ({lo:g}, {hi:g})")
         params = spec.assemble(nl, coefs)
-
-        if options.polish:
-            params, sse, converged = _polish(spec, t, target, params, (lo, hi), sse, options)
 
     model = GrowthModel(spec.name, params, t_origin=t_origin)
     pred = np.asarray(model.evaluate(t), dtype=float)
@@ -281,53 +264,15 @@ def fit_points(
     )
 
 
-def _polish(
-    spec: FamilySpec,
-    t: np.ndarray,
-    target: np.ndarray,
-    params: tuple[float, ...],
-    nl_bounds: tuple[float, float],
-    sse: float,
-    options: FitOptions,
-) -> tuple[tuple[float, ...], float, bool]:
-    """Gauss-Newton refinement of the full parameter vector."""
-    nl_i = spec.nonlinear_index
-    lower = np.full(spec.arity, -np.inf)
-    upper = np.full(spec.arity, np.inf)
-    lower[nl_i], upper[nl_i] = nl_bounds
-    x0 = np.clip(np.asarray(params, dtype=float), lower, upper)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        if spec.log_space:
-            pred = spec.basis(t, x[nl_i]) @ np.array([x[0], x[2]])
-        else:
-            pred = spec.value(tuple(x), t)
-        bad = ~np.isfinite(pred)
-        if np.any(bad):
-            pred = np.where(bad, 1e300, pred)
-        return pred - target
-
-    try:
-        res = least_squares(
-            residual, x0, bounds=(lower, upper), method="trf", max_nfev=options.max_iter
-        )
-    except (ValueError, np.linalg.LinAlgError):
-        return params, sse, True
-    converged = res.status > 0  # status 0: iteration budget exhausted
-    new_sse = float(2.0 * res.cost)
-    if new_sse <= sse:
-        return spec.assemble(res.x[nl_i], np.delete(res.x, nl_i)), new_sse, converged
-    return params, sse, converged
-
-
-def fit(series: TimeSeries, family: str, options: FitOptions | None = None) -> FitResult:
+def fit(series: TimeSeries, family: str) -> FitResult:
     """Fit one growth-law family to a monthly series.
 
     On noiseless data generated by the same family the parameters are
     recovered essentially exactly; the ``converged`` flag reports whether
-    the local refinement met its tolerances within the iteration budget.
+    the bounded scalar refinement of the nonlinear parameter met its
+    tolerance (always ``True`` for families without one).
     """
-    return fit_points(series.t, series.y, family, options, t_origin=series.origin)
+    return fit_points(series.t, series.y, family, t_origin=series.origin)
 
 
 def mape(series: TimeSeries, model: GrowthModel) -> dict:
@@ -352,7 +297,6 @@ def select_points(
     t: np.ndarray,
     y: np.ndarray,
     families: list[str] | tuple[str, ...],
-    options: FitOptions | None = None,
     t_origin: str | None = None,
 ) -> list[FitResult]:
     """Fit every family and rank ascending by MAPE.
@@ -363,7 +307,7 @@ def select_points(
     """
     if not families:
         raise FitError("at least one candidate family is required")
-    results = [fit_points(t, y, fam, options, t_origin=t_origin) for fam in families]
+    results = [fit_points(t, y, fam, t_origin=t_origin) for fam in families]
     results.sort(key=lambda r: r.mape)
     ranked: list[FitResult] = []
     while results:
@@ -375,12 +319,8 @@ def select_points(
     return ranked
 
 
-def select(
-    series: TimeSeries,
-    families: list[str] | tuple[str, ...],
-    options: FitOptions | None = None,
-) -> list[FitResult]:
-    return select_points(series.t, series.y, families, options, t_origin=series.origin)
+def select(series: TimeSeries, families: list[str] | tuple[str, ...]) -> list[FitResult]:
+    return select_points(series.t, series.y, families, t_origin=series.origin)
 
 
 def forecast(fit_result: FitResult, until: str, label: str = "") -> TimeSeries:
@@ -427,48 +367,43 @@ class SegmentSplit:
         }
 
 
-def segment_break(
-    series: TimeSeries,
-    early_family: str,
-    late_family: str,
-    min_segment: int = 6,
-    options: FitOptions | None = None,
-) -> SegmentSplit:
+def segment_break(series: TimeSeries, early_family: str, late_family: str) -> SegmentSplit:
     """Exhaustively locate the break minimizing combined squared error.
 
-    Every admissible split point is scanned with a cheap profile fit (the
-    series are at most a few hundred months, so the O(n^2) scan is trivial);
-    the winning segments are then refitted at full precision.  A split is
-    flagged ``low_contrast`` when a single-family fit explains the series
-    essentially as well as the best split.
+    Every admissible split point is scanned with a cheap profile fit on a
+    ``SCAN_GRID_SIZE``-point grid (the series are at most a few hundred
+    months, so the O(n^2) scan is trivial); the winning segments are then
+    refitted at full precision, on the ``GRID_SIZE``-point grid.  A split
+    is flagged ``low_contrast`` when a single-family fit explains the
+    series essentially as well as the best split.
     """
     n = len(series)
     if n < 12:
         raise FitError("segment detection needs at least 12 points")
     e_spec, l_spec = family_spec(early_family), family_spec(late_family)
-    min_early = max(min_segment, e_spec.arity + 2)
-    min_late = max(min_segment, l_spec.arity + 2)
+    min_early = max(MIN_SEGMENT, e_spec.arity + 2)
+    min_late = max(MIN_SEGMENT, l_spec.arity + 2)
     if min_early + min_late > n:
         raise FitError("series too short for the requested segment sizes")
 
     t, y = series.t, series.y
-    scan = FitOptions(grid_size=36, polish=False)
     best: tuple[float, int] | None = None
     for b in range(min_early, n - min_late + 1):
         sse = (
-            fit_points(t[:b], y[:b], early_family, scan).sse
-            + fit_points(t[b:], y[b:], late_family, scan).sse
+            fit_points(t[:b], y[:b], early_family, _grid_size=SCAN_GRID_SIZE).sse
+            + fit_points(t[b:], y[b:], late_family, _grid_size=SCAN_GRID_SIZE).sse
         )
         if best is None or sse < best[0]:
             best = (sse, b)
     assert best is not None
     _, b = best
-    early = fit_points(t[:b], y[:b], early_family, options, t_origin=series.origin)
-    late = fit_points(t[b:], y[b:], late_family, options, t_origin=series.origin)
+    early = fit_points(t[:b], y[:b], early_family, t_origin=series.origin)
+    late = fit_points(t[b:], y[b:], late_family, t_origin=series.origin)
     split_sse = early.sse + late.sse
 
     single_sse = min(
-        fit_points(t, y, early_family, scan).sse, fit_points(t, y, late_family, scan).sse
+        fit_points(t, y, early_family, _grid_size=SCAN_GRID_SIZE).sse,
+        fit_points(t, y, late_family, _grid_size=SCAN_GRID_SIZE).sse,
     )
     scale = float(y @ y)
     if single_sse <= 1e-16 * scale:

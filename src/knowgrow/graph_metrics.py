@@ -58,7 +58,6 @@ class SnapshotGraph:
     self_loop_count: int = 0
     duplicate_count: int = 0
     _out: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
-    _in: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
     _distances: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -77,7 +76,8 @@ class SnapshotGraph:
             raise ValueError(f"edge endpoint outside [0, {n})")
         loops = arr[:, 0] == arr[:, 1]
         self_loops = int(np.count_nonzero(loops))
-        codes = np.unique((arr[:, 0] * n + arr[:, 1])[~loops])  # sorted by (src, dst)
+        codes = np.sort((arr[:, 0] * n + arr[:, 1])[~loops])  # sorted by (src, dst)
+        codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0: keeps the first
         return cls(
             n=n,
             src=codes // n,
@@ -96,12 +96,6 @@ class SnapshotGraph:
             data = np.ones(len(self.src), dtype=np.int8)
             self._out = sparse.csr_matrix((data, (self.src, self.dst)), shape=(self.n, self.n))
         return self._out
-
-    def in_csr(self) -> sparse.csr_matrix:
-        if self._in is None:
-            data = np.ones(len(self.src), dtype=np.int8)
-            self._in = sparse.csr_matrix((data, (self.dst, self.src)), shape=(self.n, self.n))
-        return self._in
 
     def degrees(self, direction: str = "total") -> np.ndarray:
         if direction not in _DIRECTIONS:

@@ -3,14 +3,16 @@
 Everything here is deliberately naive and structurally unrelated to the
 package code it checks: fixed-step Simpson quadrature, deque-based BFS,
 per-focal set enumeration for disruption scores, level-by-level closure
-for category counting, neighbour-pair enumeration for clustering, and
-mutual reachability for strong components.
+for category counting, neighbour-pair enumeration for clustering,
+mutual reachability for strong components, and a joint trust-region
+least-squares refinement over every growth-law parameter at once.
 """
 from __future__ import annotations
 
 from collections import deque
 
 import numpy as np
+from scipy.optimize import least_squares
 
 
 def simpson_li(x: float, steps_per_segment: int = 4096) -> float:
@@ -165,6 +167,35 @@ def closure_member_counts(
     for cat in reached:
         articles |= articles_of.get(cat, set())
     return len(articles), len(reached)
+
+
+def joint_least_squares_sse(
+    spec, t: np.ndarray, y: np.ndarray, params: tuple[float, ...],
+    nl_bounds: tuple[float, float], max_nfev: int = 200,
+) -> tuple[float, float]:
+    """SSE at ``params`` and after a bounded trust-region refinement from them.
+
+    Every parameter moves at once through ``spec.value`` (the family
+    formula), with only the nonlinear one held inside ``nl_bounds``; the
+    SSE is taken on ``ln y`` for log-space families, as the fitter does.
+    """
+    nl_i = spec.nonlinear_index
+    lower = np.full(spec.arity, -np.inf)
+    upper = np.full(spec.arity, np.inf)
+    lower[nl_i], upper[nl_i] = nl_bounds
+    target = np.log(y) if spec.log_space else y
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            pred = spec.value(tuple(x), t)
+            if spec.log_space:
+                pred = np.log(pred)
+        return np.where(np.isfinite(pred), pred, 1e300) - target
+
+    x0 = np.clip(np.asarray(params, dtype=float), lower, upper)
+    r0 = residual(x0)
+    res = least_squares(residual, x0, bounds=(lower, upper), method="trf", max_nfev=max_nfev)
+    return float(r0 @ r0), float(2.0 * res.cost)
 
 
 def sample_discrete_powerlaw(

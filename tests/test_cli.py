@@ -296,6 +296,13 @@ class TestUsage:
             main(["fit", "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [("--max-iter", "5"), ("--seed", "1")])
+    def test_fit_takes_no_optimizer_or_seed_flag(self, flag, articles_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", str(articles_csv), *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,expected",
         [

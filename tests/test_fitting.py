@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import joint_least_squares_sse
 from knowgrow.fitting import (
     FitError,
-    FitOptions,
     FitResult,
     TimeSeries,
     fit,
@@ -21,8 +21,9 @@ from knowgrow.fitting import (
     segment_break,
     select,
     select_points,
+    _nl_bounds,
 )
-from knowgrow.growth import STANDARD_FAMILIES, GrowthModel
+from knowgrow.growth import STANDARD_FAMILIES, GrowthModel, family_spec
 
 # one well-scaled parameter set per family; every component is far from 0 so
 # relative recovery error is meaningful
@@ -138,25 +139,24 @@ class TestFitRecovery:
         with pytest.raises(FitError, match="all-zero"):
             fit_points(T120, np.zeros_like(T120), "linear")
 
-    def test_bounds_mismatch(self):
-        with pytest.raises(FitError, match="no nonlinear parameter"):
-            fit_points(T120, T120 + 1.0, "linear", FitOptions(bounds=(0.0, 10.0)))
-        with pytest.raises(FitError, match="incompatible"):
-            fit_points(T120, T120 + 1.0, "exponential", FitOptions(bounds=(-5.0, -1.0)))
-
     def test_log_space_family_needs_positive_values(self):
         with pytest.raises(FitError, match="log space"):
             fit_points(T120, T120 - 10.0, "sub_exponential")
 
-    def test_bounds_narrow_the_search(self):
-        y, _ = synthetic("shifted_t_ln_t")
-        r = fit_points(T120, y, "shifted_t_ln_t", FitOptions(bounds=(5.0, 50.0)))
-        assert r.model.params[1] == pytest.approx(12.0, rel=1e-6)
-
-    def test_exhausted_budget_clears_converged_flag(self):
-        y, _ = synthetic("exponential", noise=0.001)
-        r = fit_points(T120, y, "exponential", FitOptions(max_iter=1))
-        assert not r.converged
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "family", [f for f in STANDARD_FAMILIES if family_spec(f).nonlinear_index is not None]
+    )
+    def test_profile_optimum_is_the_joint_least_squares_fit(self, family, seed):
+        # moving every parameter at once from the returned fit finds no lower SSE
+        y, _ = synthetic(family, noise=0.001, seed=seed)
+        r = fit_points(T120, y, family)
+        spec = family_spec(family)
+        before, after = joint_least_squares_sse(
+            spec, T120, y, r.model.params, _nl_bounds(spec, T120)
+        )
+        assert r.converged
+        assert before - after <= 1e-9 * before
 
 
 class TestMape:
