@@ -6,7 +6,9 @@ Formats (all plain text, UTF-8):
              months must be consecutive (a gap is an error naming the
              missing month).
 - edge_list: TSV ``src<TAB>dst``; node ids are opaque strings interned to
-             dense indices; duplicate arcs are dropped with a count.
+             dense indices in first-appearance order; duplicate arcs are
+             dropped with a count.  Loaded with ``undirected=True`` (every
+             arc mirrored) the input is recorded as ``undirected_edge_list``.
 - category:  TSV ``child<TAB>parent<TAB>kind`` with kind of the child in
              {article, category}.
 - citation:  nodes TSV ``id<TAB>year[<TAB>field]`` plus edges TSV
@@ -14,10 +16,14 @@ Formats (all plain text, UTF-8):
 - samples:   one positive integer per line.
 - id_list:   one paper id per line (order is meaningful for rankings).
 
-Digests canonicalize before hashing: edge lists are sorted (order-
-insensitive), series and rankings hash in sequence order.  Reports are
-JSON documents embedding ``schema_version``, the tool version, and the
-digests of their inputs; writes are atomic (temp file + rename).
+The TSV formats and the sample list are parsed by one record reader: blank
+lines are skipped, every other line must have the format's field count, and
+a Dataset's ``rows`` is the number of records parsed.  Each file is read
+once.  Digests canonicalize before hashing: edge lists hash their sorted
+``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
+writes), series and rankings hash in sequence order.  Reports are JSON
+documents embedding ``schema_version``, the tool version, and the digests
+of their inputs; writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ import logging
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +68,9 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 CACHE_ENV = "KNOWGROW_CACHE_DIR"
 
-KINDS = ("series", "edge_list", "citation", "category", "samples", "id_list")
+KINDS = (
+    "series", "edge_list", "undirected_edge_list", "citation", "category", "samples", "id_list"
+)
 
 
 class DataFormatError(ValueError):
@@ -139,68 +148,69 @@ def load_series_csv(path: str | Path, label: str = "") -> tuple[Dataset, TimeSer
     return Dataset("series", str(path), _digest(canonical), len(values)), series
 
 
-def _split_tsv(path: str | Path, raw: str, no: int, n_fields: tuple[int, ...]) -> list[str]:
-    parts = raw.split("\t")
-    if len(parts) not in n_fields:
-        want = " or ".join(str(k) for k in n_fields)
-        raise DataFormatError(path, no, f"expected {want} tab-separated fields, got {len(parts)}")
-    return [p.strip() for p in parts]
+def _records(path: str | Path, lines: list[str], n_fields: tuple[int, ...]):
+    """``(line number, stripped fields)`` of every non-blank tab-separated line."""
+    for no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        parts = raw.split("\t")
+        if len(parts) not in n_fields:
+            want = " or ".join(map(str, n_fields))
+            raise DataFormatError(
+                path, no, f"expected {want} tab-separated fields, got {len(parts)}"
+            )
+        yield no, [p.strip() for p in parts]
+
+
+def _intern_arcs(path: str | Path, undirected: bool) -> tuple[list[str], np.ndarray, int]:
+    """Labels in first-appearance order, the ``(m, 2)`` index arcs and the record count."""
+    ends: list[str] = []  # src0, dst0, src1, dst1, ...
+    for no, pair in _records(path, _read_lines(path), (2,)):
+        if not all(pair):
+            raise DataFormatError(path, no, "empty node id")
+        ends += pair
+    labels = list(dict.fromkeys(ends))
+    index = dict(zip(labels, range(len(labels))))
+    arcs = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)).reshape(-1, 2)
+    if undirected:
+        arcs = np.concatenate([arcs, arcs[:, ::-1]])
+    return labels, arcs, len(ends) // 2
 
 
 def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
     """Edge list TSV -> SnapshotGraph with labels interned in file order.
 
     ``undirected=True`` mirrors every arc, for edge lists that store one
-    line per undirected edge.
+    line per undirected edge; the input is then recorded as kind
+    ``undirected_edge_list`` so reports re-verify with the same mirroring.
     """
-    lines = _read_lines(path)
-    labels: list[str] = []
-    index: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        i = index.get(name)
-        if i is None:
-            i = len(labels)
-            index[name] = i
-            labels.append(name)
-        return i
-
-    edges = []
-    for no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        s, d = _split_tsv(path, raw, no, (2,))
-        if not s or not d:
-            raise DataFormatError(path, no, "empty node id")
-        edges.append((intern(s), intern(d)))
+    labels, arcs, rows = _intern_arcs(path, undirected)
     if not labels:
         raise DataFormatError(path, None, "edge list is empty")
-    if undirected:
-        edges = edges + [(d, s) for s, d in edges]
-    graph = SnapshotGraph.from_edges(edges, n=len(labels), labels=labels)
-    canonical = sorted(f"{labels[s]}\t{labels[d]}" for s, d in zip(graph.src, graph.dst))
-    ds = Dataset("edge_list", str(path), _digest(canonical), len(lines))
+    graph = SnapshotGraph.from_edges(arcs, n=len(labels), labels=labels)
+    del arcs  # freed before the digest strings are built
+    kind = "undirected_edge_list" if undirected else "edge_list"
+    ds = Dataset(kind, str(path), _digest(_arc_lines(graph)), rows)
     if graph.duplicate_count:
         logger.warning("%s: dropped %d duplicate arcs", path, graph.duplicate_count)
     return ds, graph
 
 
+def _arc_lines(graph: SnapshotGraph) -> list[str]:
+    """Sorted ``src<TAB>dst`` label rows; node ids stand in for missing labels."""
+    names = graph.labels if graph.labels is not None else map(str, range(graph.n))
+    labels = np.fromiter(names, object, graph.n)
+    return sorted(map("\t".join, zip(labels[graph.src], labels[graph.dst])))
+
+
 def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
     """Serialize to the canonical sorted TSV form (stable across reloads)."""
-    if graph.labels is not None:
-        rows = sorted(f"{graph.labels[s]}\t{graph.labels[d]}" for s, d in zip(graph.src, graph.dst))
-    else:
-        rows = sorted(f"{s}\t{d}" for s, d in zip(graph.src, graph.dst))
-    _atomic_write(path, ("\n".join(rows) + "\n").encode())
+    _atomic_write(path, ("\n".join(_arc_lines(graph)) + "\n").encode())
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
-    lines = _read_lines(path)
     triples = []
-    for no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        child, parent, kind = _split_tsv(path, raw, no, (3,))
+    for no, (child, parent, kind) in _records(path, _read_lines(path), (3,)):
         if kind not in ("article", "category"):
             raise DataFormatError(path, no, f"kind must be article|category, got {kind!r}")
         triples.append((child, parent, kind))
@@ -210,20 +220,17 @@ def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
         graph = CategoryGraph.from_edges(triples)
     except ValueError as exc:
         raise DataFormatError(path, None, str(exc)) from None
-    canonical = sorted(f"{c}\t{p}\t{k}" for c, p, k in triples)
+    canonical = sorted(map("\t".join, triples))
     return Dataset("category", str(path), _digest(canonical), len(triples)), graph
 
 
 def load_samples(path: str | Path) -> tuple[Dataset, np.ndarray]:
-    lines = _read_lines(path)
     values = []
-    for no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
+    for no, (raw,) in _records(path, _read_lines(path), (1,)):
         try:
-            v = int(raw.strip())
+            v = int(raw)
         except ValueError:
-            raise DataFormatError(path, no, f"not an integer: {raw.strip()!r}") from None
+            raise DataFormatError(path, no, f"not an integer: {raw!r}") from None
         if v <= 0:
             raise DataFormatError(path, no, f"sample must be positive, got {v}")
         values.append(v)
@@ -247,43 +254,34 @@ def load_citation(
     """Citation graph from a nodes file and an edges file."""
     node_lines = _read_lines(nodes_path)
     papers = []
-    for no, raw in enumerate(node_lines, start=1):
-        if not raw.strip():
-            continue
-        parts = _split_tsv(nodes_path, raw, no, (2, 3))
+    for no, (pid, year, *fld) in _records(nodes_path, node_lines, (2, 3)):
         try:
-            year = int(parts[1])
-        except ValueError:
-            raise DataFormatError(nodes_path, no, f"not a year: {parts[1]!r}") from None
-        papers.append((parts[0], year, parts[2]) if len(parts) == 3 else (parts[0], year))
-
+            papers.append((pid, int(year), *fld))
+        except ValueError:  # only int() raises
+            raise DataFormatError(nodes_path, no, f"not a year: {year!r}") from None
     edge_lines = _read_lines(edges_path)
-    edges = []
-    for no, raw in enumerate(edge_lines, start=1):
-        if not raw.strip():
-            continue
-        citing, cited = _split_tsv(edges_path, raw, no, (2,))
-        edges.append((citing, cited))
+    edges = [pair for _, pair in _records(edges_path, edge_lines, (2,))]
     try:
         graph = CitationGraph.build(papers, edges)
     except ValueError as exc:
         raise DataFormatError(edges_path, None, str(exc)) from None
-    ds_nodes = Dataset("citation", str(nodes_path), _digest_citation_file(nodes_path), len(papers))
-    ds_edges = Dataset("citation", str(edges_path), _digest_citation_file(edges_path), len(edges))
+    ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(node_lines), len(papers))
+    ds_edges = Dataset("citation", str(edges_path), _citation_digest(edge_lines), len(edges))
     if graph.duplicate_count:
         logger.warning("%s: dropped %d duplicate citations", edges_path, graph.duplicate_count)
     return (ds_nodes, ds_edges), graph
 
 
-def _digest_citation_file(path: str | Path) -> str:
+def _citation_digest(lines: list[str]) -> str:
     # role-independent: sorted non-empty rows, so either citation file can be
     # re-verified without knowing whether it held nodes or edges
-    return _digest(sorted(ln.strip() for ln in _read_lines(path) if ln.strip()))
+    return _digest(sorted(ln.strip() for ln in lines if ln.strip()))
 
 
 _LOADERS = {
     "series": load_series_csv,
     "edge_list": load_edge_list,
+    "undirected_edge_list": partial(load_edge_list, undirected=True),
     "category": load_category_tsv,
     "samples": load_samples,
     "id_list": load_id_list,
@@ -361,7 +359,7 @@ def verify_report_inputs(doc: dict, overrides: dict[str, str | Path] | None = No
     for name, meta in doc.get("inputs", {}).items():
         path = Path(overrides.get(name, meta["path"]))
         if meta["kind"] == "citation":
-            fresh = _digest_citation_file(path)
+            fresh = _citation_digest(_read_lines(path))
         else:
             fresh = _LOADERS[meta["kind"]](path)[0].digest
         if fresh != meta["digest"]:

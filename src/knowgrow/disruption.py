@@ -22,6 +22,7 @@ callers who want one can filter the ranking by year range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -80,17 +81,15 @@ class CitationGraph:
             fields.append(fld)
 
         n = len(ids)
-        srcs = np.empty(len(edges), dtype=np.int64)
-        dsts = np.empty(len(edges), dtype=np.int64)
-        for e, (citing, cited) in enumerate(edges):
-            try:
-                a, b = index[citing], index[cited]
-            except KeyError as exc:
-                raise ValueError(f"edge references unknown paper id {exc.args[0]!r}") from None
-            if a == b:
-                raise ValueError(f"self-citation on {citing!r}")
-            srcs[e] = a
-            dsts[e] = b
+        try:
+            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), np.int64,
+                               2 * len(edges))
+        except KeyError as exc:
+            raise ValueError(f"edge references unknown paper id {exc.args[0]!r}") from None
+        srcs, dsts = ends[0::2], ends[1::2]
+        loops = np.flatnonzero(srcs == dsts)
+        if len(loops):
+            raise ValueError(f"self-citation on {ids[srcs[loops[0]]]!r}")
 
         # boolean values: repeated citations merge, coupling products cannot wrap
         cites = sparse.csr_matrix((np.ones(len(edges), bool), (srcs, dsts)), shape=(n, n))

@@ -219,7 +219,6 @@ def fit_points(
         _, coefs = _lstsq_sse(spec.basis(t, None), target)
         if coefs is None:
             raise FitError(f"degenerate design matrix for {spec.name!r}")
-        params = spec.assemble(None, coefs)
     else:
         lo, hi = _nl_bounds(spec, t)
         grid = _nl_grid(spec, lo, hi, _grid_size)
@@ -245,8 +244,10 @@ def fit_points(
         _, coefs = _lstsq_sse(spec.basis(t, nl), target)
         if coefs is None:
             raise FitError(f"no feasible {spec.name!r} fit in bounds ({lo:g}, {hi:g})")
-        params = spec.assemble(nl, coefs)
 
+    params = list(coefs)  # GrowthModel converts them to floats
+    if spec.nonlinear_index is not None:
+        params.insert(spec.nonlinear_index, nl)
     model = GrowthModel(spec.name, params, t_origin=t_origin)
     pred = np.asarray(model.evaluate(t), dtype=float)
     residuals = pred - y

@@ -127,8 +127,10 @@ class FamilySpec:
     ``shift_index`` marks the parameter added to ``t`` before any logarithm;
     ``arg_threshold``/``arg_inclusive`` bound that argument from below.
     ``nonlinear_index`` names the single parameter the fitter must search
-    over (the rest enter linearly); ``basis`` and ``assemble`` realize that
-    split.  ``log_space`` families are fitted on ``ln y``.
+    over (the rest enter linearly); ``basis`` gives the linear design for a
+    value of it, and the fitted parameters are the basis coefficients with
+    that value inserted at ``nonlinear_index``.  ``log_space`` families are
+    fitted on ``ln y``.
     """
 
     name: str
@@ -139,7 +141,6 @@ class FamilySpec:
     shift_index: int | None = None
     nonlinear_index: int | None = None
     basis: Callable[[np.ndarray, float], np.ndarray] | None = None
-    assemble: Callable[[float, np.ndarray], tuple[float, ...]] | None = None
     log_space: bool = False
     analytic_increment: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     increment_is_value: bool = False
@@ -169,9 +170,6 @@ def _shift_family(
     def basis(t, s):
         return np.column_stack([transform(t + s), _ones_like(t)])
 
-    def assemble(s, coefs):
-        return (float(coefs[0]), float(s), float(coefs[1]))
-
     return FamilySpec(
         name=name,
         param_names=("a", "s", "b"),
@@ -181,7 +179,6 @@ def _shift_family(
         shift_index=1,
         nonlinear_index=1,
         basis=basis,
-        assemble=assemble,
         analytic_increment=analytic_increment,
         increment_is_value=increment_is_value,
     )
@@ -195,7 +192,6 @@ def _make_families() -> dict[str, FamilySpec]:
         param_names=("a",),
         value=lambda p, t: np.full_like(np.asarray(t, dtype=float), p[0]),
         basis=lambda t, _nl: _ones_like(t)[:, None],
-        assemble=lambda _nl, c: (float(c[0]),),
     )
 
     fams["linear"] = FamilySpec(
@@ -203,7 +199,6 @@ def _make_families() -> dict[str, FamilySpec]:
         param_names=("a", "b"),
         value=lambda p, t: p[0] * t + p[1],
         basis=lambda t, _nl: np.column_stack([t, _ones_like(t)]),
-        assemble=lambda _nl, c: (float(c[0]), float(c[1])),
     )
 
     fams["logarithmic"] = _shift_family(
@@ -249,7 +244,6 @@ def _make_families() -> dict[str, FamilySpec]:
         arg_threshold=0.0,
         arg_inclusive=False,
         basis=lambda t, _nl: np.column_stack([t * np.log(t), t, _ones_like(t)]),
-        assemble=lambda _nl, c: (float(c[0]), float(c[1]), float(c[2])),
         analytic_increment=lambda p, t: p[0] * (np.log(t) + 1.0) + p[1],
     )
 
@@ -262,7 +256,6 @@ def _make_families() -> dict[str, FamilySpec]:
         value=_exp_value,
         nonlinear_index=1,
         basis=lambda t, r: np.column_stack([np.exp(r * t), _ones_like(t)]),
-        assemble=lambda r, c: (float(c[0]), float(r), float(c[1])),
     )
 
     def _subexp_value(p, t):
@@ -277,7 +270,6 @@ def _make_families() -> dict[str, FamilySpec]:
         shift_index=1,
         nonlinear_index=1,
         basis=lambda t, s: np.column_stack([t / np.log(t + s), _ones_like(t)]),
-        assemble=lambda s, c: (float(c[0]), float(s), float(c[1])),
         log_space=True,
     )
 
@@ -331,7 +323,6 @@ def _polynomial_spec(degree: int) -> FamilySpec:
         param_names=tuple(f"c{k}" for k in range(degree, -1, -1)),
         value=value,
         basis=basis,
-        assemble=lambda _nl, c: tuple(float(v) for v in c),
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from knowgrow.cli import main
-from knowgrow.dataio import CACHE_ENV, load_report
+from knowgrow.dataio import CACHE_ENV, load_report, verify_report_inputs
 from knowgrow.growth import QUASI_LINEAR_FAMILIES
 
 # monthly article totals from a fitted quasi-linear curve (consecutive months)
@@ -134,6 +134,18 @@ class TestBA:
         assert payload["mean_degree"] == pytest.approx(
             payload["density"] * (payload["n"] - 1), rel=1e-12
         )
+
+
+class TestMetricsReportVerifies:
+    def test_undirected_report_verifies_until_the_file_changes(self, tmp_path):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("a\tb\nb\tc\n")
+        out = tmp_path / "m.json"
+        assert run("metrics", "--edges", edges, "--undirected", "--json", out, "--quiet") == 0
+        verify_report_inputs(load_report(out))
+        edges.write_text("a\tb\nb\tc\nc\ta\n")
+        with pytest.raises(ValueError, match="digest mismatch for input 'e.tsv'"):
+            verify_report_inputs(load_report(out))
 
 
 class TestMetricsCache:

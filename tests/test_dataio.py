@@ -23,6 +23,7 @@ from knowgrow.dataio import (
     write_edge_tsv,
 )
 from knowgrow.fitting import FitResult, fit
+from knowgrow.graph_metrics import SnapshotGraph
 
 
 def write(path, text):
@@ -89,6 +90,36 @@ class TestEdgeLoader:
         p = write(tmp_path / "e.tsv", "a\tb\n")
         _, g = load_edge_list(p, undirected=True)
         assert g.arc_count == 2
+
+    def test_empty_node_id_names_its_line(self, tmp_path):
+        p = write(tmp_path / "e.tsv", "a\tb\n\n \tc\n")
+        with pytest.raises(DataFormatError, match=r"e\.tsv:3: empty node id"):
+            load_edge_list(p)
+
+    def test_blank_lines_only_is_empty(self, tmp_path):
+        p = write(tmp_path / "e.tsv", "\n  \n\t\n")
+        with pytest.raises(DataFormatError, match="edge list is empty"):
+            load_edge_list(p)
+
+    def test_rows_count_records_not_blank_lines(self, tmp_path):
+        p = write(tmp_path / "e.tsv", "\na\tb\n\nb\tc\n\n")
+        assert load_edge_list(p)[0].rows == 2
+        ds, g = load_edge_list(p, undirected=True)
+        assert (ds.rows, g.arc_count) == (2, 4)
+
+    def test_undirected_load_records_its_kind(self, tmp_path):
+        p = write(tmp_path / "e.tsv", "a\tb\n")
+        assert load_edge_list(p)[0].kind == "edge_list"
+        ds = load_edge_list(p, undirected=True)[0]
+        assert ds.kind == "undirected_edge_list"
+        assert load(p, "undirected_edge_list")[0] == ds
+
+    def test_unlabeled_graph_sorts_ids_as_strings(self, tmp_path):
+        out1, out2 = tmp_path / "g1.tsv", tmp_path / "g2.tsv"
+        write_edge_tsv(SnapshotGraph.from_edges([(2, 1), (10, 2)], n=11), out1)
+        assert out1.read_text() == "10\t2\n2\t1\n"
+        write_edge_tsv(load_edge_list(out1)[1], out2)
+        assert out2.read_bytes() == out1.read_bytes()
 
     def test_canonicalization_idempotent(self, tmp_path):
         p = write(tmp_path / "e.tsv", "b\tc\na\tb\nb\tc\n")

@@ -48,6 +48,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="self"):
             build([("a", 2000)], [("a", "a")])
 
+    def test_errors_name_the_id_and_unknown_ids_come_first(self):
+        papers = [("a", 2000), ("b", 2001)]
+        with pytest.raises(ValueError, match="self-citation on 'b'"):
+            build(papers, [("a", "b"), ("b", "b")])
+        with pytest.raises(ValueError, match="unknown paper id 'ghost'"):
+            build(papers, [("b", "b"), ("a", "ghost")])
+
     def test_year_range(self):
         with pytest.raises(ValueError, match="year"):
             build([("a", 1850)], [])
