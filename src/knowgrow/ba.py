@@ -137,20 +137,14 @@ DEFAULT_BANDS: dict[str, tuple[float, float]] = {
 }
 
 
-def compare(
-    g: SnapshotGraph,
-    params: BAParams,
-    bands: dict[str, tuple[float, float]] | None = None,
-    sources: int = 64,
-) -> dict:
+def compare(g: SnapshotGraph, params: BAParams, sources: int = 64) -> dict:
     """Empirical metrics of a generated graph against the theory column.
 
     ``g`` must have been produced by :func:`generate` with ``params``: the
     density row halves the symmetric arc count to recover undirected edges.
     Returns a JSON-ready report with one row per metric, the ratio to its
-    reference, and a flag for ratios outside the configured band.
+    reference, and a flag for ratios outside its band in ``DEFAULT_BANDS``.
     """
-    bands = {**DEFAULT_BANDS, **(bands or {})}
     ref = theory(params)
     undirected_edges = g.arc_count // 2
     emp_density = undirected_edges / (g.n * (g.n - 1))
@@ -166,7 +160,7 @@ def compare(
         ("powerlaw_exponent", pl.exponent, 3.0),
     ]:
         ratio = emp / reference
-        lo, hi = bands[name]
+        lo, hi = DEFAULT_BANDS[name]
         rows.append(
             {
                 "metric": name,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,12 +43,11 @@ from .graph_metrics import (
     effective_diameter,
     lognormal_fit,
     mean_degree,
-    normalized_structural_entropy,
     powerlaw_fit,
 )
-from .growth import STANDARD_FAMILIES, DomainError, model_catalog
+from .growth import STANDARD_FAMILIES, DomainError, family_spec, model_catalog
 from .months import month_index
-from .taxonomy import count_members, count_members_by_level, detect_cycles, wag_root_presets
+from .taxonomy import count_members_by_level, detect_cycles, wag_root_presets
 
 SERIES_FORMAT = "CSV with header 'date,value'; date is ISO YYYY-MM, months consecutive"
 EDGES_FORMAT = "TSV 'src<TAB>dst', one arc per line, opaque string node ids"
@@ -94,7 +94,7 @@ def cmd_fit(args) -> int:
         families = [
             f
             for f in STANDARD_FAMILIES
-            if f != "sub_exponential" or all(v > 0 for v in series.values)
+            if not family_spec(f).log_space or all(v > 0 for v in series.values)
         ]
     else:
         families = [args.family]
@@ -103,7 +103,8 @@ def cmd_fit(args) -> int:
     payload = {
         "best": best.to_json(),
         "ranking": [
-            {"family": r.model.family, "mape": r.mape, "rmse": r.rmse, "converged": r.converged}
+            {"family": r.model.family, "mape": r.mape, "rmse": r.rmse,
+             "converged": r.converged, "at_bound": r.at_bound}
             for r in ranked
         ],
         "series": series.to_json(),
@@ -176,6 +177,7 @@ def cmd_metrics(args) -> int:
     if cached is not None:
         payload = json.loads(cached)["payload"]
     else:
+        entropy = {d: degree_entropy(g, d) for d in ("in", "out", "total")}
         payload = {
             "n": g.n,
             "arcs": g.arc_count,
@@ -183,10 +185,8 @@ def cmd_metrics(args) -> int:
             "duplicates_dropped": g.duplicate_count,
             "density": density(g),
             "mean_degree": mean_degree(g),
-            "degree_entropy": {d: degree_entropy(g, d) for d in ("in", "out", "total")},
-            "normalized_structural_entropy": {
-                d: normalized_structural_entropy(g, d) for d in ("in", "out", "total")
-            },
+            "degree_entropy": entropy,
+            "normalized_structural_entropy": {d: h / math.log(g.n) for d, h in entropy.items()},
             "effective_diameter": effective_diameter(g, args.quantile, args.sources, args.seed),
             "avg_shortest_path": avg_shortest_path(g, args.sources, args.seed),
         }
@@ -280,16 +280,16 @@ def cmd_taxonomy(args) -> int:
         roots = presets[args.preset]
     else:
         roots = [r.strip() for r in args.roots.split(",") if r.strip()]
-    counts = count_members(g, roots, args.depth)
-    payload = {"roots": roots, "depth": args.depth, **counts}
+    levels = count_members_by_level(g, roots, args.depth)
+    categories, articles = levels[-1]
+    payload = {"roots": roots, "depth": args.depth, "articles": articles, "categories": categories}
     if args.cycles:
         payload["cycles"] = detect_cycles(g)
     if args.plot_csv:
-        levels = count_members_by_level(g, roots, args.depth)
         rows = [(level, *row) for level, row in enumerate(levels)]
         _write_csv(args.plot_csv, ["depth", "categories", "articles"], rows)
     summary = [
-        f"{counts['categories']} categories and {counts['articles']} distinct articles "
+        f"{categories} categories and {articles} distinct articles "
         f"within depth {args.depth} of {len(roots)} roots"
     ]
     if args.cycles:

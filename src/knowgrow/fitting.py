@@ -111,6 +111,7 @@ class FitResult:
     rmse: float
     residuals: np.ndarray
     converged: bool
+    at_bound: bool
     t: np.ndarray
     y: np.ndarray
 
@@ -130,6 +131,7 @@ class FitResult:
             "rmse": self.rmse,
             "residuals": [float(r) for r in self.residuals],
             "converged": self.converged,
+            "at_bound": self.at_bound,
             "t": [float(v) for v in self.t],
             "y": [float(v) for v in self.y],
         }
@@ -143,6 +145,7 @@ class FitResult:
             rmse=doc["rmse"],
             residuals=np.asarray(doc["residuals"], dtype=float),
             converged=doc["converged"],
+            at_bound=doc.get("at_bound", False),
             t=np.asarray(doc["t"], dtype=float),
             y=np.asarray(doc["y"], dtype=float),
         )
@@ -162,7 +165,7 @@ def _lstsq_sse(basis: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray
 
 def _nl_bounds(spec: FamilySpec, t: np.ndarray) -> tuple[float, float]:
     t_min, t_max = float(t.min()), float(t.max())
-    if spec.shift_index is not None:
+    if spec.shifted:
         base = (spec.arg_threshold or 0.0) - t_min
         lo = base if spec.arg_inclusive else base + 1e-6
         hi = base + 4000.0
@@ -172,7 +175,7 @@ def _nl_bounds(spec: FamilySpec, t: np.ndarray) -> tuple[float, float]:
 
 
 def _nl_grid(spec: FamilySpec, lo: float, hi: float, size: int) -> np.ndarray:
-    if spec.shift_index is not None:
+    if spec.shifted:
         # geometric spacing of the offset above the domain boundary
         offsets = np.geomspace(min(1e-3, hi - lo), hi - lo, size)
         grid = lo + np.concatenate([[0.0], offsets]) if spec.arg_inclusive else lo + offsets
@@ -214,7 +217,7 @@ def fit_points(
     else:
         target = y
 
-    converged = True
+    converged, at_bound = True, False
     if spec.nonlinear_index is None:
         _, coefs = _lstsq_sse(spec.basis(t, None), target)
         if coefs is None:
@@ -230,17 +233,19 @@ def fit_points(
         best = int(np.argmin(sses))
         b_lo = grid[max(best - 1, 0)]
         b_hi = grid[min(best + 1, len(grid) - 1)]
+        xatol = 1e-10 * (1.0 + abs(grid[best]))
         if b_hi > b_lo:
             res = minimize_scalar(
-                profile,
-                bounds=(b_lo, b_hi),
-                method="bounded",
-                options={"xatol": 1e-10 * (1.0 + abs(grid[best]))},
+                profile, bounds=(b_lo, b_hi), method="bounded", options={"xatol": xatol}
             )
             nl = float(res.x) if res.fun <= sses[best] else float(grid[best])
             converged = bool(res.success)
         else:
             nl = float(grid[best])
+        # the search spans grid[0]..grid[-1]; bounded Brent stops once its
+        # bracket lies within tol of its answer
+        tol = 2.0 * (math.sqrt(np.finfo(float).eps) * abs(nl) + xatol / 3.0)
+        at_bound = bool(min(nl - grid[0], grid[-1] - nl) <= tol)
         _, coefs = _lstsq_sse(spec.basis(t, nl), target)
         if coefs is None:
             raise FitError(f"no feasible {spec.name!r} fit in bounds ({lo:g}, {hi:g})")
@@ -260,6 +265,7 @@ def fit_points(
         rmse=float(np.sqrt(np.mean(residuals**2))),
         residuals=residuals,
         converged=converged,
+        at_bound=at_bound,
         t=t,
         y=y,
     )
@@ -271,7 +277,9 @@ def fit(series: TimeSeries, family: str) -> FitResult:
     On noiseless data generated by the same family the parameters are
     recovered essentially exactly; the ``converged`` flag reports whether
     the bounded scalar refinement of the nonlinear parameter met its
-    tolerance (always ``True`` for families without one).
+    tolerance (always ``True`` for families without one), and ``at_bound``
+    whether it ended at an end of its search range, where the true optimum
+    may lie beyond (always ``False`` for families without one).
     """
     return fit_points(series.t, series.y, family, t_origin=series.origin)
 
@@ -371,12 +379,13 @@ class SegmentSplit:
 def segment_break(series: TimeSeries, early_family: str, late_family: str) -> SegmentSplit:
     """Exhaustively locate the break minimizing combined squared error.
 
-    Every admissible split point is scanned with a cheap profile fit on a
-    ``SCAN_GRID_SIZE``-point grid (the series are at most a few hundred
-    months, so the O(n^2) scan is trivial); the winning segments are then
-    refitted at full precision, on the ``GRID_SIZE``-point grid.  A split
-    is flagged ``low_contrast`` when a single-family fit explains the
-    series essentially as well as the best split.
+    Every admissible split point is scanned with a profile fit of both
+    segments on a ``SCAN_GRID_SIZE``-point grid, so the scan costs about
+    2n fits; on a 600-month series that is about 1200 fits and most of
+    the command's time.  The winning segments are then refitted at full
+    precision, on the ``GRID_SIZE``-point grid.  A split is flagged
+    ``low_contrast`` when a single-family fit explains the series
+    essentially as well as the best split.
     """
     n = len(series)
     if n < 12:

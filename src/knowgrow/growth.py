@@ -22,6 +22,10 @@ Families and their parameter vectors::
     exponential      (a, r, b)   a*exp(r*t) + b
     sub_exponential  (a, s, b)   exp(a*t/ln(t+s) + b)
 
+Each family is defined once, by the linear design ``basis`` that the
+variable-projection fitter solves; its value is derived from that basis.
+``Li`` has one implementation, the closed form ``Ei(ln x) - Ei(ln 2)``.
+
 ``reciprocal_log`` and ``logarithmic`` are increment laws: they describe
 the monthly gain of a quantity, so their ``increment`` is the model value
 itself.  The cumulative families return an analytic derivative where one
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import expi
 
 from .months import month_index, parse_month
@@ -56,45 +59,29 @@ __all__ = [
 #: Lower limit of the offset logarithmic integral Li(x) = int_2^x du/ln(u).
 LI_LOWER = 2.0
 
-_LI_AT_LOWER = float(expi(math.log(LI_LOWER)))
+_LI_AT_LOWER = float(expi(np.log(LI_LOWER)))
 
 
 class DomainError(ValueError):
     """Argument outside the valid domain of a model or special function."""
 
 
-def log_integral(x: float, rel_tol: float = 1e-10) -> float:
+def log_integral(x: float) -> float:
     """Offset logarithmic integral ``Li(x) = int_2^x du / ln(u)``.
 
-    Computed by adaptive Gauss-Kronrod quadrature to a relative error of
-    at most ``rel_tol``.  The lower limit 2 avoids the integrand pole at
-    u = 1; model offsets absorb the constant difference from other
-    conventions.
-
-    Parameters
-    ----------
-    x : float
-        Upper integration limit, must be >= 2.
-    rel_tol : float
-        Requested relative error, in [1e-12, 1e-3].
+    Computed in closed form as ``Ei(ln x) - Ei(ln 2)``, the expression the
+    ``log_integral`` family evaluates.  The lower limit 2 avoids the
+    integrand pole at u = 1; model offsets absorb the constant difference
+    from other conventions.  Requires ``x >= 2``.
     """
-    if not 1e-12 <= rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol must lie in [1e-12, 1e-3], got {rel_tol}")
     x = float(x)
     if not math.isfinite(x) or x < LI_LOWER:
         raise DomainError(f"log_integral requires x >= {LI_LOWER}, got {x}")
-    if x == LI_LOWER:
-        return 0.0
-    value, _ = integrate.quad(
-        lambda u: 1.0 / math.log(u), LI_LOWER, x, epsabs=0.0, epsrel=rel_tol, limit=200
-    )
-    return value
+    return float(_li(x))
 
 
-def _li_bulk(x: np.ndarray) -> np.ndarray:
-    # Vectorized Li via the exponential integral: li(x) = Ei(ln x).  Used on
-    # the model-evaluation path where quadrature per point would be wasteful;
-    # agrees with log_integral to well below its tolerance floor.
+def _li(x: float | np.ndarray) -> float | np.ndarray:
+    # li(x) = Ei(ln x), offset so that Li(2) = 0
     return expi(np.log(x)) - _LI_AT_LOWER
 
 
@@ -124,30 +111,41 @@ def li_three_term(x: float | np.ndarray) -> float | np.ndarray:
 class FamilySpec:
     """Algebraic description of one growth-law family.
 
-    ``shift_index`` marks the parameter added to ``t`` before any logarithm;
-    ``arg_threshold``/``arg_inclusive`` bound that argument from below.
-    ``nonlinear_index`` names the single parameter the fitter must search
-    over (the rest enter linearly); ``basis`` gives the linear design for a
-    value of it, and the fitted parameters are the basis coefficients with
-    that value inserted at ``nonlinear_index``.  ``log_space`` families are
-    fitted on ``ln y``.
+    ``basis(t, nl)`` is the family's one definition: the linear design for
+    a value ``nl`` of the single parameter at ``nonlinear_index`` (None when
+    every parameter enters linearly).  The parameter vector is the basis
+    coefficients with ``nl`` inserted at ``nonlinear_index``, and the value
+    is ``basis(t, nl) @ coefficients``, exponentiated for ``log_space``
+    families (which are fitted on ``ln y``).  ``arg_threshold`` and
+    ``arg_inclusive`` bound ``t + s`` from below, where the shift ``s`` is
+    the nonlinear parameter when there is one and 0 otherwise.
     """
 
     name: str
     param_names: tuple[str, ...]
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    basis: Callable[[np.ndarray, float | None], np.ndarray]
     arg_threshold: float | None = None
     arg_inclusive: bool = False
-    shift_index: int | None = None
     nonlinear_index: int | None = None
-    basis: Callable[[np.ndarray, float], np.ndarray] | None = None
     log_space: bool = False
     analytic_increment: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    increment_is_value: bool = False
 
     @property
     def arity(self) -> int:
         return len(self.param_names)
+
+    @property
+    def shifted(self) -> bool:
+        """Whether the nonlinear parameter is a shift added to ``t``."""
+        return self.nonlinear_index is not None and self.arg_threshold is not None
+
+    def value(self, p, t) -> np.ndarray:
+        """Family value at ``t`` (any shape) for the parameter vector ``p``."""
+        coefs = list(p)
+        nl = None if self.nonlinear_index is None else coefs.pop(self.nonlinear_index)
+        t = np.asarray(t, dtype=float)
+        out = (self.basis(t.reshape(-1), nl) @ coefs).reshape(t.shape)
+        return np.exp(out) if self.log_space else out
 
 
 def _ones_like(t: np.ndarray) -> np.ndarray:
@@ -160,27 +158,16 @@ def _shift_family(
     threshold: float,
     inclusive: bool,
     analytic_increment=None,
-    increment_is_value: bool = False,
 ) -> FamilySpec:
     """Family of the form a * g(t + s) + b with one profiled shift s."""
-
-    def value(p, t):
-        return p[0] * transform(t + p[1]) + p[2]
-
-    def basis(t, s):
-        return np.column_stack([transform(t + s), _ones_like(t)])
-
     return FamilySpec(
         name=name,
         param_names=("a", "s", "b"),
-        value=value,
+        basis=lambda t, s: np.column_stack([transform(t + s), _ones_like(t)]),
         arg_threshold=threshold,
         arg_inclusive=inclusive,
-        shift_index=1,
         nonlinear_index=1,
-        basis=basis,
         analytic_increment=analytic_increment,
-        increment_is_value=increment_is_value,
     )
 
 
@@ -190,27 +177,19 @@ def _make_families() -> dict[str, FamilySpec]:
     fams["constant"] = FamilySpec(
         name="constant",
         param_names=("a",),
-        value=lambda p, t: np.full_like(np.asarray(t, dtype=float), p[0]),
         basis=lambda t, _nl: _ones_like(t)[:, None],
     )
 
     fams["linear"] = FamilySpec(
         name="linear",
         param_names=("a", "b"),
-        value=lambda p, t: p[0] * t + p[1],
         basis=lambda t, _nl: np.column_stack([t, _ones_like(t)]),
     )
 
-    fams["logarithmic"] = _shift_family(
-        "logarithmic", np.log, threshold=0.0, inclusive=False, increment_is_value=True
-    )
+    fams["logarithmic"] = _shift_family("logarithmic", np.log, threshold=0.0, inclusive=False)
 
     fams["reciprocal_log"] = _shift_family(
-        "reciprocal_log",
-        lambda u: 1.0 / np.log(u),
-        threshold=1.0,
-        inclusive=False,
-        increment_is_value=True,
+        "reciprocal_log", lambda u: 1.0 / np.log(u), threshold=1.0, inclusive=False
     )
 
     fams["t_over_ln_t"] = _shift_family(
@@ -219,7 +198,7 @@ def _make_families() -> dict[str, FamilySpec]:
 
     fams["log_integral"] = _shift_family(
         "log_integral",
-        _li_bulk,
+        _li,
         threshold=LI_LOWER,
         inclusive=True,
         # d/dt a*Li(t+s) = a / ln(t+s): the reciprocal-of-logarithm increment
@@ -234,42 +213,29 @@ def _make_families() -> dict[str, FamilySpec]:
         analytic_increment=lambda p, t: p[0] * (np.log(t + p[1]) + 1.0),
     )
 
-    def _tlnt_value(p, t):
-        return p[0] * t * np.log(t) + p[1] * t + p[2]
-
     fams["t_ln_t"] = FamilySpec(
         name="t_ln_t",
         param_names=("a", "c", "b"),
-        value=_tlnt_value,
+        basis=lambda t, _nl: np.column_stack([t * np.log(t), t, _ones_like(t)]),
         arg_threshold=0.0,
         arg_inclusive=False,
-        basis=lambda t, _nl: np.column_stack([t * np.log(t), t, _ones_like(t)]),
         analytic_increment=lambda p, t: p[0] * (np.log(t) + 1.0) + p[1],
     )
-
-    def _exp_value(p, t):
-        return p[0] * np.exp(p[1] * t) + p[2]
 
     fams["exponential"] = FamilySpec(
         name="exponential",
         param_names=("a", "r", "b"),
-        value=_exp_value,
-        nonlinear_index=1,
         basis=lambda t, r: np.column_stack([np.exp(r * t), _ones_like(t)]),
+        nonlinear_index=1,
     )
-
-    def _subexp_value(p, t):
-        return np.exp(p[0] * t / np.log(t + p[1]) + p[2])
 
     fams["sub_exponential"] = FamilySpec(
         name="sub_exponential",
         param_names=("a", "s", "b"),
-        value=_subexp_value,
+        basis=lambda t, s: np.column_stack([t / np.log(t + s), _ones_like(t)]),
         arg_threshold=1.0,
         arg_inclusive=False,
-        shift_index=1,
         nonlinear_index=1,
-        basis=lambda t, s: np.column_stack([t / np.log(t + s), _ones_like(t)]),
         log_space=True,
     )
 
@@ -312,17 +278,10 @@ def _polynomial_spec(degree: int) -> FamilySpec:
     if degree < 0:
         raise ValueError("polynomial degree must be >= 0")
 
-    def value(p, t):
-        return np.polyval(p, t)
-
-    def basis(t, _nl, _deg=degree):
-        return np.column_stack([t**k for k in range(_deg, -1, -1)])
-
     return FamilySpec(
         name=f"polynomial{degree}",
         param_names=tuple(f"c{k}" for k in range(degree, -1, -1)),
-        value=value,
-        basis=basis,
+        basis=lambda t, _nl: np.column_stack([t**k for k in range(degree, -1, -1)]),
     )
 
 
@@ -371,20 +330,11 @@ class GrowthModel:
     def spec(self) -> FamilySpec:
         return family_spec(self.family)
 
-    @property
-    def min_t(self) -> float | None:
-        """Infimum of valid t (inclusive when the family allows equality)."""
-        spec = self.spec
-        if spec.arg_threshold is None:
-            return None
-        shift = self.params[spec.shift_index] if spec.shift_index is not None else 0.0
-        return spec.arg_threshold - shift
-
     def _check_domain(self, t: np.ndarray) -> None:
         spec = self.spec
         if spec.arg_threshold is None:
             return
-        shift = self.params[spec.shift_index] if spec.shift_index is not None else 0.0
+        shift = self.params[spec.nonlinear_index] if spec.shifted else 0.0
         arg = np.atleast_1d(t) + shift
         bad = arg < spec.arg_threshold if spec.arg_inclusive else arg <= spec.arg_threshold
         if np.any(bad):
@@ -410,7 +360,7 @@ class GrowthModel:
         ``evaluate(t+1) - evaluate(t)`` otherwise.
         """
         spec = self.spec
-        if spec.increment_is_value:
+        if spec.name in INCREMENT_LAW_FAMILIES:
             return self.evaluate(t)
         arr = np.asarray(t, dtype=float)
         self._check_domain(arr)

@@ -98,11 +98,3 @@ class TestCompare:
         ref = math.log(params.n) / math.log(math.log(params.n))
         mean_dist = avg_shortest_path(g, sources=64, seed=1)
         assert ref / 2 <= mean_dist <= ref * 2
-
-    def test_band_override(self):
-        p = ba.BAParams(n=1000, m=2, seed=4)
-        report = ba.compare(
-            ba.generate(p), p, bands={"effective_diameter": (1e-9, 1e9)}, sources=100
-        )
-        rows = {r["metric"]: r for r in report["rows"]}
-        assert rows["effective_diameter"]["within_band"]

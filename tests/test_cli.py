@@ -1,9 +1,14 @@
 """End-to-end CLI runs: exit codes, determinism, report and CSV outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import knowgrow
 from knowgrow.cli import main
 from knowgrow.dataio import CACHE_ENV, load_report, verify_report_inputs
 from knowgrow.growth import QUASI_LINEAR_FAMILIES
@@ -32,6 +37,16 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def test_import_leaves_out_scipy_integrate():
+    src = str(Path(knowgrow.__file__).parents[1])
+    code = "import sys, knowgrow.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 class TestFit:
     def test_auto_selects_quasi_linear(self, articles_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -53,6 +68,7 @@ class TestFit:
         assert run("fit", "--input", articles_csv, "--family", "linear", "--json", out) == 0
         doc = load_report(out)
         assert doc["payload"]["best"]["model"]["family"] == "linear"
+        assert doc["payload"]["ranking"][0]["at_bound"] is False
 
     def test_quiet_suppresses_stdout(self, articles_csv, capsys):
         assert run("fit", "--input", articles_csv, "--quiet") == 0

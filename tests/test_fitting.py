@@ -97,6 +97,7 @@ class TestFitRecovery:
         assert rel.max() <= 0.01
         assert r.mape <= 1e-6
         assert r.converged
+        assert not r.at_bound
 
     @pytest.mark.parametrize("family", STANDARD_FAMILIES)
     def test_noisy_round_trip(self, family):
@@ -337,6 +338,7 @@ class TestFitResult:
         assert np.array_equal(again.residuals, r.residuals)
         assert np.array_equal(again.t, r.t)
         assert np.array_equal(again.y, r.y)
+        assert again.at_bound == r.at_bound
 
     def test_residual_invariants(self):
         y, _ = synthetic("linear", noise=0.01)
@@ -345,3 +347,26 @@ class TestFitResult:
         mask = y != 0
         assert r.mape == pytest.approx(float(np.mean(np.abs(r.residuals[mask] / y[mask]))))
         assert r.predictions == pytest.approx(y + r.residuals)
+
+
+class TestAtBound:
+    def test_shift_beyond_search_range(self):
+        # the shift search stops at base + 4000 = 3999 for t starting at 1
+        y = np.asarray(GrowthModel("shifted_t_ln_t", (2.0, 6000.0, 5.0)).evaluate(T120))
+        r = fit_points(T120, y, "shifted_t_ln_t")
+        assert r.converged
+        assert r.model.params[1] == pytest.approx(3999.0)
+        assert r.at_bound
+
+    def test_rate_beyond_cap(self):
+        t = np.arange(1.0, 13.0)
+        y = np.asarray(GrowthModel("exponential", (1.0, 5.0, 0.0)).evaluate(t))
+        r = fit_points(t, y, "exponential")
+        assert r.model.params[1] == pytest.approx(4.0)
+        assert r.at_bound
+
+    def test_old_report_reads_as_not_at_bound(self):
+        y, _ = synthetic("log_integral")
+        doc = fit_points(T120, y, "log_integral", t_origin="2006-01").to_json()
+        del doc["at_bound"]
+        assert FitResult.from_json(doc).at_bound is False
