@@ -176,9 +176,10 @@ def _nl_bounds(spec: FamilySpec, t: np.ndarray) -> tuple[float, float]:
 
 def _nl_grid(spec: FamilySpec, lo: float, hi: float, size: int) -> np.ndarray:
     if spec.shifted:
-        # geometric spacing of the offset above the domain boundary
+        # lo, then offsets above it in geometric steps; an exclusive family's lo
+        # already sits 1e-6 inside its open domain
         offsets = np.geomspace(min(1e-3, hi - lo), hi - lo, size)
-        grid = lo + np.concatenate([[0.0], offsets]) if spec.arg_inclusive else lo + offsets
+        grid = lo + np.concatenate([[0.0], offsets])
     else:
         grid = np.geomspace(lo, hi, size) if lo > 0 else np.linspace(lo, hi, size)
     return np.sort(grid)

@@ -10,7 +10,8 @@ KS-minimizing k_min in the style of Clauset et al., and lognormal).
 
 Both distance metrics read one seeded traversal: a histogram of distances
 from the sampled sources (every node when exhaustive), computed once per
-graph with scipy's csgraph and counted block by block in O(n) memory.
+graph by a bit-parallel multi-source BFS that sweeps the sources a bounded
+number of 64-bit words at a time, in O(n + arcs) memory.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, zeta
 
@@ -159,7 +159,7 @@ def entropy_reference_curve(n: float, a: float, c: float, x: float) -> float:
     return (a / c**2) * x * (ln * ln - 2.0 * ln + 2.0)
 
 
-# one block of shortest-path distances or of 2-paths holds about this many values
+# one dense BFS level of a sweep, or one block of 2-paths, holds about this many values
 BLOCK_VALUES = 1 << 20
 
 
@@ -180,7 +180,9 @@ def _distance_histogram(g: SnapshotGraph, sources: int, seed: int) -> np.ndarray
 
     Every node is a source when ``sources >= n`` (exhaustive, seed-free);
     otherwise sources are drawn without replacement from a seeded generator.
-    Source blocks are counted one at a time, so memory stays O(n) even when
+    Sources are traversed in sweeps of up to 64 per ``uint64`` word, with
+    only as many words per node as keep a dense level, (n + arcs) * words
+    values, within ``BLOCK_VALUES``; memory stays O(n + arcs) even when
     exhaustive.  Kept on the graph: both distance metrics read one pass.
     """
     if sources < 1:
@@ -194,15 +196,80 @@ def _distance_histogram(g: SnapshotGraph, sources: int, seed: int) -> np.ndarray
         else:
             rng = np.random.default_rng(seed)
             chosen = np.sort(rng.choice(g.n, size=sources, replace=False))
-        csr = g.out_csr()
-        block = max(1, BLOCK_VALUES // g.n)
+        out = g.out_csr()
+        inn = out.T.tocsr()
+        words = min(-(-len(chosen) // 64), max(1, BLOCK_VALUES // (g.n + g.arc_count)))
         hist = np.zeros(g.n, dtype=np.int64)
-        for lo in range(0, len(chosen), block):
-            dist = csgraph.shortest_path(csr, unweighted=True, indices=chosen[lo : lo + block])
-            hist += np.bincount(dist[np.isfinite(dist)].astype(np.intp), minlength=g.n)
+        for lo in range(0, len(chosen), 64 * words):
+            _bfs_sweep(out, inn, chosen[lo : lo + 64 * words], hist)
         hist[0] = 0
         g._distances[key] = hist
     return hist
+
+
+# a level expands only its frontier's out-arcs (top-down) while those, counted
+# once per (node, word) entry, are fewer than this share of a dense bottom-up
+# level's (n + arcs) * words; otherwise every node ORs its in-neighbours'
+# words.  Counting nodes instead would send an exhaustive sweep of a long
+# path, one bit per node, to the dense step.  0.2 is about the ratio of the
+# two steps' costs per counted value (11-19 ns against 42-82 ns, numpy 2.4
+# on 2 vCPUs, on scale-free and strip graphs of 6e4-1e5 nodes).
+TOP_DOWN_SHARE = 0.2
+
+
+def _bfs_sweep(
+    out: sparse.csr_matrix, inn: sparse.csr_matrix, chosen: np.ndarray, hist: np.ndarray
+) -> None:
+    """Add the distances from the ``chosen`` sources, 64 per word, to ``hist``.
+
+    Multi-source BFS (Then et al., VLDB 2014): source i owns bit i % 64 of
+    word i // 64 of every node, so one level advances all sources at once.
+    The frontier is kept sparse, as (node * words + word, bits) entries; each
+    level takes the cheaper of a top-down and a bottom-up step (Beamer et
+    al., SC 2012).  ``inn`` is the in-adjacency, ``out`` transposed.
+    """
+    n = out.shape[0]
+    words = -(-len(chosen) // 64)
+    outdeg = np.diff(out.indptr)
+    in_rows = np.flatnonzero(np.diff(inn.indptr))  # reduceat copies, not zeroes, empty rows
+    in_starts = inn.indptr[in_rows]
+    dense_work = (n + out.nnz) * words
+    seen = np.zeros(n * words, dtype=np.uint64)
+    i = np.arange(len(chosen))
+    keys = chosen * words + i // 64
+    bits = np.left_shift(np.uint64(1), (i % 64).astype(np.uint64))
+    seen[keys] = bits
+    d = 0
+    while len(keys):
+        hist[d] += int(np.bitwise_count(bits).sum())
+        d += 1
+        nodes = keys // words
+        deg = outdeg[nodes]
+        if deg.sum() < TOP_DOWN_SHARE * dense_work:
+            ends = np.cumsum(deg)
+            arcs = np.arange(ends[-1]) - np.repeat(ends - deg - out.indptr[nodes], deg)
+            to = out.indices[arcs]
+            if words > 1:
+                to = to * words + np.repeat(keys % words, deg)
+            reached = np.repeat(bits, deg) & ~seen.take(to)
+            hit = np.flatnonzero(reached != 0)
+            # group the arcs by the entry they reach, to OR each group: entries
+            # (< 2**31) are packed above arc positions (< 2**32), as one plain
+            # sort is much faster than an argsort
+            order = np.sort(to[hit].astype(np.int64) << 32 | np.arange(len(hit)))
+            to, reached = order >> 32, reached[hit[order & 0xFFFFFFFF]]
+            heads = np.flatnonzero(np.diff(to, prepend=-1) != 0)
+            keys = to[heads]
+            bits = np.bitwise_or.reduceat(reached, heads)
+        else:
+            frontier = np.zeros((n, words), dtype=np.uint64)
+            frontier.reshape(-1)[keys] = bits
+            reached = np.bitwise_or.reduceat(frontier[inn.indices], in_starts, axis=0)
+            new = reached & ~seen.reshape(n, words)[in_rows]
+            flat = np.flatnonzero(new)
+            keys = in_rows[flat // words] * words + flat % words
+            bits = new.reshape(-1)[flat]
+        seen[keys] |= bits
 
 
 def effective_diameter(

@@ -358,6 +358,15 @@ class TestAtBound:
         assert r.model.params[1] == pytest.approx(3999.0)
         assert r.at_bound
 
+    def test_shift_below_first_grid_offset(self):
+        # t + s > 1 is open at s = 0; the search starts at s = 1e-6, below the
+        # grid's first geometric offset of 1e-3
+        y = np.asarray(GrowthModel("t_over_ln_t", (2.0, 0.0005, 5.0)).evaluate(T120))
+        r = fit_points(T120, y, "t_over_ln_t")
+        assert r.model.params[1] == pytest.approx(0.0005, rel=1e-6)
+        assert r.mape <= 1e-8
+        assert not r.at_bound
+
     def test_rate_beyond_cap(self):
         t = np.arange(1.0, 13.0)
         y = np.asarray(GrowthModel("exponential", (1.0, 5.0, 0.0)).evaluate(t))

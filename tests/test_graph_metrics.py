@@ -22,7 +22,7 @@ from knowgrow.graph_metrics import (
 )
 
 from conftest import random_digraph
-from _oracles import all_pairs_stats, local_clustering, sample_discrete_powerlaw
+from _oracles import all_pairs_stats, bfs_distances, local_clustering, sample_discrete_powerlaw
 
 
 def graph(edges, n=None):
@@ -33,6 +33,32 @@ K3 = graph([(i, j) for i in range(3) for j in range(3) if i != j])
 CYCLE3 = graph([(0, 1), (1, 2), (2, 0)])
 PATH5 = graph([(0, 1), (1, 2), (2, 3), (3, 4)])
 STAR = graph([(0, i) for i in range(1, 11)], n=11)
+
+# the default step choice, then every level top-down, then every level bottom-up
+STEP_SHARES = [graph_metrics.TOP_DOWN_SHARE, math.inf, 0.0]
+
+
+def oracle_histogram(n, edges, sources):
+    """Counts of distances d >= 1 from ``sources``, by deque BFS."""
+    adjacency = {}
+    for s, d in np.asarray(edges).tolist():
+        adjacency.setdefault(s, []).append(d)
+    dists = [d for src in sources for d in bfs_distances(n, adjacency, int(src)) if d > 0]
+    return np.bincount(np.array(dists, dtype=np.intp), minlength=n)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The source arrays of every BFS sweep run while the test is active."""
+    seen = []
+    real = graph_metrics._bfs_sweep
+
+    def spy(out, inn, chosen, hist):
+        seen.append(chosen.copy())
+        real(out, inn, chosen, hist)
+
+    monkeypatch.setattr(graph_metrics, "_bfs_sweep", spy)
+    return seen
 
 
 class TestConstruction:
@@ -164,14 +190,67 @@ class TestDistances:
         with pytest.raises(ValueError):
             effective_diameter(PATH5, 0.9, sources=0)
 
-    def test_exhaustive_matches_all_pairs_oracle(self, rng):
+    @pytest.mark.parametrize("share", STEP_SHARES)
+    def test_exhaustive_matches_all_pairs_oracle(self, rng, monkeypatch, share):
+        monkeypatch.setattr(graph_metrics, "TOP_DOWN_SHARE", share)
         for trial in range(20):
             n = int(rng.integers(20, 200))
             edges = random_digraph(rng, n, int(rng.integers(n, 6 * n)))
             g = graph(edges, n=n)
-            oracle_diam, oracle_avg, _ = all_pairs_stats(n, [tuple(e) for e in edges])
+            oracle_diam, oracle_avg, pooled = all_pairs_stats(n, [tuple(e) for e in edges])
+            hist = graph_metrics._distance_histogram(g, n, 0)
+            assert np.array_equal(hist, np.bincount(pooled, minlength=n))
             assert effective_diameter(g, 1.0, sources=n) == oracle_diam
             assert avg_shortest_path(g, sources=n) == pytest.approx(oracle_avg)
+
+    @pytest.mark.parametrize("share", STEP_SHARES)
+    def test_nodes_without_in_arcs_between_reached_nodes(self, monkeypatch, share):
+        # odd nodes have no in-arcs: their in-adjacency rows are empty segments
+        # between nonempty ones, which a bottom-up OR over segments must skip
+        monkeypatch.setattr(graph_metrics, "TOP_DOWN_SHARE", share)
+        n = 12
+        edges = [(i, i + 2) for i in range(0, n - 2, 2)] + [(i, i + 1) for i in range(1, n - 1, 2)]
+        edges.append((n - 1, 0))
+        g = graph(edges, n=n)
+        _, _, pooled = all_pairs_stats(n, edges)
+        assert np.array_equal(
+            graph_metrics._distance_histogram(g, n, 0), np.bincount(pooled, minlength=n)
+        )
+
+    @pytest.mark.parametrize("words_per_sweep", [None, 1, 2])  # None: BLOCK_VALUES as shipped
+    def test_sampled_sources_match_bfs_oracle(self, rng, monkeypatch, sweeps, words_per_sweep):
+        for sources in (1, 63, 64, 65, 130, 200):
+            n = int(rng.integers(sources + 1, 400))
+            edges = random_digraph(rng, n, int(rng.integers(n, 4 * n)))
+            g = graph(edges, n=n)
+            if words_per_sweep is not None:
+                budget = words_per_sweep * (n + g.arc_count)
+                monkeypatch.setattr(graph_metrics, "BLOCK_VALUES", budget)
+            sweeps.clear()
+            hist = graph_metrics._distance_histogram(g, sources, seed=sources)
+            chosen = np.concatenate(sweeps)
+            assert len(np.unique(chosen)) == sources
+            if words_per_sweep is not None:
+                assert max(map(len, sweeps)) == min(sources, 64 * words_per_sweep)
+            assert np.array_equal(hist, oracle_histogram(n, edges, chosen))
+
+    def test_hub_star_flips_the_step_direction(self):
+        # chain -> hub -> k leaves -> collector -> chain, swept from the first
+        # node: chain levels (one arc) run top-down, the hub and leaf levels
+        # (k arcs each) bottom-up, the collector and the last chain top-down
+        k, chain = 200, 20
+        hub, collector = chain, chain + k + 1
+        leaves = range(hub + 1, collector)
+        edges = [(i, i + 1) for i in range(chain)] + [(hub, leaf) for leaf in leaves]
+        edges += [(leaf, collector) for leaf in leaves]
+        edges += [(collector + i, collector + i + 1) for i in range(chain)]
+        n = collector + chain + 1
+        g = graph(edges, n=n)
+        assert 1 < graph_metrics.TOP_DOWN_SHARE * (n + g.arc_count) < k
+        hist = np.zeros(n, dtype=np.int64)
+        graph_metrics._bfs_sweep(g.out_csr(), g.out_csr().T.tocsr(), np.array([0]), hist)
+        hist[0] = 0
+        assert np.array_equal(hist, oracle_histogram(n, edges, [0]))
 
     def test_sampling_is_deterministic_and_subset_consistent(self, rng):
         g = graph(random_digraph(rng, 150, 900), n=150)
@@ -188,23 +267,13 @@ class TestDistances:
         assert effective_diameter(g, 1.0, sources=n) == n - 1
         assert avg_shortest_path(g, sources=n) == (n + 1) / 3  # exact integer sums
 
-    def test_metrics_traverse_once(self, tmp_path, monkeypatch):
-        from scipy.sparse import csgraph
-
+    def test_metrics_traverse_once(self, tmp_path, sweeps):
         from knowgrow.cli import main
 
-        rows = []
-        real = csgraph.shortest_path
-
-        def counting(*args, indices, **kwargs):
-            rows.append(len(indices))
-            return real(*args, indices=indices, **kwargs)
-
-        monkeypatch.setattr(csgraph, "shortest_path", counting)
         edges = tmp_path / "e.tsv"
         edges.write_text("".join(f"v{i}\tv{(i * 7 + 3) % 40}\n" for i in range(40)))
         assert main(["metrics", "--edges", str(edges), "--sources", "16", "--quiet"]) == 0
-        assert rows == [16]  # one block of 16 sources, shared by both distance metrics
+        assert list(map(len, sweeps)) == [16]  # one sweep of 16 sources, shared by both metrics
 
 
 class TestClustering:
