@@ -41,13 +41,14 @@ from .graph_metrics import (
     degree_entropy,
     density,
     effective_diameter,
+    empirical_ccdf,
     lognormal_fit,
     mean_degree,
     powerlaw_fit,
 )
 from .growth import STANDARD_FAMILIES, DomainError, family_spec, model_catalog
 from .months import month_index
-from .taxonomy import count_members_by_level, detect_cycles, wag_root_presets
+from .taxonomy import count_members, count_members_by_level, detect_cycles, wag_root_presets
 
 SERIES_FORMAT = "CSV with header 'date,value'; date is ISO YYYY-MM, months consecutive"
 EDGES_FORMAT = "TSV 'src<TAB>dst', one arc per line, opaque string node ids"
@@ -81,7 +82,9 @@ def _emit(args, payload: dict, kind: str, inputs: list[Dataset], summary: list[s
 def _parse_year_range(args) -> tuple[int, int] | None:
     if args.year_min is None and args.year_max is None:
         return None
-    return (args.year_min or YEAR_RANGE[0], args.year_max or YEAR_RANGE[1])
+    lo = YEAR_RANGE[0] if args.year_min is None else args.year_min
+    hi = YEAR_RANGE[1] if args.year_max is None else args.year_max
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +219,7 @@ def cmd_ba(args) -> int:
     report = ba_mod.compare(g, params, sources=args.sources)
     if args.plot_csv:
         deg = g.degrees("out")
-        ks = np.unique(deg)
-        ccdf_emp = 1.0 - np.searchsorted(np.sort(deg), ks, side="left") / deg.size
+        ks, ccdf_emp = empirical_ccdf(np.sort(deg))
         ccdf_theory = 2.0 * params.m**2 * zeta(3.0, ks.astype(float))
         _write_csv(
             args.plot_csv,
@@ -280,14 +282,18 @@ def cmd_taxonomy(args) -> int:
         roots = presets[args.preset]
     else:
         roots = [r.strip() for r in args.roots.split(",") if r.strip()]
-    levels = count_members_by_level(g, roots, args.depth)
-    categories, articles = levels[-1]
+    if args.plot_csv:
+        # one row per depth, so only the plot pays O(depth)
+        levels = count_members_by_level(g, roots, args.depth)
+        rows = [(level, *row) for level, row in enumerate(levels)]
+        _write_csv(args.plot_csv, ["depth", "categories", "articles"], rows)
+        categories, articles = levels[-1]
+    else:
+        counts = count_members(g, roots, args.depth)
+        categories, articles = counts["categories"], counts["articles"]
     payload = {"roots": roots, "depth": args.depth, "articles": articles, "categories": categories}
     if args.cycles:
         payload["cycles"] = detect_cycles(g)
-    if args.plot_csv:
-        rows = [(level, *row) for level, row in enumerate(levels)]
-        _write_csv(args.plot_csv, ["depth", "categories", "articles"], rows)
     summary = [
         f"{categories} categories and {articles} distinct articles "
         f"within depth {args.depth} of {len(roots)} roots"
@@ -360,9 +366,7 @@ def cmd_distfit(args) -> int:
             f"ks={res.ks_distance:.4f} (tail n={res.n_tail})"
         ]
         if args.plot_csv:
-            tail = np.sort(samples[samples >= res.kmin])
-            ks = np.unique(tail)
-            ccdf_emp = 1.0 - np.searchsorted(tail, ks, side="left") / tail.size
+            ks, ccdf_emp = empirical_ccdf(np.sort(samples[samples >= res.kmin]))
             ccdf_fit = zeta(res.exponent, ks.astype(float)) / zeta(res.exponent, res.kmin)
             _write_csv(
                 args.plot_csv,

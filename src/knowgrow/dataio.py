@@ -13,23 +13,27 @@ Formats (all plain text, UTF-8):
              {article, category}.
 - citation:  nodes TSV ``id<TAB>year[<TAB>field]`` plus edges TSV
              ``citing<TAB>cited``; duplicate citations dropped with a count.
+             A paper without a field has two columns: an empty third
+             column is malformed, like any empty field.
 - samples:   one positive integer per line.
 - id_list:   one paper id per line (order is meaningful for rankings).
 
 The TSV formats and the sample list are parsed by one record reader: blank
-lines are skipped, every other line must have the format's field count, and
-a Dataset's ``rows`` is the number of records parsed.  Each file is read
-once.  Digests canonicalize before hashing: edge lists hash their sorted
-``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
-writes), series and rankings hash in sequence order.  Reports are JSON
-documents embedding ``schema_version``, the tool version, and the digests
-of their inputs; writes are atomic (temp file + rename).
+lines are skipped, every other line must have the format's field count and
+no empty field (an error names the line), and a Dataset's ``rows`` is the
+number of records parsed.  Each file is read once.  Digests canonicalize
+before hashing: edge lists hash their sorted ``src<TAB>dst`` label rows
+(order-insensitive, the rows ``write_edge_tsv`` writes), series and
+rankings hash in sequence order.  Reports are JSON documents embedding
+``schema_version``, the tool version, and the digests of their inputs;
+writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -130,6 +134,8 @@ def load_series_csv(path: str | Path, label: str = "") -> tuple[Dataset, TimeSer
             value = float(val)
         except ValueError:
             raise DataFormatError(path, no, f"not a number: {val!r}") from None
+        if not math.isfinite(value):
+            raise DataFormatError(path, no, f"value must be finite, got {val!r}")
         if months:
             expected = month_ordinal(months[-1]) + 1
             if ordinal == expected - 1:
@@ -153,21 +159,21 @@ def _records(path: str | Path, lines: list[str], n_fields: tuple[int, ...]):
     for no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        parts = raw.split("\t")
+        parts = [p.strip() for p in raw.split("\t")]
         if len(parts) not in n_fields:
             want = " or ".join(map(str, n_fields))
             raise DataFormatError(
                 path, no, f"expected {want} tab-separated fields, got {len(parts)}"
             )
-        yield no, [p.strip() for p in parts]
+        if not all(parts):
+            raise DataFormatError(path, no, f"empty field {parts.index('') + 1}")
+        yield no, parts
 
 
 def _intern_arcs(path: str | Path, undirected: bool) -> tuple[list[str], np.ndarray, int]:
     """Labels in first-appearance order, the ``(m, 2)`` index arcs and the record count."""
     ends: list[str] = []  # src0, dst0, src1, dst1, ...
-    for no, pair in _records(path, _read_lines(path), (2,)):
-        if not all(pair):
-            raise DataFormatError(path, no, "empty node id")
+    for _, pair in _records(path, _read_lines(path), (2,)):
         ends += pair
     labels = list(dict.fromkeys(ends))
     index = dict(zip(labels, range(len(labels))))

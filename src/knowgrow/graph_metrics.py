@@ -35,6 +35,7 @@ __all__ = [
     "effective_diameter",
     "avg_shortest_path",
     "clustering_coefficient",
+    "empirical_ccdf",
     "powerlaw_fit",
     "lognormal_fit",
 ]
@@ -354,12 +355,15 @@ def _discrete_powerlaw_mle(tail: np.ndarray, kmin: int) -> float:
     return float(res.x)
 
 
+def empirical_ccdf(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of the sorted sample ``xs`` and the share of ``xs`` >= each."""
+    ks = np.unique(xs)
+    return ks, 1.0 - np.searchsorted(xs, ks, side="left") / xs.size
+
+
 def _powerlaw_ks(tail: np.ndarray, kmin: int, alpha: float) -> float:
-    ks = np.unique(tail)
-    z = zeta(alpha, kmin)
-    ccdf_fit = zeta(alpha, ks) / z
-    idx = np.searchsorted(tail, ks, side="left")
-    ccdf_emp = 1.0 - idx / len(tail)
+    ks, ccdf_emp = empirical_ccdf(tail)
+    ccdf_fit = zeta(alpha, ks) / zeta(alpha, kmin)
     return float(np.abs(ccdf_fit - ccdf_emp).max())
 
 

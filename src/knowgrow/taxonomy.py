@@ -4,16 +4,18 @@ Wiki-style category systems are lattices in intent but not in practice:
 editors create multi-parent links freely and occasionally close loops
 (two categories that are each other's parent).  This module keeps the
 defective structure as-is -- cycles are detected and reported, never
-repaired -- and all traversals use visited sets so they terminate on any
-input.
+repaired.  The hierarchy is one 0/1 child -> parent CSR over articles and
+categories; strong components and member levels come from scipy's csgraph,
+so every search terminates on any input.
 
 Depth semantics: the roots sit at level 0, so ``depth=3`` means "three
-levels below the top categories".
+levels below the top categories".  An article attached to a category at
+level k counts from depth k on.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -36,53 +38,54 @@ _KINDS = (ARTICLE, CATEGORY)
 
 @dataclass
 class CategoryGraph:
-    """Typed hierarchy of articles and categories (child -> parent edges)."""
+    """Typed hierarchy of articles and categories.
 
-    names: list[str] = field(default_factory=list)
-    index: dict[str, int] = field(default_factory=dict)
-    is_category: list[bool] = field(default_factory=list)
-    parent_categories: list[list[int]] = field(default_factory=list)
-    child_categories: list[list[int]] = field(default_factory=list)
-    child_articles: list[list[int]] = field(default_factory=list)
+    ``up`` is the 0/1 child -> parent adjacency over every node; each row
+    lists the node's parents in first-appearance order.
+    """
 
-    def _intern(self, name: str, category: bool) -> int:
-        i = self.index.get(name)
-        if i is None:
-            i = len(self.names)
-            self.index[name] = i
-            self.names.append(name)
-            self.is_category.append(category)
-            self.parent_categories.append([])
-            self.child_categories.append([])
-            self.child_articles.append([])
-            return i
-        if self.is_category[i] != category:
-            have = CATEGORY if self.is_category[i] else ARTICLE
-            want = CATEGORY if category else ARTICLE
-            raise ValueError(f"node {name!r} used both as {have} and as {want}")
-        return i
+    names: list[str]
+    index: dict[str, int]
+    is_category: np.ndarray
+    up: sparse.csr_matrix
 
     @classmethod
     def from_edges(cls, edges: list[tuple[str, str, str]]) -> "CategoryGraph":
         """Build from ``(child, parent, kind-of-child)`` triples.
 
-        Parents are categories by construction; declaring a node as an
-        article and also using it as a parent is rejected, which enforces
+        Node ids follow first appearance in ``child, parent, child, ...``
+        order.  Parents are categories by construction; declaring a node as
+        an article and also using it as a parent is rejected, which enforces
         the "articles have no children" invariant.  A repeated triple makes
-        one link; adjacency lists keep first-appearance order.
+        one link.  Of several faults, the first in edge order is raised.
         """
-        g = cls()
-        for child, parent, kind in dict.fromkeys(edges):
-            if kind not in _KINDS:
-                raise ValueError(f"unknown node kind {kind!r} (expected article/category)")
-            c = g._intern(child, kind == CATEGORY)
-            p = g._intern(parent, True)
-            if kind == CATEGORY:
-                g.parent_categories[c].append(p)
-                g.child_categories[p].append(c)
-            else:
-                g.child_articles[p].append(c)
-        return g
+        triples = list(dict.fromkeys(edges))
+        kinds = [kind for _, _, kind in triples]
+        ends = [end for child, parent, _ in triples for end in (child, parent)]
+        names = list(dict.fromkeys(ends))
+        index = dict(zip(names, range(len(names))))
+        ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+        # the kind each end is used as: a child its declared kind, a parent a category
+        used = np.ones(len(ends), bool)
+        used[0::2] = np.fromiter(map(CATEGORY.__eq__, kinds), bool, len(kinds))
+        # ids count up in first-appearance order, so their running maximum
+        # steps exactly at each node's first end, which fixes the node's kind
+        is_category = used[np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))]
+        unknown = set(kinds).difference(_KINDS)
+        bad = min(map(kinds.index, unknown), default=len(kinds))
+        clash = np.flatnonzero(used != is_category[ids])
+        # triple i's kind is read before its ends 2i and 2i + 1
+        if clash.size and clash[0] < 2 * bad:
+            j = clash[0]
+            have, want = (CATEGORY if c else ARTICLE for c in (is_category[ids[j]], used[j]))
+            raise ValueError(f"node {ends[j]!r} used both as {have} and as {want}")
+        if unknown:
+            raise ValueError(f"unknown node kind {kinds[bad]!r} (expected article/category)")
+        n, child, parent = len(names), ids[0::2], ids[1::2]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(child, minlength=n))])
+        parents = parent[np.argsort(child, kind="stable")]
+        up = sparse.csr_matrix((np.ones(len(parents), np.int8), parents, indptr), shape=(n, n))
+        return cls(names, index, is_category, up)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -96,7 +99,7 @@ class CategoryGraph:
         return i
 
 
-def _cycle_through(start: int, members: set[int], adj: list[list[int]]) -> list[int]:
+def _cycle_through(start: int, members: set[int], up: sparse.csr_matrix) -> list[int]:
     """One directed cycle through ``start`` inside a strongly connected set."""
     prev: dict[int, int | None] = {start: None}
     order = [start]
@@ -104,14 +107,15 @@ def _cycle_through(start: int, members: set[int], adj: list[list[int]]) -> list[
     while qi < len(order):
         u = order[qi]
         qi += 1
-        if u != start and start in adj[u]:
+        parents = up.indices[up.indptr[u]:up.indptr[u + 1]].tolist()
+        if u != start and start in parents:
             path = []
             node: int | None = u
             while node is not None:
                 path.append(node)
                 node = prev[node]
             return list(reversed(path))
-        for w in adj[u]:
+        for w in parents:
             if w in members and w not in prev:
                 prev[w] = u
                 order.append(w)
@@ -121,75 +125,47 @@ def _cycle_through(start: int, members: set[int], adj: list[list[int]]) -> list[
 def detect_cycles(g: CategoryGraph) -> list[list[str]]:
     """One representative cycle per cyclic SCC of the category subgraph.
 
-    Strong components come from scipy's csgraph on the 0/1 child -> parent
-    adjacency; each cycle starts at its component's smallest id.
-    Self-parent categories are reported as single-element cycles.  The
-    result is empty exactly when the category subgraph is a DAG.
+    Strong components come from scipy's csgraph on ``g.up``; articles have
+    no children, so none is on a cycle.  Each cycle starts at its
+    component's smallest id.  Self-parent categories are reported as
+    single-element cycles.  The result is empty exactly when the category
+    subgraph is a DAG.
     """
-    n = len(g)
-    rows = [c for c, parents in enumerate(g.parent_categories) for _ in parents]
-    cols = [p for parents in g.parent_categories for p in parents]
-    links = sparse.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    _, labels = csgraph.connected_components(links, connection="strong")
-    on_cycle = (np.bincount(labels)[labels] > 1) | (links.diagonal() > 0)
+    _, labels = csgraph.connected_components(g.up, connection="strong")
+    on_cycle = (np.bincount(labels)[labels] > 1) | (g.up.diagonal() > 0)
     components: dict[int, list[int]] = {}
     for v in np.flatnonzero(on_cycle).tolist():
         components.setdefault(int(labels[v]), []).append(v)
     cycles = []
     for comp in components.values():
-        ids = _cycle_through(comp[0], set(comp), g.parent_categories) if len(comp) > 1 else comp
+        ids = _cycle_through(comp[0], set(comp), g.up) if len(comp) > 1 else comp
         cycles.append([g.names[i] for i in ids])
     cycles.sort(key=lambda c: c[0])
     return cycles
 
 
-def _levels(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> list[list[int]]:
-    """Category ids first reached at each level, roots at level 0.
+def _levels(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> np.ndarray:
+    """The depth from which each node is a member, ``inf`` beyond ``depth``.
 
-    The walk stops once a level adds nothing, so the list can be shorter
-    than ``depth + 1``.
+    A category's is its distance below the nearest root; an article's is
+    its nearest category's.  One multi-source search down ``g.up`` gives
+    both, since an article lies one link below its categories.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    frontier = sorted({g.require_category(r) for r in roots})
-    seen = set(frontier)
-    levels = [frontier]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for w in g.child_categories[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        levels.append(nxt)
-        frontier = nxt
-    return levels
+    ids = sorted({g.require_category(r) for r in roots})
+    dist = csgraph.dijkstra(g.up.T, indices=ids, min_only=True, limit=depth + 1)
+    return dist - ~g.is_category
 
 
 def descendants(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> set[str]:
     """Categories reachable downward within ``depth`` levels of the roots.
 
     Roots are included at level 0; every category is counted once at its
-    minimum level, so cyclic links cannot loop the traversal.
+    minimum level, so cyclic links cannot loop the search.
     """
-    return {g.names[i] for level in _levels(g, roots, depth) for i in level}
-
-
-def _member_rows(
-    g: CategoryGraph, roots: set[str] | list[str], depth: int
-) -> list[tuple[int, int]]:
-    """Cumulative ``(categories, articles)`` per level the walk reaches."""
-    rows = []
-    articles: set[int] = set()
-    categories = 0
-    for level in _levels(g, roots, depth):
-        categories += len(level)
-        for c in level:
-            articles.update(g.child_articles[c])
-        rows.append((categories, len(articles)))
-    return rows
+    inside = _levels(g, roots, depth) <= depth
+    return {g.names[i] for i in np.flatnonzero(inside & g.is_category).tolist()}
 
 
 def count_members_by_level(
@@ -198,10 +174,15 @@ def count_members_by_level(
     """Cumulative ``(categories, articles)`` within each depth 0..``depth``.
 
     Row ``k`` holds what :func:`count_members` counts at depth ``k``; all
-    rows come from one level walk.
+    rows come from one search.
     """
-    rows = _member_rows(g, roots, depth)
-    return rows + rows[-1:] * (depth + 1 - len(rows))
+    levels = _levels(g, roots, depth)
+    inside = levels <= depth
+    columns = [
+        np.bincount(levels[inside & kind].astype(np.int64), minlength=depth + 1).cumsum().tolist()
+        for kind in (g.is_category, ~g.is_category)
+    ]
+    return list(zip(*columns))
 
 
 def count_members(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> dict:
@@ -211,8 +192,9 @@ def count_members(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> 
     are members), and an article under several matched categories counts
     once.  Returns ``{"articles": ..., "categories": ...}``.
     """
-    categories, articles = _member_rows(g, roots, depth)[-1]
-    return {"articles": articles, "categories": categories}
+    inside = _levels(g, roots, depth) <= depth
+    categories = int(np.count_nonzero(inside & g.is_category))
+    return {"articles": int(np.count_nonzero(inside)) - categories, "categories": categories}
 
 
 def wag_root_presets() -> dict[str, list[str]]:

@@ -216,6 +216,16 @@ class TestDisrupt:
         payload = load_report(out)["payload"]
         assert [e["paper"] for e in payload["top"]] == ["f"]
 
+    def test_zero_year_bound_is_kept(self, citation_files, tmp_path):
+        nodes, edges = citation_files
+        out = tmp_path / "d.json"
+        rc = run("disrupt", "--nodes", nodes, "--edges", edges, "--year-max", 0,
+                 "--json", out, "--quiet")
+        assert rc == 0
+        payload = load_report(out)["payload"]
+        assert payload["year_range"] == [1900, 0]
+        assert payload["top"] == []
+
 
 class TestTaxonomy:
     @pytest.fixture
@@ -243,6 +253,15 @@ class TestTaxonomy:
         lines = (tmp_path / "levels.csv").read_text().splitlines()
         assert lines[0] == "depth,categories,articles"
         assert len(lines) == 5
+
+    def test_huge_depth_without_plot(self, hierarchy, tmp_path):
+        # no per-depth rows are built unless --plot-csv asks for them
+        out = tmp_path / "t.json"
+        rc = run("taxonomy", "--edges", hierarchy, "--roots", "Mathematics",
+                 "--depth", 10**9, "--json", out, "--quiet")
+        assert rc == 0
+        payload = load_report(out)["payload"]
+        assert (payload["categories"], payload["articles"]) == (3, 3)
 
     def test_preset_requires_membership(self, hierarchy, capsys):
         assert run("taxonomy", "--edges", hierarchy, "--preset", "wag_core") == 1

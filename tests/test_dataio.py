@@ -58,6 +58,12 @@ class TestSeriesLoader:
         with pytest.raises(DataFormatError, match=r"s2\.csv:3"):
             load_series_csv(p2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        p = write(tmp_path / "s.csv", f"date,value\n2020-01,10\n2020-02,{value}\n")
+        with pytest.raises(DataFormatError, match=r"s\.csv:3: value must be finite"):
+            load_series_csv(p)
+
     def test_order_sensitive_digest(self, tmp_path):
         a = write(tmp_path / "a.csv", "date,value\n2020-01,10\n2020-02,11\n")
         b = write(tmp_path / "b.csv", "date,value\n2020-01,11\n2020-02,10\n")
@@ -93,7 +99,7 @@ class TestEdgeLoader:
 
     def test_empty_node_id_names_its_line(self, tmp_path):
         p = write(tmp_path / "e.tsv", "a\tb\n\n \tc\n")
-        with pytest.raises(DataFormatError, match=r"e\.tsv:3: empty node id"):
+        with pytest.raises(DataFormatError, match=r"e\.tsv:3: empty field 1"):
             load_edge_list(p)
 
     def test_blank_lines_only_is_empty(self, tmp_path):
@@ -152,6 +158,11 @@ class TestOtherLoaders:
         with pytest.raises(DataFormatError, match=r"c\.tsv:2"):
             load_category_tsv(p)
 
+    def test_category_empty_id_names_its_line(self, tmp_path):
+        p = write(tmp_path / "c.tsv", "A\tB\tcategory\n \tA\tarticle\n")
+        with pytest.raises(DataFormatError, match=r"c\.tsv:2: empty field 1"):
+            load_category_tsv(p)
+
     def test_category_round_trip(self, tmp_path):
         p = write(tmp_path / "c.tsv", "Algebra\tMathematics\tcategory\na1\tAlgebra\tarticle\n")
         ds, g = load_category_tsv(p)
@@ -173,6 +184,21 @@ class TestOtherLoaders:
         assert g.duplicate_count == 1
         assert g.citation_counts().tolist() == [0, 1]
         assert "dropped 1 duplicate citations" in caplog.text
+
+    @pytest.mark.parametrize(
+        "node_text, edge_text, where",
+        [
+            ("a\t2000\n\t2001\n", "", r"n\.tsv:2: empty field 1"),
+            # a paper without a field leaves the column out; an empty one is malformed
+            ("a\t2000\nb\t2001\t\n", "", r"n\.tsv:2: empty field 3"),
+            ("a\t2000\nb\t2001\n", "a\tb\nb\t \n", r"e\.tsv:2: empty field 2"),
+        ],
+    )
+    def test_citation_empty_field_names_its_line(self, tmp_path, node_text, edge_text, where):
+        nodes = write(tmp_path / "n.tsv", node_text)
+        edges = write(tmp_path / "e.tsv", edge_text)
+        with pytest.raises(DataFormatError, match=where):
+            load_citation(nodes, edges)
 
     def test_citation_unknown_id(self, tmp_path):
         nodes = write(tmp_path / "n.tsv", "a\t2000\n")

@@ -66,16 +66,25 @@ class TestConstruction:
         g = CategoryGraph.from_edges(
             [("C", "A", "category"), ("B", "A", "category"), ("a2", "A", "article"),
              ("C", "A", "category"), ("a1", "A", "article"), ("a2", "A", "article"),
-             ("C", "B", "category"), ("B", "A", "category")]
+             ("C", "B", "category"), ("B", "A", "category"),
+             ("D", "B", "category"), ("D", "C", "category")]
         )
+        assert g.names == ["C", "A", "B", "a2", "a1", "D"]
+        assert g.is_category.tolist() == [True, True, True, False, False, True]
+        # the csgraph searches must leave the rows' order as built
+        detect_cycles(g)
+        count_members(g, ["A"], 2)
 
-        def names(ids):
-            return [g.names[i] for i in ids]
+        def parents(name):
+            i = g.index[name]
+            return [g.names[p] for p in g.up.indices[g.up.indptr[i]:g.up.indptr[i + 1]]]
 
-        a = g.index["A"]
-        assert names(g.child_categories[a]) == ["C", "B"]
-        assert names(g.child_articles[a]) == ["a2", "a1"]
-        assert names(g.parent_categories[g.index["C"]]) == ["A", "B"]
+        assert g.up.nnz == 7
+        assert set(g.up.data.tolist()) == {1}
+        assert parents("A") == []
+        assert parents("C") == ["A", "B"]
+        assert parents("D") == ["B", "C"]
+        assert parents("a2") == ["A"]
 
 
 class TestDetectCycles:
@@ -120,7 +129,7 @@ class TestDetectCycles:
         assert len(cycles) == len(comps)
         for cycle in cycles:
             ids = [g.index[name] for name in cycle]
-            assert all(b in g.parent_categories[a] for a, b in zip(ids, ids[1:] + ids[:1]))
+            assert all(g.up[a, b] == 1 for a, b in zip(ids, ids[1:] + ids[:1]))
             comp = next(c for c in comps if cycle[0] in c)
             assert set(cycle) <= comp
             assert ids[0] == min(g.index[name] for name in comp)
