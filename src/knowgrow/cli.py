@@ -48,7 +48,7 @@ from .graph_metrics import (
 )
 from .growth import STANDARD_FAMILIES, DomainError, family_spec, model_catalog
 from .months import month_index
-from .taxonomy import count_members, count_members_by_level, detect_cycles, wag_root_presets
+from .taxonomy import count_members_by_level, detect_cycles, wag_root_presets
 
 SERIES_FORMAT = "CSV with header 'date,value'; date is ISO YYYY-MM, months consecutive"
 EDGES_FORMAT = "TSV 'src<TAB>dst', one arc per line, opaque string node ids"
@@ -282,15 +282,11 @@ def cmd_taxonomy(args) -> int:
         roots = presets[args.preset]
     else:
         roots = [r.strip() for r in args.roots.split(",") if r.strip()]
-    if args.plot_csv:
-        # one row per depth, so only the plot pays O(depth)
-        levels = count_members_by_level(g, roots, args.depth)
-        rows = [(level, *row) for level, row in enumerate(levels)]
+    levels = count_members_by_level(g, roots, args.depth)
+    categories, articles = levels[-1]
+    if args.plot_csv:  # one row per depth; rows past the last repeat it
+        rows = [(k, *levels[min(k, len(levels) - 1)]) for k in range(args.depth + 1)]
         _write_csv(args.plot_csv, ["depth", "categories", "articles"], rows)
-        categories, articles = levels[-1]
-    else:
-        counts = count_members(g, roots, args.depth)
-        categories, articles = counts["categories"], counts["articles"]
     payload = {"roots": roots, "depth": args.depth, "articles": articles, "categories": categories}
     if args.cycles:
         payload["cycles"] = detect_cycles(g)

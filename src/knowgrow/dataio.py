@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .disruption import CitationGraph
+from .disruption import YEAR_RANGE, CitationGraph
 from .fitting import TimeSeries
 from .graph_metrics import SnapshotGraph
 from .months import add_months, month_ordinal
@@ -260,16 +260,22 @@ def load_citation(
     """Citation graph from a nodes file and an edges file."""
     node_lines = _read_lines(nodes_path)
     papers = []
+    seen: dict[str, int] = {}  # paper id -> its first line
     for no, (pid, year, *fld) in _records(nodes_path, node_lines, (2, 3)):
         try:
-            papers.append((pid, int(year), *fld))
-        except ValueError:  # only int() raises
+            y = int(year)
+        except ValueError:
             raise DataFormatError(nodes_path, no, f"not a year: {year!r}") from None
+        if seen.setdefault(pid, no) != no:
+            raise DataFormatError(nodes_path, no, f"duplicate paper id {pid!r}, first on line {seen[pid]}")
+        if not YEAR_RANGE[0] <= y <= YEAR_RANGE[1]:
+            raise DataFormatError(nodes_path, no, f"year {y} of {pid!r} outside {YEAR_RANGE}")
+        papers.append((pid, y, *fld))
     edge_lines = _read_lines(edges_path)
     edges = [pair for _, pair in _records(edges_path, edge_lines, (2,))]
     try:
         graph = CitationGraph.build(papers, edges)
-    except ValueError as exc:
+    except ValueError as exc:  # the nodes were checked above: an edge is at fault
         raise DataFormatError(edges_path, None, str(exc)) from None
     ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(node_lines), len(papers))
     ds_edges = Dataset("citation", str(edges_path), _citation_digest(edge_lines), len(edges))

@@ -13,7 +13,7 @@ engages with (zero denominator) is reported with ``d = 0`` and
 
 The counts come from the bibliographic coupling ``A @ A.T`` (Kessler 1963)
 of the citing -> cited matrix ``A``.  Scoring every paper costs the sum
-over references of their citation count squared; row blocks of
+over references of their citation count squared; :func:`row_blocks` of
 ``BLOCK_WORK`` coupling pairs bound memory.  Duplicate citations count once.
 
 No publication-year cutoff is applied when collecting the engaging papers;
@@ -26,8 +26,6 @@ from itertools import chain
 
 import numpy as np
 from scipy import sparse
-
-from .graph_metrics import row_blocks
 
 __all__ = [
     "CitationGraph",
@@ -42,6 +40,14 @@ __all__ = [
 YEAR_RANGE = (1900, 2100)
 
 BLOCK_WORK = 1 << 20
+
+
+def row_blocks(work: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` row ranges, cut where cumulative ``work`` crosses ``budget``."""
+    total = np.concatenate(([0], np.cumsum(work)))
+    cuts = np.flatnonzero(np.diff(total[:-1] // budget)) + 1
+    bounds = [0, *cuts.tolist(), len(work)]
+    return list(zip(bounds, bounds[1:]))
 
 
 @dataclass

@@ -111,11 +111,8 @@ class SnapshotGraph:
 
     def undirected_csr(self) -> sparse.csr_matrix:
         """Symmetric 0/1 adjacency of the undirected projection."""
-        s = np.concatenate([self.src, self.dst])
-        d = np.concatenate([self.dst, self.src])
-        a = sparse.csr_matrix((np.ones(len(s), dtype=np.int8), (s, d)), shape=(self.n, self.n))
-        a.data[:] = 1
-        return a
+        out = self.out_csr()
+        return out.maximum(out.T)
 
 
 def density(g: SnapshotGraph) -> float:
@@ -160,16 +157,8 @@ def entropy_reference_curve(n: float, a: float, c: float, x: float) -> float:
     return (a / c**2) * x * (ln * ln - 2.0 * ln + 2.0)
 
 
-# one dense BFS level of a sweep, or one block of 2-paths, holds about this many values
+# one dense BFS level of a sweep holds about this many values
 BLOCK_VALUES = 1 << 20
-
-
-def row_blocks(work: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    """Consecutive ``(lo, hi)`` row ranges, cut where cumulative ``work`` crosses ``budget``."""
-    total = np.concatenate(([0], np.cumsum(work)))
-    cuts = np.flatnonzero(np.diff(total[:-1] // budget)) + 1
-    bounds = [0, *cuts.tolist(), len(work)]
-    return list(zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +291,24 @@ def avg_shortest_path(g: SnapshotGraph, sources: int = 64, seed: int = 0) -> flo
 def clustering_coefficient(g: SnapshotGraph) -> float:
     """Mean local clustering of the undirected projection.
 
-    Nodes of degree < 2 contribute 0.  Triangles are counted through the
-    sparse product A.(A@A) in int32 (int8 wraps past 127 shared
-    neighbours), taken over row blocks of about ``BLOCK_VALUES`` 2-paths
-    so memory stays bounded on hub-heavy graphs.
+    Nodes of degree < 2 contribute 0.  Triangles are counted in one pass
+    over the degree-oriented adjacency (Schank & Wagner 2005): ``u`` keeps
+    each edge from its lower to its higher (degree, id) rank, so every row
+    of ``u`` is O(sqrt(edges)) long and no product needs memory blocks.
+    Counts are int32; int8 wraps past 127 shared neighbours.
     """
     if g.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
-    a = g.undirected_csr().astype(np.int32)
-    deg = np.asarray(a.sum(axis=1)).ravel().astype(np.int64)
+    a = g.undirected_csr()
+    deg = np.diff(a.indptr)
+    order = np.argsort(deg, kind="stable")
+    u = sparse.triu(a[order][:, order], k=1, format="csr").astype(np.int32)
+    low = (u @ u).multiply(u)  # each triangle once, at its (lowest, highest) pair
+    mid = (u.T.tocsr() @ u).multiply(u)  # and once at its (middle, highest) pair
     tri = np.zeros(g.n)
-    for lo, hi in row_blocks(a @ deg, BLOCK_VALUES):  # a @ deg: 2-paths per row
-        rows = a[lo:hi]
-        tri[lo:hi] = np.asarray(rows.multiply(rows @ a).sum(axis=1)).ravel() / 2.0
-    pairs = deg * (deg - 1) / 2.0
-    mask = deg >= 2
-    local = np.zeros(g.n)
-    local[mask] = tri[mask] / pairs[mask]
-    return float(local.mean())
+    tri[order] = np.asarray(low.sum(axis=1) + low.sum(axis=0).T + mid.sum(axis=1)).ravel()
+    pairs = deg * (deg - 1.0) / 2
+    return float(np.divide(tri, pairs, out=np.zeros(g.n), where=deg >= 2).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +361,14 @@ def powerlaw_fit(degrees: np.ndarray, kmin: int | None = None) -> PowerlawFit:
 
     The exponent maximizes the Hurwitz-zeta likelihood of the tail
     ``k >= kmin``; when ``kmin`` is None it is chosen to minimize the KS
-    distance between empirical and fitted tail CDFs.  Requires at least
-    ``MIN_TAIL`` tail samples spanning more than one distinct value.
+    distance between empirical and fitted tail CDFs.  Requires ``kmin >= 1``
+    and ``MIN_TAIL`` tail samples spanning more than one distinct value.
     """
     xs = np.sort(np.asarray(degrees, dtype=np.int64))
     xs = xs[xs >= 1]
     if kmin is not None:
+        if kmin < 1:
+            raise ValueError(f"kmin must be >= 1, got {kmin}")
         tail = xs[xs >= kmin]
         if len(tail) < MIN_TAIL:
             raise ValueError(f"fewer than {MIN_TAIL} samples >= kmin={kmin}")

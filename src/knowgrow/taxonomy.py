@@ -174,8 +174,10 @@ def count_members_by_level(
     """Cumulative ``(categories, articles)`` within each depth 0..``depth``.
 
     Row ``k`` holds what :func:`count_members` counts at depth ``k``; all
-    rows come from one search.
+    rows come from one search.  No member lies deeper than ``len(g)``, so
+    the rows stop there: each deeper row would repeat the last.
     """
+    depth = min(depth, len(g))
     levels = _levels(g, roots, depth)
     inside = levels <= depth
     columns = [
@@ -190,11 +192,10 @@ def count_members(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> 
 
     Articles attached directly to the roots count too (level-0 categories
     are members), and an article under several matched categories counts
-    once.  Returns ``{"articles": ..., "categories": ...}``.
+    once.  Returns the last row of :func:`count_members_by_level` as a dict.
     """
-    inside = _levels(g, roots, depth) <= depth
-    categories = int(np.count_nonzero(inside & g.is_category))
-    return {"articles": int(np.count_nonzero(inside)) - categories, "categories": categories}
+    categories, articles = count_members_by_level(g, roots, depth)[-1]
+    return {"articles": articles, "categories": categories}
 
 
 def wag_root_presets() -> dict[str, list[str]]:

@@ -226,6 +226,19 @@ class TestDisrupt:
         assert payload["year_range"] == [1900, 0]
         assert payload["top"] == []
 
+    @pytest.mark.parametrize("rows, message", [
+        ("a\t2000\nb\t2001\na\t2002\n", "nodes.tsv:3: duplicate paper id 'a', first on line 1"),
+        ("a\t2000\nb\t1800\n", "nodes.tsv:2: year 1800 of 'b' outside (1900, 2100)"),
+    ], ids=["duplicate", "year"])
+    def test_paper_errors_name_the_nodes_line(self, tmp_path, capsys, rows, message):
+        (tmp_path / "nodes.tsv").write_text(rows)
+        (tmp_path / "edges.tsv").write_text("b\ta\n")
+        assert run("disrupt", "--nodes", tmp_path / "nodes.tsv",
+                   "--edges", tmp_path / "edges.tsv", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "edges.tsv" not in err
+
 
 class TestTaxonomy:
     @pytest.fixture
@@ -262,6 +275,15 @@ class TestTaxonomy:
         assert rc == 0
         payload = load_report(out)["payload"]
         assert (payload["categories"], payload["articles"]) == (3, 3)
+
+    def test_plot_deeper_than_the_graph(self, hierarchy, tmp_path):
+        # levels stop at the node count; the plot still has a row per depth
+        plot = tmp_path / "levels.csv"
+        assert run("taxonomy", "--edges", hierarchy, "--roots", "Mathematics",
+                   "--depth", 20, "--plot-csv", plot, "--quiet") == 0
+        lines = plot.read_text().splitlines()
+        assert len(lines) == 22
+        assert lines[3:] == [f"{k},3,3" for k in range(2, 21)]
 
     def test_preset_requires_membership(self, hierarchy, capsys):
         assert run("taxonomy", "--edges", hierarchy, "--preset", "wag_core") == 1
@@ -313,6 +335,14 @@ class TestDistfit:
                  "--kmin", 3, "--json", out, "--quiet")
         assert rc == 0
         assert load_report(out)["payload"]["exponent"] == pytest.approx(3.0, abs=0.2)
+
+    @pytest.mark.parametrize("kmin", [0, -3])
+    def test_powerlaw_kmin_below_one_fails(self, tmp_path, capsys, kmin):
+        (tmp_path / "deg.txt").write_text("\n".join(map(str, range(1, 201))) + "\n")
+        rc = run("distfit", "--input", tmp_path / "deg.txt", "--family", "powerlaw",
+                 "--kmin", kmin, "--quiet")
+        assert rc == 1
+        assert "kmin must be >= 1" in capsys.readouterr().err
 
 
 class TestSegment:

@@ -276,6 +276,11 @@ class TestDistances:
         assert list(map(len, sweeps)) == [16]  # one sweep of 16 sources, shared by both metrics
 
 
+def assert_matches_oracle(n, edges):
+    expected = np.mean(local_clustering(n, [tuple(e) for e in np.asarray(edges).tolist()]))
+    assert clustering_coefficient(graph(edges, n=n)) == pytest.approx(expected, rel=1e-12)
+
+
 class TestClustering:
     def test_triangle(self):
         assert clustering_coefficient(CYCLE3) == pytest.approx(1.0)
@@ -289,14 +294,32 @@ class TestClustering:
         g = graph([(0, 1)] + [(h, leaf) for h in (0, 1) for leaf in range(2, k + 2)], n=k + 2)
         assert clustering_coefficient(g) == pytest.approx((k + 4 / (k + 1)) / (k + 2), rel=1e-12)
 
-    @pytest.mark.parametrize("budget", [graph_metrics.BLOCK_VALUES, 1])
-    def test_matches_local_clustering_oracle(self, rng, monkeypatch, budget):
-        monkeypatch.setattr(graph_metrics, "BLOCK_VALUES", budget)
+    def test_matches_local_clustering_oracle(self, rng):
         for _ in range(20):
             n = int(rng.integers(3, 80))
             edges = random_digraph(rng, n, int(rng.integers(n, 8 * n)))
-            expected = np.mean(local_clustering(n, [tuple(e) for e in edges.tolist()]))
-            assert clustering_coefficient(graph(edges, n=n)) == pytest.approx(expected, rel=1e-12)
+            assert_matches_oracle(n, edges)
+
+    def test_hub_joined_to_clique(self):
+        # a star of 30 leaves whose centre also belongs to a 12-clique: the
+        # centre ranks last, the leaves first
+        clique = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+        assert_matches_oracle(42, clique + [(0, leaf) for leaf in range(12, 42)])
+
+    def test_small_ba_graph(self):
+        from knowgrow import ba
+
+        g = ba.generate(ba.BAParams(n=300, m=3, seed=4))
+        assert_matches_oracle(g.n, np.column_stack([g.src, g.dst]))
+
+    @pytest.mark.parametrize("n, half", [(30, 1), (30, 3), (40, 5)])
+    def test_equal_degrees_rank_by_id(self, n, half):
+        # circulant graphs, every degree 2 * half, alone and beside ten
+        # disjoint triangles: the orientation falls back on the id tie-break
+        ring = [(i, (i + d) % n) for i in range(n) for d in range(1, half + 1)]
+        triangles = [(v + a, v + b) for v in range(n, n + 30, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
+        assert_matches_oracle(n, ring)
+        assert_matches_oracle(n + 30, ring + triangles)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
@@ -354,6 +377,13 @@ class TestPowerlawFit:
     def test_insufficient_tail_rejected(self):
         with pytest.raises(ValueError, match="fewer than"):
             powerlaw_fit(np.arange(1, 40), kmin=1)
+
+    @pytest.mark.parametrize("kmin", [0, -3])
+    def test_kmin_below_one_rejected(self, kmin):
+        # degrees start at 1: a smaller kmin would be clipped, not fitted
+        samples = sample_discrete_powerlaw(3.0, kmin=1, size=1000, seed=7)
+        with pytest.raises(ValueError, match="kmin must be >= 1"):
+            powerlaw_fit(samples, kmin=kmin)
 
 
 class TestLognormalFit:
