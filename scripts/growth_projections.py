@@ -9,9 +9,8 @@ import argparse
 
 import numpy as np
 
-from knowgrow import model_catalog
 from knowgrow.fitting import forecast, select_points
-from knowgrow.growth import QUASI_LINEAR_FAMILIES
+from knowgrow.growth import QUASI_LINEAR_FAMILIES, model_catalog
 from knowgrow.months import month_index
 
 ARTICLE_TOTALS = {  # monthly English-Wikipedia article totals (2021-06 missing)

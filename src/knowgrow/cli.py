@@ -44,6 +44,7 @@ from .graph_metrics import (
     empirical_ccdf,
     lognormal_fit,
     mean_degree,
+    powerlaw_ccdf,
     powerlaw_fit,
 )
 from .growth import STANDARD_FAMILIES, DomainError, family_spec, model_catalog
@@ -135,7 +136,11 @@ def cmd_forecast(args) -> int:
     if bool(args.fit) == bool(args.model):
         raise ValueError("provide exactly one of --fit or --model")
     if args.fit:
+        if args.from_month:
+            raise ValueError("--from applies to --model only")
         doc = load_report(args.fit)
+        if doc.get("kind") != "fit_result":
+            raise ValueError(f"--fit needs a fit_result report; {args.fit} is {doc.get('kind')!r}")
         result = FitResult.from_json(doc["payload"]["best"])
         series = forecast(result, args.until)
         model = result.model
@@ -332,6 +337,8 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_distfit(args) -> int:
+    if args.family == "lognormal" and args.kmin is not None:
+        raise ValueError("--kmin applies to --family powerlaw only")
     ds, samples = load_samples(args.input)
     if args.family == "lognormal":
         res = lognormal_fit(samples.astype(float))
@@ -362,8 +369,8 @@ def cmd_distfit(args) -> int:
             f"ks={res.ks_distance:.4f} (tail n={res.n_tail})"
         ]
         if args.plot_csv:
-            ks, ccdf_emp = empirical_ccdf(np.sort(samples[samples >= res.kmin]))
-            ccdf_fit = zeta(res.exponent, ks.astype(float)) / zeta(res.exponent, res.kmin)
+            tail = np.sort(samples[samples >= res.kmin])
+            ks, ccdf_emp, ccdf_fit = powerlaw_ccdf(tail, res.kmin, res.exponent)
             _write_csv(
                 args.plot_csv,
                 ["value", "ccdf_empirical", "ccdf_fitted"],
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", help="fit report JSON produced by `fit --json`")
     p.add_argument("--model", help="catalog model name (e.g. wiki_categories)")
     p.add_argument("--from", dest="from_month", metavar="YYYY-MM",
-                   help="first month to evaluate (with --model)")
+                   help="first month to evaluate (--model only)")
     p.add_argument("--until", required=True, metavar="YYYY-MM", help="last month to evaluate")
     p.set_defaults(func=cmd_forecast)
 
@@ -494,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
                        description=f"Samples: {SAMPLES_FORMAT}.")
     p.add_argument("--input", required=True, help=f"samples file ({SAMPLES_FORMAT})")
     p.add_argument("--family", choices=("lognormal", "powerlaw"), required=True)
-    p.add_argument("--kmin", type=int, help="fixed power-law tail start (default: KS-optimal)")
+    p.add_argument("--kmin", type=int,
+                   help="fixed power-law tail start (powerlaw only; default: KS-optimal)")
     p.set_defaults(func=cmd_distfit)
 
     p = sub.add_parser("segment", parents=[common],

@@ -25,8 +25,9 @@ number of records parsed.  Each file is read once.  Digests canonicalize
 before hashing: edge lists hash their sorted ``src<TAB>dst`` label rows
 (order-insensitive, the rows ``write_edge_tsv`` writes), series and
 rankings hash in sequence order.  Reports are JSON documents embedding
-``schema_version``, the tool version, and the digests of their inputs;
-writes are atomic (temp file + rename).
+``schema_version``, the tool version, and the digests of their inputs,
+keyed by file name (by path where two inputs share a name); writes are
+atomic (temp file + rename).
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ import logging
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -101,11 +103,9 @@ class Dataset:
 
 
 def _digest(lines: list[str]) -> str:
-    h = hashlib.sha256()
-    for ln in lines:
-        h.update(ln.encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    """sha256 of the lines, each followed by a newline (no bytes for no lines)."""
+    text = "\n".join(lines) + "\n" if lines else ""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -113,7 +113,8 @@ def _read_lines(path: str | Path) -> list[str]:
         return fh.read().splitlines()
 
 
-def load_series_csv(path: str | Path, label: str = "") -> tuple[Dataset, TimeSeries]:
+def load_series_csv(path: str | Path) -> tuple[Dataset, TimeSeries]:
+    """Series CSV -> TimeSeries labelled with the file stem."""
     lines = _read_lines(path)
     if not lines or lines[0].strip().lower() != "date,value":
         raise DataFormatError(path, 1, "expected header 'date,value'")
@@ -149,7 +150,7 @@ def load_series_csv(path: str | Path, label: str = "") -> tuple[Dataset, TimeSer
         values.append(value)
     if len(values) < 2:
         raise DataFormatError(path, None, "series needs at least 2 rows")
-    series = TimeSeries(origin=months[0], values=tuple(values), label=label or Path(path).stem)
+    series = TimeSeries(origin=months[0], values=tuple(values), label=Path(path).stem)
     canonical = [f"{m},{v!r}" for m, v in zip(months, series.values)]
     return Dataset("series", str(path), _digest(canonical), len(values)), series
 
@@ -334,11 +335,15 @@ def _atomic_write(path: str | Path, data: bytes) -> None:
 
 
 def report_bytes(payload: dict, kind: str, inputs: list[Dataset] | None = None) -> bytes:
+    # inputs are keyed by file name, or by path where distinct paths share a name
+    by_path = {ds.path: ds.to_json() for ds in inputs or []}
+    names = Counter(Path(p).name for p in by_path)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "kind": kind,
-        "inputs": {Path(ds.path).name: ds.to_json() for ds in (inputs or [])},
+        "inputs": {p if names[Path(p).name] > 1 else Path(p).name: meta
+                   for p, meta in by_path.items()},
         "payload": payload,
     }
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
@@ -362,14 +367,10 @@ def load_report(path: str | Path) -> dict:
     return doc
 
 
-def verify_report_inputs(doc: dict, overrides: dict[str, str | Path] | None = None) -> None:
-    """Recompute input digests and fail loudly on any mismatch.
-
-    ``overrides`` remaps input names to current paths when files moved.
-    """
-    overrides = overrides or {}
+def verify_report_inputs(doc: dict) -> None:
+    """Recompute the digest of every input at its recorded path; fail loudly on a mismatch."""
     for name, meta in doc.get("inputs", {}).items():
-        path = Path(overrides.get(name, meta["path"]))
+        path = Path(meta["path"])
         if meta["kind"] == "citation":
             fresh = _citation_digest(_read_lines(path))
         else:
@@ -385,26 +386,17 @@ def verify_report_inputs(doc: dict, overrides: dict[str, str | Path] | None = No
 # cache
 
 
-def _cache_dir(explicit: str | Path | None = None) -> Path | None:
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
-
-
 def cache_key(operation: str, digest: str, params: dict) -> str:
     canon = json.dumps({"op": operation, "digest": digest, "params": params}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def cache_get(
-    operation: str, digest: str, params: dict, cache_dir: str | Path | None = None
-) -> bytes | None:
-    """Byte-identical prior report, or None on miss/corruption."""
-    root = _cache_dir(cache_dir)
-    if root is None:
+def cache_get(operation: str, digest: str, params: dict) -> bytes | None:
+    """Byte-identical prior report from ``$KNOWGROW_CACHE_DIR``, or None on miss/corruption."""
+    root = os.environ.get(CACHE_ENV)
+    if not root:
         return None
-    entry = root / f"{cache_key(operation, digest, params)}.json"
+    entry = Path(root) / f"{cache_key(operation, digest, params)}.json"
     if not entry.exists():
         return None
     data = entry.read_bytes()
@@ -416,12 +408,10 @@ def cache_get(
     return data
 
 
-def cache_put(
-    operation: str, digest: str, params: dict, data: bytes, cache_dir: str | Path | None = None
-) -> bool:
-    """Store a report; returns False when no cache directory is configured."""
-    root = _cache_dir(cache_dir)
-    if root is None:
+def cache_put(operation: str, digest: str, params: dict, data: bytes) -> bool:
+    """Store a report in ``$KNOWGROW_CACHE_DIR``; False when that is unset."""
+    root = os.environ.get(CACHE_ENV)
+    if not root:
         return False
-    _atomic_write(root / f"{cache_key(operation, digest, params)}.json", data)
+    _atomic_write(Path(root) / f"{cache_key(operation, digest, params)}.json", data)
     return True

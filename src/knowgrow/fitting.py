@@ -176,12 +176,11 @@ def _nl_bounds(spec: FamilySpec, t: np.ndarray) -> tuple[float, float]:
 
 def _nl_grid(spec: FamilySpec, lo: float, hi: float, size: int) -> np.ndarray:
     if spec.shifted:
-        # lo, then offsets above it in geometric steps; an exclusive family's lo
-        # already sits 1e-6 inside its open domain
-        offsets = np.geomspace(min(1e-3, hi - lo), hi - lo, size)
-        grid = lo + np.concatenate([[0.0], offsets])
-    else:
-        grid = np.geomspace(lo, hi, size) if lo > 0 else np.linspace(lo, hi, size)
+        # lo, then offsets 1e-3 .. hi - lo (about 4000) above it in geometric
+        # steps; an exclusive family's lo already sits 1e-6 inside its open domain
+        grid = lo + np.concatenate([[0.0], np.geomspace(1e-3, hi - lo, size)])
+    else:  # exponential rate, lo = 1e-4 > 0; hi <= lo once t_max >= 6e6
+        grid = np.geomspace(lo, hi, size)
     return np.sort(grid)
 
 
@@ -333,11 +332,12 @@ def select(series: TimeSeries, families: list[str] | tuple[str, ...]) -> list[Fi
     return select_points(series.t, series.y, families, t_origin=series.origin)
 
 
-def forecast(fit_result: FitResult, until: str, label: str = "") -> TimeSeries:
+def forecast(fit_result: FitResult, until: str) -> TimeSeries:
     """Extrapolate a fitted model month by month through ``until``.
 
-    The returned series starts the month after the fitted data ends and is
-    continuous with the fitted curve (same model, consecutive indices).
+    The returned series, labelled ``forecast:<family>``, starts the month
+    after the fitted data ends and is continuous with the fitted curve (same
+    model, consecutive indices).
     """
     model = fit_result.model
     if model.t_origin is None:
@@ -351,7 +351,7 @@ def forecast(fit_result: FitResult, until: str, label: str = "") -> TimeSeries:
     return TimeSeries(
         origin=add_months(model.t_origin, last_t),
         values=tuple(values),
-        label=label or f"forecast:{model.family}",
+        label=f"forecast:{model.family}",
     )
 
 

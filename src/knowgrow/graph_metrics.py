@@ -36,6 +36,7 @@ __all__ = [
     "avg_shortest_path",
     "clustering_coefficient",
     "empirical_ccdf",
+    "powerlaw_ccdf",
     "powerlaw_fit",
     "lognormal_fit",
 ]
@@ -350,9 +351,16 @@ def empirical_ccdf(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ks, 1.0 - np.searchsorted(xs, ks, side="left") / xs.size
 
 
-def _powerlaw_ks(tail: np.ndarray, kmin: int, alpha: float) -> float:
+def powerlaw_ccdf(
+    tail: np.ndarray, kmin: int, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values of the sorted tail ``>= kmin``, its empirical CCDF and the fitted one."""
     ks, ccdf_emp = empirical_ccdf(tail)
-    ccdf_fit = zeta(alpha, ks) / zeta(alpha, kmin)
+    return ks, ccdf_emp, zeta(alpha, ks) / zeta(alpha, kmin)
+
+
+def _powerlaw_ks(tail: np.ndarray, kmin: int, alpha: float) -> float:
+    _, ccdf_emp, ccdf_fit = powerlaw_ccdf(tail, kmin, alpha)
     return float(np.abs(ccdf_fit - ccdf_emp).max())
 
 

@@ -37,14 +37,23 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def test_import_leaves_out_scipy_integrate():
+def _imports(module: str) -> set[str]:
+    """Names in ``sys.modules`` after importing ``module`` in a fresh interpreter."""
     src = str(Path(knowgrow.__file__).parents[1])
-    code = "import sys, knowgrow.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, {module}; print(*sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_import_leaves_out_scipy_integrate():
+    assert "scipy.integrate" not in _imports("knowgrow.cli")
+
+
+def test_package_import_loads_no_scipy():
+    assert not {m for m in _imports("knowgrow") if m.split(".")[0] == "scipy"}
 
 
 class TestFit:
@@ -117,6 +126,23 @@ class TestForecast:
         assert run("forecast", "--model", "nope", "--from", "2020-01",
                    "--until", "2021-01") == 1
         assert "unknown catalog model" in capsys.readouterr().err
+
+    def test_fit_rejects_other_report_kinds(self, tmp_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("p1\np2\n")
+        report = tmp_path / "ix.json"
+        assert run("intersect", "--a", ids, "--b", ids, "--ctop", ids,
+                   "--json", report, "--quiet") == 0
+        assert run("forecast", "--fit", report, "--until", "2030-01", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "fit_result" in err and "'intersect'" in err
+
+    def test_fit_rejects_from(self, articles_csv, tmp_path, capsys):
+        fit_json = tmp_path / "fit.json"
+        assert run("fit", "--input", articles_csv, "--json", fit_json, "--quiet") == 0
+        assert run("forecast", "--fit", fit_json, "--from", "1990-01",
+                   "--until", "2023-01", "--quiet") == 1
+        assert "--from applies to --model only" in capsys.readouterr().err
 
 
 class TestBA:
@@ -312,6 +338,23 @@ class TestIntersect:
         header = (tmp_path / "ix.csv").read_text().splitlines()[0]
         assert header.startswith("percentile,")
 
+    @pytest.mark.parametrize("edited", ["a", "b"])
+    def test_inputs_sharing_a_file_name_both_verify(self, tmp_path, edited):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "ids.txt").write_text(f"{d}1\n{d}2\n")
+        (tmp_path / "ctop.txt").write_text("a1\nb1\nc1\n")
+        out = tmp_path / "ix.json"
+        assert run("intersect", "--a", tmp_path / "a" / "ids.txt",
+                   "--b", tmp_path / "b" / "ids.txt", "--ctop", tmp_path / "ctop.txt",
+                   "--json", out, "--quiet") == 0
+        doc = load_report(out)
+        assert len(doc["inputs"]) == 3
+        verify_report_inputs(doc)
+        (tmp_path / edited / "ids.txt").write_text("x\n")
+        with pytest.raises(ValueError, match="digest mismatch"):
+            verify_report_inputs(doc)
+
 
 class TestDistfit:
     def test_lognormal(self, tmp_path):
@@ -343,6 +386,13 @@ class TestDistfit:
                  "--kmin", kmin, "--quiet")
         assert rc == 1
         assert "kmin must be >= 1" in capsys.readouterr().err
+
+    def test_lognormal_rejects_kmin(self, tmp_path, capsys):
+        (tmp_path / "sizes.txt").write_text("\n".join(map(str, range(1, 201))) + "\n")
+        rc = run("distfit", "--input", tmp_path / "sizes.txt", "--family", "lognormal",
+                 "--kmin", 7, "--quiet")
+        assert rc == 1
+        assert "--kmin applies to --family powerlaw only" in capsys.readouterr().err
 
 
 class TestSegment:

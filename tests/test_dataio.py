@@ -321,35 +321,61 @@ class TestReports:
         with pytest.raises(ValueError, match="digest mismatch"):
             verify_report_inputs(load_report(path))
 
+    @pytest.mark.parametrize("edited", ["a", "b"])
+    def test_inputs_sharing_a_file_name_are_all_verified(self, tmp_path, edited):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        dsa, _ = load_id_list(write(tmp_path / "a" / "ids.txt", "p1\n"))
+        dsb, _ = load_id_list(write(tmp_path / "b" / "ids.txt", "p2\n"))
+        dsc, _ = load_id_list(write(tmp_path / "ctop.txt", "p1\np2\n"))
+        path = tmp_path / "r.json"
+        save_report({}, path, "intersect", [dsa, dsb, dsc])
+        doc = load_report(path)
+        assert sorted(doc["inputs"]) == sorted([dsa.path, dsb.path, "ctop.txt"])
+        verify_report_inputs(doc)
+        (tmp_path / edited / "ids.txt").write_text("p3\n")
+        with pytest.raises(ValueError, match="digest mismatch"):
+            verify_report_inputs(doc)
+
+    def test_distinct_file_names_key_inputs(self, tmp_path):
+        dsa, _ = load_id_list(write(tmp_path / "a.txt", "p1\n"))
+        dsb, _ = load_id_list(write(tmp_path / "b.txt", "p2\n"))
+        doc = json.loads(report_bytes({}, "intersect", [dsa, dsb, dsa]))
+        assert doc["inputs"] == {"a.txt": dsa.to_json(), "b.txt": dsb.to_json()}
+
 
 class TestCache:
-    def test_put_then_get_byte_identical(self, tmp_path):
+    def test_put_then_get_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         data = report_bytes({"x": 1.5}, "metrics")
-        assert cache_put("metrics", "abc", {"q": 0.9}, data, cache_dir=tmp_path)
-        assert cache_get("metrics", "abc", {"q": 0.9}, cache_dir=tmp_path) == data
+        assert cache_put("metrics", "abc", {"q": 0.9}, data)
+        assert cache_get("metrics", "abc", {"q": 0.9}) == data
 
-    def test_different_params_miss(self, tmp_path):
+    def test_different_params_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         data = report_bytes({"x": 1}, "metrics")
-        cache_put("metrics", "abc", {"q": 0.9}, data, cache_dir=tmp_path)
-        assert cache_get("metrics", "abc", {"q": 0.95}, cache_dir=tmp_path) is None
-        assert cache_get("other", "abc", {"q": 0.9}, cache_dir=tmp_path) is None
+        cache_put("metrics", "abc", {"q": 0.9}, data)
+        assert cache_get("metrics", "abc", {"q": 0.95}) is None
+        assert cache_get("other", "abc", {"q": 0.9}) is None
 
-    def test_digest_keyed_not_path_keyed(self, tmp_path):
+    def test_digest_keyed_not_path_keyed(self, tmp_path, monkeypatch):
         a = write(tmp_path / "one.tsv", "a\tb\n")
         b = write(tmp_path / "two.tsv", "a\tb\n")
         dsa, _ = load_edge_list(a)
         dsb, _ = load_edge_list(b)
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         data = report_bytes({"n": 2}, "metrics")
-        cache_put("metrics", dsa.digest, {}, data, cache_dir=tmp_path)
-        assert cache_get("metrics", dsb.digest, {}, cache_dir=tmp_path) == data
+        cache_put("metrics", dsa.digest, {}, data)
+        assert cache_get("metrics", dsb.digest, {}) == data
 
-    def test_corrupt_entry_is_miss(self, tmp_path, caplog):
+    def test_corrupt_entry_is_miss(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         data = report_bytes({"x": 1}, "metrics")
-        cache_put("metrics", "abc", {}, data, cache_dir=tmp_path)
+        cache_put("metrics", "abc", {}, data)
         entry = next(tmp_path.glob("*.json"))
         entry.write_bytes(b"{not json")
         with caplog.at_level("WARNING"):
-            assert cache_get("metrics", "abc", {}, cache_dir=tmp_path) is None
+            assert cache_get("metrics", "abc", {}) is None
         assert "corrupt" in caplog.text
 
     def test_disabled_without_configuration(self, monkeypatch):

@@ -18,6 +18,7 @@ from knowgrow.graph_metrics import (
     lognormal_fit,
     mean_degree,
     normalized_structural_entropy,
+    powerlaw_ccdf,
     powerlaw_fit,
 )
 
@@ -384,6 +385,16 @@ class TestPowerlawFit:
         samples = sample_discrete_powerlaw(3.0, kmin=1, size=1000, seed=7)
         with pytest.raises(ValueError, match="kmin must be >= 1"):
             powerlaw_fit(samples, kmin=kmin)
+
+    def test_ccdf_is_what_ks_measures(self):
+        samples = sample_discrete_powerlaw(2.5, kmin=2, size=5000, seed=9)
+        res = powerlaw_fit(samples)
+        tail = np.sort(samples[samples >= res.kmin])
+        ks, emp, fitted = powerlaw_ccdf(tail, res.kmin, res.exponent)
+        np.testing.assert_array_equal(ks, np.unique(tail))
+        assert emp[0] == 1.0 and fitted[0] == 1.0
+        assert np.all(np.diff(emp) < 0) and np.all(np.diff(fitted) < 0)
+        assert float(np.abs(fitted - emp).max()) == res.ks_distance
 
 
 class TestLognormalFit:
