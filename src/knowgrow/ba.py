@@ -109,10 +109,6 @@ class BATheory:
     effective_diameter: float
     clustering: float
 
-    def pk(self, k: float | np.ndarray) -> float | np.ndarray:
-        """Degree-law density 2 m^2 k^-3."""
-        return 2.0 * self.m**2 * np.asarray(k, dtype=float) ** -3.0
-
 
 def theory(params: BAParams) -> BATheory:
     if params.n < 10:

@@ -85,6 +85,8 @@ def _parse_year_range(args) -> tuple[int, int] | None:
         return None
     lo = YEAR_RANGE[0] if args.year_min is None else args.year_min
     hi = YEAR_RANGE[1] if args.year_max is None else args.year_max
+    if lo > hi:
+        raise ValueError(f"empty year range: --year-min {lo} > --year-max {hi}")
     return lo, hi
 
 
@@ -244,9 +246,9 @@ def cmd_ba(args) -> int:
 
 
 def cmd_disrupt(args) -> int:
+    year_range = _parse_year_range(args)
     (dsn, dse), g = load_citation(args.nodes, args.edges)
     scores = d_index_all(g)
-    year_range = _parse_year_range(args)
     ordered = rank(g, key=args.key, k=args.top, year_range=year_range)
     citations = {g.ids[i]: int(c) for i, c in enumerate(g.citation_counts())}
     payload = {
@@ -522,7 +524,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DataFormatError, FileNotFoundError, DomainError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -48,6 +48,14 @@ SCAN_GRID_SIZE = 36
 #: Fewest points on either side of a :func:`segment_break` split.
 MIN_SEGMENT = 6
 
+#: Relative slack of the :func:`segment_break` screen: splits scoring within
+#: this fraction of the best score are refitted.
+SCREEN_SLACK = 0.1
+
+#: Roundoff floor of that screen, as a fraction of ``y @ y``: scores this
+#: close to the best are ties, whatever the slack.
+_ROUNDOFF = 1e-10
+
 
 class FitError(ValueError):
     """Raised when a series cannot be fitted under the requested family."""
@@ -88,10 +96,6 @@ class TimeSeries:
     def month_at(self, index: int) -> str:
         """Calendar month of 1-based month index ``index``."""
         return add_months(self.origin, index - 1)
-
-    @property
-    def end_month(self) -> str:
-        return self.month_at(len(self.values))
 
     def to_json(self) -> dict:
         return {"origin": self.origin, "values": list(self.values), "label": self.label}
@@ -184,6 +188,17 @@ def _nl_grid(spec: FamilySpec, lo: float, hi: float, size: int) -> np.ndarray:
     return np.sort(grid)
 
 
+def _target(spec: FamilySpec, y: np.ndarray) -> np.ndarray:
+    """What ``spec`` is fitted to: ``y``, or ``ln y`` for a log-space family."""
+    if not np.any(y != 0):
+        raise FitError("all-zero series: MAPE scoring undefined")
+    if not spec.log_space:
+        return y
+    if np.any(y <= 0):
+        raise FitError(f"family {spec.name!r} is fitted in log space and needs y > 0")
+    return np.log(y)
+
+
 def fit_points(
     t: np.ndarray,
     y: np.ndarray,
@@ -207,15 +222,7 @@ def fit_points(
         )
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise FitError("non-finite values in input")
-    if not np.any(y != 0):
-        raise FitError("all-zero series: MAPE scoring undefined")
-
-    if spec.log_space:
-        if np.any(y <= 0):
-            raise FitError(f"family {spec.name!r} is fitted in log space and needs y > 0")
-        target = np.log(y)
-    else:
-        target = y
+    target = _target(spec, y)
 
     converged, at_bound = True, False
     if spec.nonlinear_index is None:
@@ -377,16 +384,125 @@ class SegmentSplit:
         }
 
 
-def segment_break(series: TimeSeries, early_family: str, late_family: str) -> SegmentSplit:
-    """Exhaustively locate the break minimizing combined squared error.
+def _grid_sse(spec: FamilySpec, t: np.ndarray, y: np.ndarray) -> float:
+    """The ``sse`` that ``fit_points(t, y, ..., _grid_size=SCAN_GRID_SIZE)``
+    reports at its best grid point, before the Brent refinement."""
+    target = _target(spec, y)
+    nl = None
+    if spec.nonlinear_index is not None:
+        grid = _nl_grid(spec, *_nl_bounds(spec, t), SCAN_GRID_SIZE)
+        nl = grid[int(np.argmin([_lstsq_sse(spec.basis(t, v), target)[0] for v in grid]))]
+    basis = spec.basis(t, nl)
+    sse, coefs = _lstsq_sse(basis, target)
+    if not spec.log_space:
+        return sse
+    resid = np.exp(basis @ coefs) - y
+    return float(resid @ resid)
 
-    Every admissible split point is scanned with a profile fit of both
-    segments on a ``SCAN_GRID_SIZE``-point grid, so the scan costs about
-    2n fits; on a 600-month series that is about 1200 fits and most of
-    the command's time.  The winning segments are then refitted at full
-    precision, on the ``GRID_SIZE``-point grid.  A split is flagged
-    ``low_contrast`` when a single-family fit explains the series
-    essentially as well as the best split.
+
+def _prefix_sse(cols: np.ndarray, y: np.ndarray, lengths: np.ndarray, suffix: bool) -> np.ndarray:
+    """Least-squares SSE of y's windows on the leading rows of fixed columns.
+
+    ``cols`` is (grid, n, p) with a ones column last.  The window of length
+    m fits ``y[:m]``, or ``y[n - m:]`` when ``suffix``, on ``cols[:, :m]``.
+    Its normal equations come from running sums over the rows, and from one
+    correlation of y per column for suffix windows; the result is
+    (grid, len(lengths)).
+    """
+    n = len(y)
+    cols = cols.copy()
+    # every window starts at row 0, so measuring each column and y from its
+    # first value keeps the sums small where SSE = y'y - b'X'y cancels
+    cols[..., :-1] -= cols[:, :1, :-1]
+    y = y - (y[-1] if suffix else y[0])
+    gram = np.cumsum(cols[..., :, None] * cols[..., None, :], axis=1)[:, lengths - 1]
+    if suffix:
+        # np.correlate(y, c, "full")[n - 1 + b] = sum_k y[b + k] c[k]
+        lags = 2 * n - 1 - lengths
+        xty = np.array([[np.correlate(y, c, "full")[lags] for c in g.T] for g in cols])
+        xty = xty.transpose(0, 2, 1)
+        yty = np.cumsum(y[::-1] ** 2)[lengths - 1]
+    else:
+        xty = np.cumsum(cols * y[:, None], axis=1)[:, lengths - 1]
+        yty = np.cumsum(y**2)[lengths - 1]
+    d = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))  # equilibrate each system
+    xty = xty / d
+    beta = np.linalg.solve(gram / (d[..., :, None] * d[..., None, :]), xty[..., None])[..., 0]
+    return yty - np.einsum("...p,...p->...", xty, beta)
+
+
+def _split_scores(
+    spec: FamilySpec, t: np.ndarray, y: np.ndarray, splits: np.ndarray, late: bool
+) -> np.ndarray:
+    """Grid-stage SSE (:func:`_grid_sse`) of one side of every split.
+
+    Split b has the early segment ``t[:b]`` and the late segment ``t[b:]``
+    of ``t = 1..n``.  Wherever a side's columns are shared by all splits,
+    the scores come from :func:`_prefix_sse` in one pass:
+
+    - early side: it starts at t = 1, so its shift grid is the same for
+      every split and its columns are prefixes of the columns on ``t``;
+    - late side of a polynomial or a shift family: re-indexed from t = 1
+      it spans the same space, with the shift grid that ``_nl_bounds``
+      anchors at its own ``t_min``, so it is a prefix window too;
+    - late side of ``exponential``: its rate grid is anchored at
+      ``t_max = n``, the same for every split, and ``exp(r (t - n))`` is a
+      suffix of one column.
+
+    The rest are scored split by split: ``sub_exponential``, whose SSE is
+    taken in linear space but fitted on ``ln y``; ``exponential`` early,
+    whose rate cap ``600 / t_max`` moves with the split; and ``t_ln_t``
+    late, which is not shift-invariant.
+    """
+    n = len(y)
+    # poly: constant, linear and polynomialN; rate: exponential
+    poly = spec.nonlinear_index is None and spec.arg_threshold is None
+    rate = spec.nonlinear_index is not None and not spec.shifted
+    shared = (poly or rate or spec.shifted) if late else not rate
+    if spec.log_space or not shared:
+        sides = [(t[b:], y[b:]) if late else (t[:b], y[:b]) for b in splits]
+        return np.array([_grid_sse(spec, ts, ys) for ts, ys in sides])
+    if spec.nonlinear_index is None:
+        # polynomials in (t - 1) / n: each window starts at 0, scaled to [0, 1)
+        cols = spec.basis((t - 1.0) / n if poly else t, None)[None]
+    else:
+        grid = _nl_grid(spec, *_nl_bounds(spec, t), SCAN_GRID_SIZE)
+        if rate:  # late suffixes, read backwards: prefixes of exp(r (t - n)) <= 1
+            cols = np.stack([spec.basis(t[::-1] - n, r) for r in grid])
+            return _prefix_sse(cols, y[::-1], n - splits, suffix=False).min(axis=0)
+        cols = np.stack([spec.basis(t, v) for v in grid])
+    lengths = n - splits if late else splits
+    return _prefix_sse(cols, y, lengths, suffix=late).min(axis=0)
+
+
+def segment_break(series: TimeSeries, early_family: str, late_family: str) -> SegmentSplit:
+    """Locate the break minimizing combined squared error, in two stages.
+
+    *Screen.*  Every admissible split is scored by the SSE its two
+    segments reach at the best point of a ``SCAN_GRID_SIZE``-point profile
+    grid, before refinement.  For most families the scores of all splits
+    come from running sums and correlations over the whole series (see
+    :func:`_split_scores`): O(n) work per grid value for the early side and
+    O(n^2) for the late one, about 0.03 s on a 600-month series.
+
+    *Refine.*  Only splits whose score is at most ``1 + SCREEN_SLACK``
+    times the best score, plus a roundoff floor, get the per-split profile
+    fit of both segments (grid plus bounded Brent); the lowest combined SSE
+    wins, the earliest on ties.  On a 600-month series with 0.2 % noise
+    that is 6 splits, or 12 fits, instead of about 1180.  The floor keeps
+    every split whose score is numerically zero, so on noiseless data the
+    winner is still chosen among all exact fits.  If refinement improves
+    some candidate's score by more than the slack, the screen's premise
+    fails and every split is refitted, as an exhaustive scan would;
+    noiseless data whose profile optimum falls between grid points does
+    that.  The risk that remains: a split outside the candidates whose
+    refinement gains more than the slack, while no candidate's does, is
+    missed.
+
+    The winning segments are then refitted at full precision, on the
+    ``GRID_SIZE``-point grid.  A split is flagged ``low_contrast`` when a
+    single-family fit explains the series essentially as well as the best
+    split.
     """
     n = len(series)
     if n < 12:
@@ -398,16 +514,37 @@ def segment_break(series: TimeSeries, early_family: str, late_family: str) -> Se
         raise FitError("series too short for the requested segment sizes")
 
     t, y = series.t, series.y
-    best: tuple[float, int] | None = None
-    for b in range(min_early, n - min_late + 1):
-        sse = (
+    # a segment passes fit_points' checks iff its side's shortest segment
+    # has a nonzero value and its longest has y > 0 where required
+    for spec, shortest, longest in (
+        (e_spec, y[:min_early], y[: n - min_late]),
+        (l_spec, y[n - min_late :], y[min_early:]),
+    ):
+        _target(spec, shortest)
+        _target(spec, longest)
+    splits = np.arange(min_early, n - min_late + 1)
+    scores = _split_scores(e_spec, t, y, splits, late=False) + _split_scores(
+        l_spec, t, y, splits, late=True
+    )
+    scale = float(y @ y)
+    floor = _ROUNDOFF * scale
+    # roundoff can put an exact fit's score a little below zero
+    near = scores <= (1.0 + SCREEN_SLACK) * max(float(scores.min()), 0.0) + floor
+
+    def refit(b: int) -> float:
+        return (
             fit_points(t[:b], y[:b], early_family, _grid_size=SCAN_GRID_SIZE).sse
             + fit_points(t[b:], y[b:], late_family, _grid_size=SCAN_GRID_SIZE).sse
         )
-        if best is None or sse < best[0]:
-            best = (sse, b)
-    assert best is not None
-    _, b = best
+
+    refined = np.full(len(splits), np.inf)
+    refined[near] = [refit(b) for b in splits[near].tolist()]
+    if np.any((1.0 + SCREEN_SLACK) * refined[near] < scores[near] - floor):
+        # a refit gained more than the slack, so the screen cannot rule out
+        # the other splits: noiseless data whose profile optimum falls
+        # between grid points does this
+        refined[~near] = [refit(b) for b in splits[~near].tolist()]
+    b = int(splits[np.argmin(refined)])  # the earliest of equal splits
     early = fit_points(t[:b], y[:b], early_family, t_origin=series.origin)
     late = fit_points(t[b:], y[b:], late_family, t_origin=series.origin)
     split_sse = early.sse + late.sse
@@ -416,7 +553,6 @@ def segment_break(series: TimeSeries, early_family: str, late_family: str) -> Se
         fit_points(t, y, early_family, _grid_size=SCAN_GRID_SIZE).sse,
         fit_points(t, y, late_family, _grid_size=SCAN_GRID_SIZE).sse,
     )
-    scale = float(y @ y)
     if single_sse <= 1e-16 * scale:
         contrast, low = 0.0, True
     else:

@@ -4,8 +4,9 @@ Everything here is deliberately naive and structurally unrelated to the
 package code it checks: fixed-step Simpson quadrature, deque-based BFS,
 per-focal set enumeration for disruption scores, level-by-level closure
 for category counting, neighbour-pair enumeration for clustering,
-mutual reachability for strong components, and a joint trust-region
-least-squares refinement over every growth-law parameter at once.
+mutual reachability for strong components, a joint trust-region
+least-squares refinement over every growth-law parameter at once, and an
+exhaustive profile fit of both segments at every split of a series.
 """
 from __future__ import annotations
 
@@ -228,3 +229,75 @@ def topological_order_exists(names: list[str], edges: list[tuple[str, str]]) -> 
             if indeg[v] == 0:
                 queue.append(v)
     return seen == len(names)
+
+
+def grid_stage_sse(spec, t: np.ndarray, y: np.ndarray) -> float:
+    """SSE that ``fit_points(t, y, ..., _grid_size=SCAN_GRID_SIZE)`` reaches at
+    its best grid point, before Brent: one ``lstsq`` per grid value.
+
+    Log-space families pick the grid point on ``ln y`` and are scored on y.
+    """
+    from knowgrow.fitting import SCAN_GRID_SIZE, _nl_bounds, _nl_grid
+
+    target = np.log(y) if spec.log_space else y
+    grid = [None]
+    if spec.nonlinear_index is not None:
+        grid = _nl_grid(spec, *_nl_bounds(spec, t), SCAN_GRID_SIZE)
+    fits = []
+    for v in grid:
+        basis = spec.basis(t, v)
+        coefs = np.linalg.lstsq(basis, target, rcond=None)[0]
+        resid = basis @ coefs - target
+        fits.append((float(resid @ resid), basis @ coefs))
+    _, pred = min(fits, key=lambda f: f[0])
+    resid = (np.exp(pred) if spec.log_space else pred) - y
+    return float(resid @ resid)
+
+
+def exhaustive_segment_break(series, early_family: str, late_family: str):
+    """``segment_break`` by refitting both segments at every admissible split.
+
+    Each split gets the same per-segment profile fit (``SCAN_GRID_SIZE``
+    grid plus bounded Brent) that ``segment_break`` runs on its screened
+    candidates; the earliest split with the lowest combined SSE wins and is
+    refitted at full precision.
+    """
+    from knowgrow.fitting import (
+        MIN_SEGMENT, SCAN_GRID_SIZE, FitError, SegmentSplit, fit_points,
+    )
+    from knowgrow.growth import family_spec
+
+    n = len(series)
+    if n < 12:
+        raise FitError("segment detection needs at least 12 points")
+    min_early = max(MIN_SEGMENT, family_spec(early_family).arity + 2)
+    min_late = max(MIN_SEGMENT, family_spec(late_family).arity + 2)
+    if min_early + min_late > n:
+        raise FitError("series too short for the requested segment sizes")
+
+    t, y = series.t, series.y
+    best = None
+    for b in range(min_early, n - min_late + 1):
+        sse = (
+            fit_points(t[:b], y[:b], early_family, _grid_size=SCAN_GRID_SIZE).sse
+            + fit_points(t[b:], y[b:], late_family, _grid_size=SCAN_GRID_SIZE).sse
+        )
+        if best is None or sse < best[0]:
+            best = (sse, b)
+    _, b = best
+    early = fit_points(t[:b], y[:b], early_family, t_origin=series.origin)
+    late = fit_points(t[b:], y[b:], late_family, t_origin=series.origin)
+    split_sse = early.sse + late.sse
+    single_sse = min(
+        fit_points(t, y, early_family, _grid_size=SCAN_GRID_SIZE).sse,
+        fit_points(t, y, late_family, _grid_size=SCAN_GRID_SIZE).sse,
+    )
+    if single_sse <= 1e-16 * float(y @ y):
+        contrast, low = 0.0, True
+    else:
+        contrast = 1.0 - split_sse / single_sse
+        low = contrast < 0.5
+    return SegmentSplit(
+        break_index=b, break_month=series.month_at(b), early_fit=early,
+        late_fit=late, contrast=contrast, low_contrast=low,
+    )

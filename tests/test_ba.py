@@ -59,10 +59,6 @@ class TestTheory:
         ref4 = ba.theory(ba.BAParams(n=10_000, m=3))
         assert ref4.clustering == pytest.approx(8.48e-3, rel=0.01)
 
-    def test_pk_normalization_point(self):
-        ref = ba.theory(ba.BAParams(n=1000, m=5))
-        assert ref.pk(1.0) / (2 * 5**2) == pytest.approx(1.0)
-
     def test_needs_ten_nodes(self):
         with pytest.raises(ValueError):
             ba.theory(ba.BAParams(n=8, m=2))

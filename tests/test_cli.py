@@ -245,12 +245,21 @@ class TestDisrupt:
     def test_zero_year_bound_is_kept(self, citation_files, tmp_path):
         nodes, edges = citation_files
         out = tmp_path / "d.json"
-        rc = run("disrupt", "--nodes", nodes, "--edges", edges, "--year-max", 0,
-                 "--json", out, "--quiet")
+        rc = run("disrupt", "--nodes", nodes, "--edges", edges, "--year-min", 0,
+                 "--year-max", 0, "--json", out, "--quiet")
         assert rc == 0
         payload = load_report(out)["payload"]
-        assert payload["year_range"] == [1900, 0]
+        assert payload["year_range"] == [0, 0]
         assert payload["top"] == []
+
+    @pytest.mark.parametrize("bounds, message", [
+        (("--year-min", 2005, "--year-max", 2001), "--year-min 2005 > --year-max 2001"),
+        (("--year-max", 0), "--year-min 1900 > --year-max 0"),
+    ], ids=["both", "default-min"])
+    def test_inverted_year_range_exits_1(self, citation_files, capsys, bounds, message):
+        nodes, edges = citation_files
+        assert run("disrupt", "--nodes", nodes, "--edges", edges, *bounds, "--quiet") == 1
+        assert f"error: empty year range: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, message", [
         ("a\t2000\nb\t2001\na\t2002\n", "nodes.tsv:3: duplicate paper id 'a', first on line 1"),
@@ -315,6 +324,10 @@ class TestTaxonomy:
         assert run("taxonomy", "--edges", hierarchy, "--preset", "wag_core") == 1
         err = capsys.readouterr().err
         assert "unknown category" in err
+
+    def test_unknown_root_message_is_not_requoted(self, hierarchy, capsys):
+        assert run("taxonomy", "--edges", hierarchy, "--roots", "Nope") == 1
+        assert capsys.readouterr().err == "error: unknown category: 'Nope'\n"
 
     def test_exactly_one_root_source(self, hierarchy, capsys):
         assert run("taxonomy", "--edges", hierarchy) == 1

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import joint_least_squares_sse
+from _oracles import exhaustive_segment_break, grid_stage_sse, joint_least_squares_sse
 from knowgrow.fitting import (
+    MIN_SEGMENT,
     FitError,
     FitResult,
     TimeSeries,
@@ -22,6 +23,7 @@ from knowgrow.fitting import (
     select,
     select_points,
     _nl_bounds,
+    _split_scores,
 )
 from knowgrow.growth import STANDARD_FAMILIES, GrowthModel, family_spec
 
@@ -66,7 +68,6 @@ class TestTimeSeries:
         s = TimeSeries("2020-11", (1.0, 2.0, 3.0))
         assert s.month_at(1) == "2020-11"
         assert s.month_at(3) == "2021-01"
-        assert s.end_month == "2021-01"
 
     def test_json_round_trip(self):
         s = TimeSeries("2006-01", (1.5, 2.5), label="articles")
@@ -267,31 +268,135 @@ class TestForecast:
             forecast(r, "2030-01")
 
 
+def _two_regimes(n, brk, early, late, noise=0.0, seed=5):
+    """``early`` through month ``brk``, then ``late`` shifted to join it there."""
+    t = np.arange(1, n + 1, dtype=float)
+    e = np.asarray(GrowthModel(*early).evaluate(t))
+    l = np.asarray(GrowthModel(*late).evaluate(t))
+    y = np.where(t <= brk, e, l - l[brk - 1] + e[brk - 1])
+    if noise:
+        y = y * (1.0 + noise * np.random.default_rng(seed).standard_normal(n))
+    return y
+
+
+def _exp_then_sub_exp(n=96, brk=36, noise=0.005, seed=3):
+    t = np.arange(1, n + 1, dtype=float)
+    e = 50.0 * np.exp(0.05 * t) + 1000.0
+    late = np.exp(0.3 * t / np.log(t + 5.0))
+    y = np.where(t <= brk, e, late * e[brk - 1] / late[brk - 1])
+    return y * (1.0 + noise * np.random.default_rng(seed).standard_normal(n))
+
+
+T100 = np.arange(1, 101, dtype=float)
+T60 = np.arange(1, 61, dtype=float)
+# (values, early family, late family)
+SEGMENT_FIXTURES = {
+    "cubic-then-linear": (
+        np.where(T100 <= 40, T100**3, 64000.0 + 4800.0 * (T100 - 40)), "polynomial3", "linear"
+    ),
+    "pure-linear": (5.0 * T100 + 20.0, "linear", "linear"),
+    "step": (np.where(T100 <= 50, 100.0, 500.0), "constant", "constant"),
+    # the series of tests/test_cli.py::TestSegment
+    "cli-cubic-then-linear": (
+        np.where(T60 <= 24, T60**3, 13824.0 + 1728.0 * (T60 - 24)), "polynomial3", "linear"
+    ),
+    # the CLI's default pair, noiseless: slope 2700 at the break, Li(t + 10) after
+    "cubic-then-log-integral": (
+        _two_regimes(90, 30, ("polynomial3", (1, 0, 0, 0)),
+                     ("log_integral", (2700.0 * math.log(40.0), 10.0, 0.0))),
+        "polynomial3", "log_integral",
+    ),
+    "noisy-cubic-then-log-integral": (
+        _two_regimes(120, 40, ("polynomial3", (0.002, 0.5, 50.0, 1000.0)),
+                     ("log_integral", (1500.0, 10.0, 0.0)), noise=0.005),
+        "polynomial3", "log_integral",
+    ),
+    "noisy-exponential-then-sub-exponential": (
+        _exp_then_sub_exp(), "exponential", "sub_exponential"
+    ),
+    "noisy-linear-then-t-ln-t": (
+        _two_regimes(96, 40, ("linear", (30.0, 3800.0)), ("t_ln_t", (40.0, 0.0, 0.0)),
+                     noise=0.005),
+        "linear", "t_ln_t",
+    ),
+}
+
+
+def _segment(name: str):
+    y, early, late = SEGMENT_FIXTURES[name]
+    return segment_break(TimeSeries("2001-01", tuple(y)), early, late)
+
+
 class TestSegmentBreak:
     def test_cubic_then_linear(self):
-        t = np.arange(1, 101, dtype=float)
-        y = np.where(t <= 40, t**3, 64000.0 + 4800.0 * (t - 40))
-        split = segment_break(TimeSeries("2001-01", tuple(y)), "polynomial3", "linear")
+        split = _segment("cubic-then-linear")
         assert abs(split.break_index - 40) <= 2
         assert not split.low_contrast
 
     def test_pure_linear_is_low_contrast(self):
-        t = np.arange(1, 101, dtype=float)
-        split = segment_break(TimeSeries("2001-01", tuple(5.0 * t + 20.0)), "linear", "linear")
+        split = _segment("pure-linear")
         assert split.low_contrast
         early, late = split.early_fit.model.params[0], split.late_fit.model.params[0]
         assert abs(early - late) / abs(late) <= 0.05
 
     def test_step_discontinuity(self):
-        t = np.arange(1, 101, dtype=float)
-        y = np.where(t <= 50, 100.0, 500.0)
-        split = segment_break(TimeSeries("2001-01", tuple(y)), "constant", "constant")
+        split = _segment("step")
         assert split.break_index == 50
         assert split.break_month == "2005-02"
+
+    def test_noiseless_cubic_then_log_integral(self):
+        split = _segment("cubic-then-log-integral")
+        assert split.break_index == 30
+        assert split.late_fit.model.params[1] == pytest.approx(10.0, rel=1e-4)
 
     def test_too_short(self):
         with pytest.raises(FitError):
             segment_break(TimeSeries("2001-01", tuple(range(10))), "linear", "linear")
+
+    @pytest.mark.parametrize("name", list(SEGMENT_FIXTURES))
+    def test_matches_exhaustive_scan(self, name):
+        y, early, late = SEGMENT_FIXTURES[name]
+        series = TimeSeries("2001-01", tuple(y))
+        got = segment_break(series, early, late).to_json()
+        assert got == exhaustive_segment_break(series, early, late).to_json()
+
+    def test_zero_tail_is_rejected(self):
+        # the shortest late segment is all zeros, which fit_points rejects
+        y = np.concatenate([np.arange(1.0, 31.0), np.zeros(6)])
+        with pytest.raises(FitError, match="all-zero"):
+            segment_break(TimeSeries("2001-01", tuple(y)), "linear", "linear")
+
+    def test_log_space_needs_positive_values(self):
+        y = np.concatenate([np.arange(1.0, 31.0), [-1.0], np.arange(32.0, 60.0)])
+        with pytest.raises(FitError, match="log space"):
+            segment_break(TimeSeries("2001-01", tuple(y)), "linear", "sub_exponential")
+
+
+# a 40-month cubic-then-Li series, with 1 % noise and without
+_SCREEN_Y = _two_regimes(40, 14, ("polynomial3", (0.002, 0.5, 50.0, 1000.0)),
+                         ("log_integral", (1500.0, 10.0, 0.0)))
+_SCREEN_SERIES = {
+    "noisy": _SCREEN_Y * (1.0 + 0.01 * np.random.default_rng(11).standard_normal(40)),
+    "noiseless": _SCREEN_Y,
+}
+
+
+@pytest.mark.parametrize("data", list(_SCREEN_SERIES))
+@pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+@pytest.mark.parametrize("family", STANDARD_FAMILIES)
+def test_screen_matches_grid_stage(family, late, data):
+    """Each side's screened score is the per-split grid-stage SSE."""
+    spec, y = family_spec(family), _SCREEN_SERIES[data]
+    t = np.arange(1, len(y) + 1, dtype=float)
+    splits = np.arange(MIN_SEGMENT, len(y) - MIN_SEGMENT + 1)
+    direct = [
+        grid_stage_sse(spec, t[b:], y[b:]) if late else grid_stage_sse(spec, t[:b], y[:b])
+        for b in splits
+    ]
+    # near-zero SSEs of the noiseless series are roundoff; the floor absorbs them
+    np.testing.assert_allclose(
+        _split_scores(spec, t, y, splits, late), direct, rtol=1e-9, atol=1e-12 * (y @ y)
+    )
 
 
 class TestRatioSeries:
