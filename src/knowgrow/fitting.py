@@ -384,22 +384,6 @@ class SegmentSplit:
         }
 
 
-def _grid_sse(spec: FamilySpec, t: np.ndarray, y: np.ndarray) -> float:
-    """The ``sse`` that ``fit_points(t, y, ..., _grid_size=SCAN_GRID_SIZE)``
-    reports at its best grid point, before the Brent refinement."""
-    target = _target(spec, y)
-    nl = None
-    if spec.nonlinear_index is not None:
-        grid = _nl_grid(spec, *_nl_bounds(spec, t), SCAN_GRID_SIZE)
-        nl = grid[int(np.argmin([_lstsq_sse(spec.basis(t, v), target)[0] for v in grid]))]
-    basis = spec.basis(t, nl)
-    sse, coefs = _lstsq_sse(basis, target)
-    if not spec.log_space:
-        return sse
-    resid = np.exp(basis @ coefs) - y
-    return float(resid @ resid)
-
-
 def _prefix_sse(cols: np.ndarray, y: np.ndarray, lengths: np.ndarray, suffix: bool) -> np.ndarray:
     """Least-squares SSE of y's windows on the leading rows of fixed columns.
 
@@ -433,46 +417,46 @@ def _prefix_sse(cols: np.ndarray, y: np.ndarray, lengths: np.ndarray, suffix: bo
 
 def _split_scores(
     spec: FamilySpec, t: np.ndarray, y: np.ndarray, splits: np.ndarray, late: bool
-) -> np.ndarray:
-    """Grid-stage SSE (:func:`_grid_sse`) of one side of every split.
+) -> tuple[np.ndarray, bool]:
+    """Screening score of one side of every split, and whether it is refined.
 
     Split b has the early segment ``t[:b]`` and the late segment ``t[b:]``
     of ``t = 1..n``.  Wherever a side's columns are shared by all splits,
-    the scores come from :func:`_prefix_sse` in one pass:
+    the score is the SSE that ``fit_points(..., _grid_size=SCAN_GRID_SIZE)``
+    reaches at its best grid point, before Brent, and the scores of all
+    splits come from :func:`_prefix_sse` in one pass:
 
     - early side: it starts at t = 1, so its shift grid is the same for
       every split and its columns are prefixes of the columns on ``t``;
     - late side of a polynomial or a shift family: re-indexed from t = 1
       it spans the same space, with the shift grid that ``_nl_bounds``
-      anchors at its own ``t_min``, so it is a prefix window too;
-    - late side of ``exponential``: its rate grid is anchored at
-      ``t_max = n``, the same for every split, and ``exp(r (t - n))`` is a
-      suffix of one column.
+      anchors at its own ``t_min``, so it is a prefix window too.
 
-    The rest are scored split by split: ``sub_exponential``, whose SSE is
-    taken in linear space but fitted on ``ln y``; ``exponential`` early,
-    whose rate cap ``600 / t_max`` moves with the split; and ``t_ln_t``
-    late, which is not shift-invariant.
+    The rest are scored by the per-split ``fit_points`` itself:
+    ``sub_exponential``, whose SSE is taken in linear space but fitted on
+    ``ln y``; ``exponential``, whose rate cap ``600 / t_max`` moves with
+    the split early, and whose late columns are suffixes, not prefixes, of
+    one column; ``t_ln_t`` late, which is not shift-invariant; and
+    polynomials of degree above 5, whose normal equations lose the digits
+    the screen needs.  Those scores are the refined SSE, at most the
+    grid-stage one, and are flagged so that it is not computed twice.
     """
     n = len(y)
-    # poly: constant, linear and polynomialN; rate: exponential
-    poly = spec.nonlinear_index is None and spec.arg_threshold is None
-    rate = spec.nonlinear_index is not None and not spec.shifted
-    shared = (poly or rate or spec.shifted) if late else not rate
+    # polynomials up to degree 5 (constant, linear, polynomialN)
+    poly = spec.nonlinear_index is None and spec.arg_threshold is None and spec.arity <= 6
+    shared = (poly or spec.shifted) if late else (poly or spec.arg_threshold is not None)
     if spec.log_space or not shared:
-        sides = [(t[b:], y[b:]) if late else (t[:b], y[:b]) for b in splits]
-        return np.array([_grid_sse(spec, ts, ys) for ts, ys in sides])
+        sides = [(t[b:], y[b:]) if late else (t[:b], y[:b]) for b in splits.tolist()]
+        scores = [fit_points(ts, ys, spec.name, _grid_size=SCAN_GRID_SIZE).sse for ts, ys in sides]
+        return np.array(scores), True
     if spec.nonlinear_index is None:
         # polynomials in (t - 1) / n: each window starts at 0, scaled to [0, 1)
         cols = spec.basis((t - 1.0) / n if poly else t, None)[None]
     else:
         grid = _nl_grid(spec, *_nl_bounds(spec, t), SCAN_GRID_SIZE)
-        if rate:  # late suffixes, read backwards: prefixes of exp(r (t - n)) <= 1
-            cols = np.stack([spec.basis(t[::-1] - n, r) for r in grid])
-            return _prefix_sse(cols, y[::-1], n - splits, suffix=False).min(axis=0)
         cols = np.stack([spec.basis(t, v) for v in grid])
     lengths = n - splits if late else splits
-    return _prefix_sse(cols, y, lengths, suffix=late).min(axis=0)
+    return _prefix_sse(cols, y, lengths, suffix=late).min(axis=0), False
 
 
 def segment_break(series: TimeSeries, early_family: str, late_family: str) -> SegmentSplit:
@@ -483,7 +467,10 @@ def segment_break(series: TimeSeries, early_family: str, late_family: str) -> Se
     grid, before refinement.  For most families the scores of all splits
     come from running sums and correlations over the whole series (see
     :func:`_split_scores`): O(n) work per grid value for the early side and
-    O(n^2) for the late one, about 0.03 s on a 600-month series.
+    O(n^2) for the late one, about 0.03 s on a 600-month series.  The
+    others (``sub_exponential``, ``exponential``, ``t_ln_t`` late and
+    polynomials above degree 5) are scored by their refined per-split fit,
+    at the cost of the exhaustive scan.
 
     *Refine.*  Only splits whose score is at most ``1 + SCREEN_SLACK``
     times the best score, plus a roundoff floor, get the per-split profile
@@ -491,13 +478,15 @@ def segment_break(series: TimeSeries, early_family: str, late_family: str) -> Se
     wins, the earliest on ties.  On a 600-month series with 0.2 % noise
     that is 6 splits, or 12 fits, instead of about 1180.  The floor keeps
     every split whose score is numerically zero, so on noiseless data the
-    winner is still chosen among all exact fits.  If refinement improves
-    some candidate's score by more than the slack, the screen's premise
-    fails and every split is refitted, as an exhaustive scan would;
-    noiseless data whose profile optimum falls between grid points does
-    that.  The risk that remains: a split outside the candidates whose
-    refinement gains more than the slack, while no candidate's does, is
-    missed.
+    winner is still chosen among all exact fits.  If some candidate's
+    refined SSE moves from its score by more than the slack, either way,
+    the screen's premise fails and every split is refitted, as an
+    exhaustive scan would; noiseless data whose profile optimum falls
+    between grid points gains that much, and a polynomial refit that loses
+    rank (see :func:`fit_points`' raw basis) lands that far above.  The
+    risk that remains: a split outside the candidates whose refinement
+    gains more than the slack, while no candidate's score moves that much,
+    is missed.
 
     The winning segments are then refitted at full precision, on the
     ``GRID_SIZE``-point grid.  A split is flagged ``low_contrast`` when a
@@ -523,27 +512,37 @@ def segment_break(series: TimeSeries, early_family: str, late_family: str) -> Se
         _target(spec, shortest)
         _target(spec, longest)
     splits = np.arange(min_early, n - min_late + 1)
-    scores = _split_scores(e_spec, t, y, splits, late=False) + _split_scores(
-        l_spec, t, y, splits, late=True
-    )
+    e_scores, e_refined = _split_scores(e_spec, t, y, splits, late=False)
+    l_scores, l_refined = _split_scores(l_spec, t, y, splits, late=True)
+    scores = e_scores + l_scores
     scale = float(y @ y)
     floor = _ROUNDOFF * scale
     # roundoff can put an exact fit's score a little below zero
-    near = scores <= (1.0 + SCREEN_SLACK) * max(float(scores.min()), 0.0) + floor
+    slack = 1.0 + SCREEN_SLACK
+    near = scores <= slack * max(float(scores.min()), 0.0) + floor
 
-    def refit(b: int) -> float:
-        return (
-            fit_points(t[:b], y[:b], early_family, _grid_size=SCAN_GRID_SIZE).sse
-            + fit_points(t[b:], y[b:], late_family, _grid_size=SCAN_GRID_SIZE).sse
-        )
+    def refit(i: int) -> float:
+        b = int(splits[i])
+        if e_refined:
+            e_sse = e_scores[i]
+        else:
+            e_sse = fit_points(t[:b], y[:b], early_family, _grid_size=SCAN_GRID_SIZE).sse
+        if l_refined:
+            l_sse = l_scores[i]
+        else:
+            l_sse = fit_points(t[b:], y[b:], late_family, _grid_size=SCAN_GRID_SIZE).sse
+        return float(e_sse + l_sse)
 
     refined = np.full(len(splits), np.inf)
-    refined[near] = [refit(b) for b in splits[near].tolist()]
-    if np.any((1.0 + SCREEN_SLACK) * refined[near] < scores[near] - floor):
-        # a refit gained more than the slack, so the screen cannot rule out
-        # the other splits: noiseless data whose profile optimum falls
-        # between grid points does this
-        refined[~near] = [refit(b) for b in splits[~near].tolist()]
+    refined[near] = [refit(i) for i in np.flatnonzero(near)]
+    got, want = refined[near], scores[near]
+    if np.any((slack * got < want - floor) | (got > slack * want + floor)):
+        # a refit moved more than the slack from its score, so the screen
+        # cannot rule out the other splits: noiseless data whose profile
+        # optimum falls between grid points gains that much, and a
+        # polynomial segment far from t = 0 on which fit_points' raw basis
+        # loses rank lands that far above
+        refined[~near] = [refit(i) for i in np.flatnonzero(~near)]
     b = int(splits[np.argmin(refined)])  # the earliest of equal splits
     early = fit_points(t[:b], y[:b], early_family, t_origin=series.origin)
     late = fit_points(t[b:], y[b:], late_family, t_origin=series.origin)

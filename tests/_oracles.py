@@ -235,23 +235,19 @@ def grid_stage_sse(spec, t: np.ndarray, y: np.ndarray) -> float:
     """SSE that ``fit_points(t, y, ..., _grid_size=SCAN_GRID_SIZE)`` reaches at
     its best grid point, before Brent: one ``lstsq`` per grid value.
 
-    Log-space families pick the grid point on ``ln y`` and are scored on y.
+    For families fitted on y, not on ``ln y``.
     """
     from knowgrow.fitting import SCAN_GRID_SIZE, _nl_bounds, _nl_grid
 
-    target = np.log(y) if spec.log_space else y
     grid = [None]
     if spec.nonlinear_index is not None:
         grid = _nl_grid(spec, *_nl_bounds(spec, t), SCAN_GRID_SIZE)
-    fits = []
+    sses = []
     for v in grid:
         basis = spec.basis(t, v)
-        coefs = np.linalg.lstsq(basis, target, rcond=None)[0]
-        resid = basis @ coefs - target
-        fits.append((float(resid @ resid), basis @ coefs))
-    _, pred = min(fits, key=lambda f: f[0])
-    resid = (np.exp(pred) if spec.log_space else pred) - y
-    return float(resid @ resid)
+        resid = basis @ np.linalg.lstsq(basis, y, rcond=None)[0] - y
+        sses.append(float(resid @ resid))
+    return min(sses)
 
 
 def exhaustive_segment_break(series, early_family: str, late_family: str):

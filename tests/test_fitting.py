@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _oracles import exhaustive_segment_break, grid_stage_sse, joint_least_squares_sse
 from knowgrow.fitting import (
     MIN_SEGMENT,
+    SCAN_GRID_SIZE,
     FitError,
     FitResult,
     TimeSeries,
@@ -289,6 +290,7 @@ def _exp_then_sub_exp(n=96, brk=36, noise=0.005, seed=3):
 
 T100 = np.arange(1, 101, dtype=float)
 T60 = np.arange(1, 61, dtype=float)
+T600 = np.arange(1, 601, dtype=float)
 # (values, early family, late family)
 SEGMENT_FIXTURES = {
     "cubic-then-linear": (
@@ -313,6 +315,14 @@ SEGMENT_FIXTURES = {
     ),
     "noisy-exponential-then-sub-exponential": (
         _exp_then_sub_exp(), "exponential", "sub_exponential"
+    ),
+    # a cubic burst in the last ten of 600 months: on the shortest late
+    # segments fit_points' raw t**3 basis loses rank, so their refit lands
+    # far above the screen's score
+    "noisy-linear-then-cubic-tail": (
+        (1000.0 + 40.0 * T600 + 100.0 * np.maximum(T600 - 590.0, 0.0) ** 3)
+        * (1.0 + 0.001 * np.random.default_rng(1).standard_normal(600)),
+        "linear", "polynomial3",
     ),
     "noisy-linear-then-t-ln-t": (
         _two_regimes(96, 40, ("linear", (30.0, 3800.0)), ("t_ln_t", (40.0, 0.0, 0.0)),
@@ -381,22 +391,36 @@ _SCREEN_SERIES = {
 }
 
 
+# sides the screen scores by their refined per-split fit, not the grid stage
+_REFINED_SIDES = {
+    ("exponential", False), ("exponential", True),
+    ("sub_exponential", False), ("sub_exponential", True),
+    ("t_ln_t", True),
+    ("polynomial7", False), ("polynomial7", True),
+}
+
+
 @pytest.mark.parametrize("data", list(_SCREEN_SERIES))
 @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
-@pytest.mark.parametrize("family", STANDARD_FAMILIES)
+@pytest.mark.parametrize("family", STANDARD_FAMILIES + ("polynomial5", "polynomial7"))
 def test_screen_matches_grid_stage(family, late, data):
-    """Each side's screened score is the per-split grid-stage SSE."""
+    """Each side's screened score is the per-split grid-stage SSE, or the
+    refined SSE where the screen scores that side by its refit."""
     spec, y = family_spec(family), _SCREEN_SERIES[data]
     t = np.arange(1, len(y) + 1, dtype=float)
-    splits = np.arange(MIN_SEGMENT, len(y) - MIN_SEGMENT + 1)
-    direct = [
-        grid_stage_sse(spec, t[b:], y[b:]) if late else grid_stage_sse(spec, t[:b], y[:b])
-        for b in splits
-    ]
+    shortest = max(MIN_SEGMENT, spec.arity + 2)
+    splits = np.arange(shortest, len(y) - shortest + 1)
+    if (family, late) in _REFINED_SIDES:
+        def score(ts, ys):
+            return fit_points(ts, ys, family, _grid_size=SCAN_GRID_SIZE).sse
+    else:
+        def score(ts, ys):
+            return grid_stage_sse(spec, ts, ys)
+    direct = [score(t[b:], y[b:]) if late else score(t[:b], y[:b]) for b in splits]
     # near-zero SSEs of the noiseless series are roundoff; the floor absorbs them
-    np.testing.assert_allclose(
-        _split_scores(spec, t, y, splits, late), direct, rtol=1e-9, atol=1e-12 * (y @ y)
-    )
+    scores, refined = _split_scores(spec, t, y, splits, late)
+    assert refined == ((family, late) in _REFINED_SIDES)
+    np.testing.assert_allclose(scores, direct, rtol=1e-9, atol=1e-12 * (y @ y))
 
 
 class TestRatioSeries:
