@@ -14,11 +14,9 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import zeta
 
 from . import __version__, ba as ba_mod
 from .dataio import (
-    DataFormatError,
     Dataset,
     _atomic_write,
     cache_get,
@@ -47,7 +45,7 @@ from .graph_metrics import (
     powerlaw_ccdf,
     powerlaw_fit,
 )
-from .growth import STANDARD_FAMILIES, DomainError, family_spec, model_catalog
+from .growth import STANDARD_FAMILIES, family_spec, model_catalog
 from .months import month_index
 from .taxonomy import count_members_by_level, detect_cycles, wag_root_presets
 
@@ -225,6 +223,8 @@ def cmd_ba(args) -> int:
         _atomic_write(args.edges_out, ("\n".join(rows) + "\n").encode())
     report = ba_mod.compare(g, params, sources=args.sources)
     if args.plot_csv:
+        from scipy.special import zeta
+
         deg = g.degrees("out")
         ks, ccdf_emp = empirical_ccdf(np.sort(deg))
         ccdf_theory = 2.0 * params.m**2 * zeta(3.0, ks.astype(float))
@@ -523,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, FileNotFoundError, DomainError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

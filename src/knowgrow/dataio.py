@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .disruption import YEAR_RANGE, CitationGraph
+from .disruption import CitationGraph, PaperError
 from .fitting import TimeSeries
 from .graph_metrics import SnapshotGraph
 from .months import add_months, month_ordinal
@@ -261,22 +261,22 @@ def load_citation(
     """Citation graph from a nodes file and an edges file."""
     node_lines = _read_lines(nodes_path)
     papers = []
-    seen: dict[str, int] = {}  # paper id -> its first line
+    line_of: list[int] = []  # the file line of each paper row
     for no, (pid, year, *fld) in _records(nodes_path, node_lines, (2, 3)):
         try:
             y = int(year)
         except ValueError:
             raise DataFormatError(nodes_path, no, f"not a year: {year!r}") from None
-        if seen.setdefault(pid, no) != no:
-            raise DataFormatError(nodes_path, no, f"duplicate paper id {pid!r}, first on line {seen[pid]}")
-        if not YEAR_RANGE[0] <= y <= YEAR_RANGE[1]:
-            raise DataFormatError(nodes_path, no, f"year {y} of {pid!r} outside {YEAR_RANGE}")
         papers.append((pid, y, *fld))
+        line_of.append(no)
     edge_lines = _read_lines(edges_path)
     edges = [pair for _, pair in _records(edges_path, edge_lines, (2,))]
     try:
         graph = CitationGraph.build(papers, edges)
-    except ValueError as exc:  # the nodes were checked above: an edge is at fault
+    except PaperError as exc:
+        first = "" if exc.first is None else f", first on line {line_of[exc.first]}"
+        raise DataFormatError(nodes_path, line_of[exc.row], f"{exc}{first}") from None
+    except ValueError as exc:  # any other fault is an edge's
         raise DataFormatError(edges_path, None, str(exc)) from None
     ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(node_lines), len(papers))
     ds_edges = Dataset("citation", str(edges_path), _citation_digest(edge_lines), len(edges))

@@ -23,12 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "CitationGraph",
+    "PaperError",
     "DScore",
     "d_index",
     "d_index_all",
@@ -48,6 +52,15 @@ def row_blocks(work: np.ndarray, budget: int) -> list[tuple[int, int]]:
     cuts = np.flatnonzero(np.diff(total[:-1] // budget)) + 1
     bounds = [0, *cuts.tolist(), len(work)]
     return list(zip(bounds, bounds[1:]))
+
+
+class PaperError(ValueError):
+    """A bad paper row: ``row`` indexes it, ``first`` the earlier row of a duplicate id."""
+
+    def __init__(self, message: str, row: int, first: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.first = first
 
 
 @dataclass
@@ -70,6 +83,8 @@ class CitationGraph:
         edges: list[tuple[str, str]],
     ) -> "CitationGraph":
         """Build from ``(id, year[, field])`` rows and ``(citing, cited)`` pairs."""
+        from scipy import sparse
+
         ids: list[str] = []
         years: list[int] = []
         fields: list[str | None] = []
@@ -78,9 +93,9 @@ class CitationGraph:
             pid, year = row[0], int(row[1])
             fld = row[2] if len(row) > 2 else None
             if pid in index:
-                raise ValueError(f"duplicate paper id {pid!r}")
+                raise PaperError(f"duplicate paper id {pid!r}", len(ids), index[pid])
             if not YEAR_RANGE[0] <= year <= YEAR_RANGE[1]:
-                raise ValueError(f"year {year} of {pid!r} outside {YEAR_RANGE}")
+                raise PaperError(f"year {year} of {pid!r} outside {YEAR_RANGE}", len(ids))
             index[pid] = len(ids)
             ids.append(pid)
             years.append(year)

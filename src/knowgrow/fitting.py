@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .growth import FamilySpec, GrowthModel, family_spec
 from .months import add_months, month_index, parse_month
@@ -242,6 +241,8 @@ def fit_points(
         b_hi = grid[min(best + 1, len(grid) - 1)]
         xatol = 1e-10 * (1.0 + abs(grid[best]))
         if b_hi > b_lo:
+            from scipy.optimize import minimize_scalar
+
             res = minimize_scalar(
                 profile, bounds=(b_lo, b_hi), method="bounded", options={"xatol": xatol}
             )

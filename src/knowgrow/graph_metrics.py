@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr, zeta
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "SnapshotGraph",
@@ -95,6 +96,8 @@ class SnapshotGraph:
 
     def out_csr(self) -> sparse.csr_matrix:
         if self._out is None:
+            from scipy import sparse
+
             data = np.ones(len(self.src), dtype=np.int8)
             self._out = sparse.csr_matrix((data, (self.src, self.dst)), shape=(self.n, self.n))
         return self._out
@@ -298,6 +301,8 @@ def clustering_coefficient(g: SnapshotGraph) -> float:
     of ``u`` is O(sqrt(edges)) long and no product needs memory blocks.
     Counts are int32; int8 wraps past 127 shared neighbours.
     """
+    from scipy import sparse
+
     if g.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
     a = g.undirected_csr()
@@ -335,6 +340,9 @@ MIN_TAIL = 50
 
 
 def _discrete_powerlaw_mle(tail: np.ndarray, kmin: int) -> float:
+    from scipy.optimize import minimize_scalar
+    from scipy.special import zeta
+
     slog = float(np.log(tail).sum())
     n = len(tail)
 
@@ -355,6 +363,8 @@ def powerlaw_ccdf(
     tail: np.ndarray, kmin: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct values of the sorted tail ``>= kmin``, its empirical CCDF and the fitted one."""
+    from scipy.special import zeta
+
     ks, ccdf_emp = empirical_ccdf(tail)
     return ks, ccdf_emp, zeta(alpha, ks) / zeta(alpha, kmin)
 
@@ -408,6 +418,8 @@ def lognormal_fit(samples: np.ndarray) -> LognormalFit:
     samples give sigma 0.  KS distance compares the empirical CDF with the
     fitted lognormal CDF.
     """
+    from scipy.special import ndtr
+
     x = np.asarray(samples, dtype=float)
     if x.size < 3:
         raise ValueError("need at least 3 samples")

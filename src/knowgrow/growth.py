@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expi
 
 from .months import month_index, parse_month
 
@@ -59,7 +58,8 @@ __all__ = [
 #: Lower limit of the offset logarithmic integral Li(x) = int_2^x du/ln(u).
 LI_LOWER = 2.0
 
-_LI_AT_LOWER = float(expi(np.log(LI_LOWER)))
+#: ``Ei(ln 2)``, bit for bit what ``scipy.special.expi`` returns (a test pins it).
+_LI_AT_LOWER = 1.0451637801174922
 
 
 class DomainError(ValueError):
@@ -81,6 +81,8 @@ def log_integral(x: float) -> float:
 
 
 def _li(x: float | np.ndarray) -> float | np.ndarray:
+    from scipy.special import expi
+
     # li(x) = Ei(ln x), offset so that Li(2) = 0
     return expi(np.log(x)) - _LI_AT_LOWER
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "CategoryGraph",
@@ -59,6 +61,8 @@ class CategoryGraph:
         the "articles have no children" invariant.  A repeated triple makes
         one link.  Of several faults, the first in edge order is raised.
         """
+        from scipy import sparse
+
         triples = list(dict.fromkeys(edges))
         kinds = [kind for _, _, kind in triples]
         ends = [end for child, parent, _ in triples for end in (child, parent)]
@@ -131,6 +135,8 @@ def detect_cycles(g: CategoryGraph) -> list[list[str]]:
     single-element cycles.  The result is empty exactly when the category
     subgraph is a DAG.
     """
+    from scipy.sparse import csgraph
+
     _, labels = csgraph.connected_components(g.up, connection="strong")
     on_cycle = (np.bincount(labels)[labels] > 1) | (g.up.diagonal() > 0)
     components: dict[int, list[int]] = {}
@@ -151,6 +157,8 @@ def _levels(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> np.nda
     its nearest category's.  One multi-source search down ``g.up`` gives
     both, since an article lies one link below its categories.
     """
+    from scipy.sparse import csgraph
+
     if depth < 0:
         raise ValueError("depth must be >= 0")
     ids = sorted({g.require_category(r) for r in roots})

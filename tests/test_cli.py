@@ -37,23 +37,51 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def _imports(module: str) -> set[str]:
-    """Names in ``sys.modules`` after importing ``module`` in a fresh interpreter."""
+def _imports(module: str, *argv) -> set[str]:
+    """Names in ``sys.modules`` after importing ``module`` in a fresh interpreter.
+
+    Given ``argv``, the interpreter then runs ``module.main(argv)``, which
+    must return 0; pass ``--quiet`` so stdout holds only the names.
+    """
     src = str(Path(knowgrow.__file__).parents[1])
-    code = f"import sys, {module}; print(*sys.modules)"
+    code = f"import sys, {module}"
+    if argv:
+        code += f"; assert {module}.main({[str(a) for a in argv]!r}) == 0"
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(CACHE_ENV, None)  # a cache hit would skip the code under test
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code + "; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
     )
     return set(out.stdout.split())
 
 
-def test_import_leaves_out_scipy_integrate():
-    assert "scipy.integrate" not in _imports("knowgrow.cli")
+def _scipy(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "scipy"}
 
 
 def test_package_import_loads_no_scipy():
-    assert not {m for m in _imports("knowgrow") if m.split(".")[0] == "scipy"}
+    assert not _scipy(_imports("knowgrow"))
+
+
+def test_cli_import_loads_no_scipy():
+    assert not _scipy(_imports("knowgrow.cli"))
+
+
+def test_intersect_loads_no_scipy(tmp_path):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("a\nb\nc\n")
+    assert not _scipy(_imports("knowgrow.cli", "intersect", "--a", ids, "--b", ids,
+                               "--ctop", ids, "--json", tmp_path / "ix.json", "--quiet"))
+
+
+def test_metrics_loads_sparse_but_not_optimize(tmp_path):
+    edges = tmp_path / "e.tsv"
+    edges.write_text("a\tb\nb\tc\nc\ta\n")
+    modules = _imports("knowgrow.cli", "metrics", "--edges", edges, "--no-clustering",
+                       "--json", tmp_path / "m.json", "--quiet")
+    assert "scipy.sparse" in modules
+    assert "scipy.optimize" not in modules
 
 
 class TestFit:

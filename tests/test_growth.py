@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowgrow import growth
 from knowgrow.growth import (
     INCREMENT_LAW_FAMILIES,
     QUASI_LINEAR_FAMILIES,
@@ -38,6 +40,10 @@ class TestLogIntegral:
 
     def test_lower_limit_is_zero(self):
         assert log_integral(2.0) == 0.0
+
+    def test_offset_constant_is_scipys_value_bit_for_bit(self):
+        # a last-bit difference would shift every log_integral fit report
+        assert growth._LI_AT_LOWER == float(scipy.special.expi(np.log(growth.LI_LOWER)))
 
     def test_value_at_ten(self):
         # frozen from the Simpson oracle: li(10) - li(2)
