@@ -95,11 +95,16 @@ def _parse_year_range(args) -> tuple[int, int] | None:
 def cmd_fit(args) -> int:
     ds, series = load_series_csv(args.input)
     if args.family == "auto":
+        # leave out what fit_points rejects: log space on y <= 0, too few points
+        positive = all(v > 0 for v in series.values)
         families = [
             f
             for f in STANDARD_FAMILIES
-            if not family_spec(f).log_space or all(v > 0 for v in series.values)
+            if (positive or not family_spec(f).log_space)
+            and family_spec(f).arity + 2 <= len(series)
         ]
+        if not families:
+            raise ValueError(f"no family fits a series of {len(series)} points")
     else:
         families = [args.family]
     ranked = select(series, families)
@@ -365,7 +370,8 @@ def cmd_distfit(args) -> int:
     else:
         res = powerlaw_fit(samples, kmin=args.kmin)
         payload = {"family": "powerlaw", "exponent": res.exponent, "kmin": res.kmin,
-                   "ks_distance": res.ks_distance, "n_tail": res.n_tail}
+                   "ks_distance": res.ks_distance, "n_tail": res.n_tail,
+                   "at_bound": res.at_bound}
         summary = [
             f"power-law fit: exponent={res.exponent:.3f} kmin={res.kmin} "
             f"ks={res.ks_distance:.4f} (tail n={res.n_tail})"

@@ -4,7 +4,8 @@ Every family in :mod:`knowgrow.growth` is linear in all but at most one
 parameter (a shift inside a logarithm, or an exponential rate).  The fitter
 exploits that: it profiles the single nonlinear parameter over a fixed
 deterministic grid, solving an exact linear least-squares problem at each
-grid point, and refines the best bracket with a bounded scalar minimizer.
+grid point, and refines the best bracket with Brent's bounded
+golden-section/parabolic search (:func:`knowgrow._brent.bounded_min`).
 Because the linear coefficients are solved exactly for every value of the
 nonlinear one, the profile optimum is the joint least-squares fit (variable
 projection, Golub & Pereyra 1973).  No randomness is involved, so fits are
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._brent import bounded_min, hits_bound
 from .growth import FamilySpec, GrowthModel, family_spec
 from .months import add_months, month_index, parse_month
 
@@ -241,19 +243,12 @@ def fit_points(
         b_hi = grid[min(best + 1, len(grid) - 1)]
         xatol = 1e-10 * (1.0 + abs(grid[best]))
         if b_hi > b_lo:
-            from scipy.optimize import minimize_scalar
-
-            res = minimize_scalar(
-                profile, bounds=(b_lo, b_hi), method="bounded", options={"xatol": xatol}
-            )
-            nl = float(res.x) if res.fun <= sses[best] else float(grid[best])
-            converged = bool(res.success)
+            x, fx, converged = bounded_min(profile, b_lo, b_hi, xatol)
+            nl = float(x) if fx <= sses[best] else float(grid[best])
         else:
             nl = float(grid[best])
-        # the search spans grid[0]..grid[-1]; bounded Brent stops once its
-        # bracket lies within tol of its answer
-        tol = 2.0 * (math.sqrt(np.finfo(float).eps) * abs(nl) + xatol / 3.0)
-        at_bound = bool(min(nl - grid[0], grid[-1] - nl) <= tol)
+        # the search spans grid[0]..grid[-1]
+        at_bound = hits_bound(nl, grid[0], grid[-1], xatol)
         _, coefs = _lstsq_sse(spec.basis(t, nl), target)
         if coefs is None:
             raise FitError(f"no feasible {spec.name!r} fit in bounds ({lo:g}, {hi:g})")

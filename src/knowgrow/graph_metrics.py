@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._brent import bounded_min, hits_bound
+
 if TYPE_CHECKING:
     from scipy import sparse
 
@@ -327,6 +329,7 @@ class PowerlawFit:
     kmin: int
     ks_distance: float
     n_tail: int
+    at_bound: bool  # the exponent ended at an end of its search range
 
 
 @dataclass(frozen=True)
@@ -339,8 +342,8 @@ class LognormalFit:
 MIN_TAIL = 50
 
 
-def _discrete_powerlaw_mle(tail: np.ndarray, kmin: int) -> float:
-    from scipy.optimize import minimize_scalar
+def _discrete_powerlaw_mle(tail: np.ndarray, kmin: int) -> tuple[float, bool]:
+    """Exponent maximizing the tail's likelihood, and whether it hit its search bound."""
     from scipy.special import zeta
 
     slog = float(np.log(tail).sum())
@@ -349,8 +352,9 @@ def _discrete_powerlaw_mle(tail: np.ndarray, kmin: int) -> float:
     def nll(alpha: float) -> float:
         return alpha * slog + n * math.log(zeta(alpha, kmin))
 
-    res = minimize_scalar(nll, bounds=(1.05, 8.0), method="bounded", options={"xatol": 1e-8})
-    return float(res.x)
+    lo, hi, xatol = 1.05, 8.0, 1e-8
+    alpha = float(bounded_min(nll, lo, hi, xatol)[0])
+    return alpha, hits_bound(alpha, lo, hi, xatol)
 
 
 def empirical_ccdf(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,8 +396,8 @@ def powerlaw_fit(degrees: np.ndarray, kmin: int | None = None) -> PowerlawFit:
             raise ValueError(f"fewer than {MIN_TAIL} samples >= kmin={kmin}")
         if np.unique(tail).size < 2:
             raise ValueError("degenerate tail: all degrees equal")
-        alpha = _discrete_powerlaw_mle(tail, kmin)
-        return PowerlawFit(alpha, int(kmin), _powerlaw_ks(tail, kmin, alpha), len(tail))
+        alpha, at_bound = _discrete_powerlaw_mle(tail, kmin)
+        return PowerlawFit(alpha, int(kmin), _powerlaw_ks(tail, kmin, alpha), len(tail), at_bound)
 
     best: PowerlawFit | None = None
     for candidate in np.unique(xs)[:-1]:
@@ -402,10 +406,10 @@ def powerlaw_fit(degrees: np.ndarray, kmin: int | None = None) -> PowerlawFit:
             break
         if np.unique(tail).size < 2:
             continue
-        alpha = _discrete_powerlaw_mle(tail, int(candidate))
+        alpha, at_bound = _discrete_powerlaw_mle(tail, int(candidate))
         ks = _powerlaw_ks(tail, int(candidate), alpha)
         if best is None or ks < best.ks_distance:
-            best = PowerlawFit(alpha, int(candidate), ks, len(tail))
+            best = PowerlawFit(alpha, int(candidate), ks, len(tail), at_bound)
     if best is None:
         raise ValueError(f"insufficient tail: need {MIN_TAIL} samples above some kmin")
     return best

@@ -11,7 +11,7 @@ import pytest
 import knowgrow
 from knowgrow.cli import main
 from knowgrow.dataio import CACHE_ENV, load_report, verify_report_inputs
-from knowgrow.growth import QUASI_LINEAR_FAMILIES
+from knowgrow.growth import QUASI_LINEAR_FAMILIES, STANDARD_FAMILIES
 
 # monthly article totals from a fitted quasi-linear curve (consecutive months)
 ARTICLES_CSV = """date,value
@@ -75,16 +75,52 @@ def test_intersect_loads_no_scipy(tmp_path):
                                "--ctop", ids, "--json", tmp_path / "ix.json", "--quiet"))
 
 
-def test_metrics_loads_sparse_but_not_optimize(tmp_path):
-    edges = tmp_path / "e.tsv"
-    edges.write_text("a\tb\nb\tc\nc\ta\n")
-    modules = _imports("knowgrow.cli", "metrics", "--edges", edges, "--no-clustering",
-                       "--json", tmp_path / "m.json", "--quiet")
-    assert "scipy.sparse" in modules
+# two years of monthly values: long enough for both sides of a segment split
+SERIES_24 = "date,value\n" + "".join(
+    f"{2020 + i // 12}-{i % 12 + 1:02d},{100 + i * i}\n" for i in range(24)
+)
+
+# command: (arguments, input files, scipy modules it must load); bounded
+# Brent is in-package, so none of them loads scipy.optimize
+COMMAND_IMPORTS = {
+    "ba": (["--nodes", "300", "--m", "2"], {}, {"scipy.sparse", "scipy.special"}),
+    "fit": (["--input", "s.csv", "--family", "auto"], {"s.csv": SERIES_24}, {"scipy.special"}),
+    "segment": (["--input", "s.csv"], {"s.csv": SERIES_24}, {"scipy.special"}),
+    "forecast": (["--model", "wiki_categories", "--from", "2020-01", "--until", "2020-12"], {},
+                 set()),
+    "distfit": (["--input", "d.txt", "--family", "powerlaw", "--kmin", "1"],
+                {"d.txt": "\n".join(map(str, range(1, 201)))}, {"scipy.special"}),
+    "metrics": (["--edges", "e.tsv", "--no-clustering"], {"e.tsv": "a\tb\nb\tc\nc\ta\n"},
+                {"scipy.sparse"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_IMPORTS))
+def test_command_loads_no_optimize(tmp_path, monkeypatch, command):
+    args, files, loads = COMMAND_IMPORTS[command]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    modules = _imports("knowgrow.cli", command, *args, "--json", "r.json", "--quiet")
+    assert loads <= modules
     assert "scipy.optimize" not in modules
 
 
 class TestFit:
+    def test_auto_skips_families_with_more_parameters_than_the_series_allows(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("date,value\n2020-01,10\n2020-02,12\n2020-03,15\n2020-04,17\n2020-05,20\n")
+        out = tmp_path / "fit.json"
+        assert run("fit", "--input", p, "--family", "auto", "--json", out, "--quiet") == 0
+        ranked = {r["family"] for r in load_report(out)["payload"]["ranking"]}
+        assert ranked == set(STANDARD_FAMILIES) - {"polynomial3"}  # 4 coefficients need 6 points
+
+    def test_auto_fails_when_no_family_fits(self, tmp_path, capsys):
+        p = tmp_path / "two.csv"
+        p.write_text("date,value\n2020-01,10\n2020-02,12\n")
+        assert run("fit", "--input", p, "--family", "auto", "--quiet") == 1
+        assert "no family fits a series of 2 points" in capsys.readouterr().err
+
     def test_auto_selects_quasi_linear(self, articles_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
         plot = tmp_path / "fit.csv"
@@ -418,7 +454,23 @@ class TestDistfit:
         rc = run("distfit", "--input", tmp_path / "deg.txt", "--family", "powerlaw",
                  "--kmin", 3, "--json", out, "--quiet")
         assert rc == 0
-        assert load_report(out)["payload"]["exponent"] == pytest.approx(3.0, abs=0.2)
+        payload = load_report(out)["payload"]
+        assert payload["exponent"] == pytest.approx(3.0, abs=0.2)
+        assert payload["at_bound"] is False
+
+    @pytest.mark.parametrize("samples, end", [
+        ([1] * 998 + [2] * 2, 8.0),  # nearly all at kmin: steeper than the search range
+        ([1] * 2 + [10**12] * 998, 1.05),  # nearly all far above it: flatter
+    ])
+    def test_powerlaw_at_search_bound_says_so(self, tmp_path, samples, end):
+        (tmp_path / "deg.txt").write_text("\n".join(map(str, samples)) + "\n")
+        out = tmp_path / "pl.json"
+        rc = run("distfit", "--input", tmp_path / "deg.txt", "--family", "powerlaw",
+                 "--kmin", 1, "--json", out, "--quiet")
+        assert rc == 0
+        payload = load_report(out)["payload"]
+        assert payload["exponent"] == pytest.approx(end, abs=1e-6)
+        assert payload["at_bound"] is True
 
     @pytest.mark.parametrize("kmin", [0, -3])
     def test_powerlaw_kmin_below_one_fails(self, tmp_path, capsys, kmin):
