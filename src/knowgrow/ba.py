@@ -2,8 +2,9 @@
 
 The generator grows a graph from an m-clique; every arriving node attaches
 to m distinct existing nodes with probability proportional to degree,
-sampled O(1) per draw from an urn of edge endpoints.  Duplicate targets
-are rejected and redrawn.  The result is exposed as a directed
+sampled O(1) per draw from an urn of edge endpoints.  The urn is the edge
+list itself, one flat list of edge ends in arrival order.  Duplicate
+targets are rejected and redrawn.  The result is exposed as a directed
 :class:`~knowgrow.graph_metrics.SnapshotGraph` with symmetric arcs so the
 one metrics engine serves both real and simulated snapshots.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -53,50 +55,23 @@ def generate(params: BAParams) -> SnapshotGraph:
     """
     n, m = params.n, params.m
     rng = np.random.default_rng(params.seed)
-    n_edges = params.edge_count
-    urn = np.empty(2 * n_edges, dtype=np.int64)
-    src = np.empty(n_edges, dtype=np.int64)
-    dst = np.empty(n_edges, dtype=np.int64)
-
-    k = 0
-    e = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            src[e] = i
-            dst[e] = j
-            urn[k] = i
-            urn[k + 1] = j
-            k += 2
-            e += 1
-
-    buf = rng.random(1 << 16)
-    bi = 0
+    # the seeded uniform stream, drawn in blocks of 2^16 as Python floats
+    draws = chain.from_iterable(rng.random(1 << 16).tolist() for _ in count())
+    # the urn is the edge list: ends 2i and 2i+1 are edge i, in arrival order
+    urn = [end for i in range(m) for j in range(i + 1, m) for end in (i, j)]
     for v in range(m, n):
-        chosen: list[int] = []
-        if k == 0:
-            chosen.append(0)  # m = 1: the single seed node carries no edges yet
+        chosen = [] if urn else [0]  # m = 1: the single seed node carries no edges yet
         while len(chosen) < m:
-            if bi >= buf.size:
-                buf = rng.random(1 << 16)
-                bi = 0
-            u = int(urn[int(buf[bi] * k)])
-            bi += 1
+            u = urn[int(next(draws) * len(urn))]
             if u not in chosen:
                 chosen.append(u)
         for u in sorted(chosen):
-            src[e] = u
-            dst[e] = v
-            urn[k] = u
-            urn[k + 1] = v
-            k += 2
-            e += 1
+            urn += (u, v)
 
+    ends = np.array(urn, np.int64)
+    src, dst = ends[0::2], ends[1::2]
     # arcs are simple and loop-free by construction: skip from_edges' dedup
-    return SnapshotGraph(
-        n=n,
-        src=np.concatenate([src, dst]),
-        dst=np.concatenate([dst, src]),
-    )
+    return SnapshotGraph(n=n, src=np.concatenate([src, dst]), dst=np.concatenate([dst, src]))
 
 
 @dataclass(frozen=True)

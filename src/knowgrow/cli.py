@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -42,6 +41,7 @@ from .graph_metrics import (
     empirical_ccdf,
     lognormal_fit,
     mean_degree,
+    normalized_structural_entropy,
     powerlaw_ccdf,
     powerlaw_fit,
 )
@@ -190,7 +190,7 @@ def cmd_metrics(args) -> int:
     if cached is not None:
         payload = json.loads(cached)["payload"]
     else:
-        entropy = {d: degree_entropy(g, d) for d in ("in", "out", "total")}
+        directions = ("in", "out", "total")
         payload = {
             "n": g.n,
             "arcs": g.arc_count,
@@ -198,8 +198,9 @@ def cmd_metrics(args) -> int:
             "duplicates_dropped": g.duplicate_count,
             "density": density(g),
             "mean_degree": mean_degree(g),
-            "degree_entropy": entropy,
-            "normalized_structural_entropy": {d: h / math.log(g.n) for d, h in entropy.items()},
+            "degree_entropy": {d: degree_entropy(g, d) for d in directions},
+            "normalized_structural_entropy": {d: normalized_structural_entropy(g, d)
+                                              for d in directions},
             "effective_diameter": effective_diameter(g, args.quantile, args.sources, args.seed),
             "avg_shortest_path": avg_shortest_path(g, args.sources, args.seed),
         }
@@ -255,13 +256,13 @@ def cmd_disrupt(args) -> int:
     (dsn, dse), g = load_citation(args.nodes, args.edges)
     scores = d_index_all(g)
     ordered = rank(g, key=args.key, k=args.top, year_range=year_range)
-    citations = {g.ids[i]: int(c) for i, c in enumerate(g.citation_counts())}
+    citations = g.citation_counts()
     payload = {
         "papers": len(g),
         "key": args.key,
         "year_range": list(year_range) if year_range else None,
         "top": [
-            {"paper": pid, "citations": citations[pid], **scores[pid].to_json()}
+            {"paper": pid, "citations": int(citations[g.index[pid]]), **scores[pid].to_json()}
             for pid in ordered
         ],
     }

@@ -45,11 +45,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .disruption import CitationGraph, PaperError
+from .disruption import CitationError, CitationGraph, PaperError
 from .fitting import TimeSeries
 from .graph_metrics import SnapshotGraph
 from .months import add_months, month_ordinal
-from .taxonomy import CategoryGraph
+from .taxonomy import CategoryError, CategoryGraph
 
 __all__ = [
     "DataFormatError",
@@ -171,6 +171,11 @@ def _records(path: str | Path, lines: list[str], n_fields: tuple[int, ...]):
         yield no, parts
 
 
+def _record_line(lines: list[str], row: int) -> int:
+    """The file line of record ``row``: the records are the non-blank lines."""
+    return [no for no, raw in enumerate(lines, start=1) if raw.strip()][row]
+
+
 def _intern_arcs(path: str | Path, undirected: bool) -> tuple[list[str], np.ndarray, int]:
     """Labels in first-appearance order, the ``(m, 2)`` index arcs and the record count."""
     ends: list[str] = []  # src0, dst0, src1, dst1, ...
@@ -216,8 +221,9 @@ def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
+    lines = _read_lines(path)
     triples = []
-    for no, (child, parent, kind) in _records(path, _read_lines(path), (3,)):
+    for no, (child, parent, kind) in _records(path, lines, (3,)):
         if kind not in ("article", "category"):
             raise DataFormatError(path, no, f"kind must be article|category, got {kind!r}")
         triples.append((child, parent, kind))
@@ -225,8 +231,8 @@ def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
         raise DataFormatError(path, None, "category file is empty")
     try:
         graph = CategoryGraph.from_edges(triples)
-    except ValueError as exc:
-        raise DataFormatError(path, None, str(exc)) from None
+    except CategoryError as exc:
+        raise DataFormatError(path, _record_line(lines, exc.row), str(exc)) from None
     canonical = sorted(map("\t".join, triples))
     return Dataset("category", str(path), _digest(canonical), len(triples)), graph
 
@@ -261,23 +267,21 @@ def load_citation(
     """Citation graph from a nodes file and an edges file."""
     node_lines = _read_lines(nodes_path)
     papers = []
-    line_of: list[int] = []  # the file line of each paper row
-    for no, (pid, year, *fld) in _records(nodes_path, node_lines, (2, 3)):
+    for no, (pid, year, *_) in _records(nodes_path, node_lines, (2, 3)):
         try:
-            y = int(year)
+            papers.append((pid, int(year)))
         except ValueError:
             raise DataFormatError(nodes_path, no, f"not a year: {year!r}") from None
-        papers.append((pid, y, *fld))
-        line_of.append(no)
     edge_lines = _read_lines(edges_path)
     edges = [pair for _, pair in _records(edges_path, edge_lines, (2,))]
     try:
         graph = CitationGraph.build(papers, edges)
     except PaperError as exc:
-        first = "" if exc.first is None else f", first on line {line_of[exc.first]}"
-        raise DataFormatError(nodes_path, line_of[exc.row], f"{exc}{first}") from None
-    except ValueError as exc:  # any other fault is an edge's
-        raise DataFormatError(edges_path, None, str(exc)) from None
+        line = partial(_record_line, node_lines)
+        first = "" if exc.first is None else f", first on line {line(exc.first)}"
+        raise DataFormatError(nodes_path, line(exc.row), f"{exc}{first}") from None
+    except CitationError as exc:
+        raise DataFormatError(edges_path, _record_line(edge_lines, exc.row), str(exc)) from None
     ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(node_lines), len(papers))
     ds_edges = Dataset("citation", str(edges_path), _citation_digest(edge_lines), len(edges))
     if graph.duplicate_count:

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CitationGraph",
     "PaperError",
+    "CitationError",
     "DScore",
     "d_index",
     "d_index_all",
@@ -63,13 +64,20 @@ class PaperError(ValueError):
         self.first = first
 
 
+class CitationError(ValueError):
+    """A bad citation pair, ``row`` in the edge list; unknown ids are found before loops."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass
 class CitationGraph:
     """Papers with publication years; ``cites`` is the 0/1 citing -> cited CSR."""
 
     ids: list[str]
     years: np.ndarray
-    fields: list[str | None]
     index: dict[str, int]
     cites: sparse.csr_matrix
     cited_by: sparse.csr_matrix
@@ -87,11 +95,9 @@ class CitationGraph:
 
         ids: list[str] = []
         years: list[int] = []
-        fields: list[str | None] = []
         index: dict[str, int] = {}
         for row in papers:
             pid, year = row[0], int(row[1])
-            fld = row[2] if len(row) > 2 else None
             if pid in index:
                 raise PaperError(f"duplicate paper id {pid!r}", len(ids), index[pid])
             if not YEAR_RANGE[0] <= year <= YEAR_RANGE[1]:
@@ -99,22 +105,23 @@ class CitationGraph:
             index[pid] = len(ids)
             ids.append(pid)
             years.append(year)
-            fields.append(fld)
 
         n = len(ids)
         try:
             ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), np.int64,
                                2 * len(edges))
         except KeyError as exc:
-            raise ValueError(f"edge references unknown paper id {exc.args[0]!r}") from None
+            row = next(i for i, pair in enumerate(edges) if exc.args[0] in pair)
+            raise CitationError(f"edge references unknown paper id {exc.args[0]!r}", row) from None
         srcs, dsts = ends[0::2], ends[1::2]
         loops = np.flatnonzero(srcs == dsts)
         if len(loops):
-            raise ValueError(f"self-citation on {ids[srcs[loops[0]]]!r}")
+            row = int(loops[0])
+            raise CitationError(f"self-citation on {ids[srcs[row]]!r}", row)
 
         # boolean values: repeated citations merge, coupling products cannot wrap
         cites = sparse.csr_matrix((np.ones(len(edges), bool), (srcs, dsts)), shape=(n, n))
-        return cls(ids, np.asarray(years), fields, index, cites, cites.T.tocsr(),
+        return cls(ids, np.asarray(years), index, cites, cites.T.tocsr(),
                    len(edges) - cites.nnz)
 
     def __len__(self) -> int:
@@ -206,16 +213,16 @@ def rank(
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     if key == "citations":
-        values = {g.ids[i]: int(c) for i, c in enumerate(g.citation_counts())}
+        values = g.citation_counts().tolist()
     elif key == "disruption":
-        values = {s.paper: s.d for s in _all_scores(g)}
+        values = [s.d for s in _all_scores(g)]
     else:
         raise ValueError(f"unknown ranking key {key!r} (expected citations|disruption)")
     candidates = range(len(g))
     if year_range is not None:
         lo, hi = year_range
         candidates = [i for i in candidates if lo <= int(g.years[i]) <= hi]
-    ordered = sorted((g.ids[i] for i in candidates), key=lambda p: (-values[p], p))
+    ordered = [g.ids[i] for i in sorted(candidates, key=lambda i: (-values[i], g.ids[i]))]
     return ordered[:k] if k is not None else ordered
 
 

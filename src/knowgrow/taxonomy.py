@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CategoryGraph",
+    "CategoryError",
     "detect_cycles",
     "descendants",
     "count_members",
@@ -36,6 +37,14 @@ __all__ = [
 ARTICLE = "article"
 CATEGORY = "category"
 _KINDS = (ARTICLE, CATEGORY)
+
+
+class CategoryError(ValueError):
+    """A bad hierarchy: ``row`` indexes the first input triple at fault."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass
@@ -59,7 +68,8 @@ class CategoryGraph:
         order.  Parents are categories by construction; declaring a node as
         an article and also using it as a parent is rejected, which enforces
         the "articles have no children" invariant.  A repeated triple makes
-        one link.  Of several faults, the first in edge order is raised.
+        one link.  Of several faults, the first in edge order is raised as a
+        :class:`CategoryError`.
         """
         from scipy import sparse
 
@@ -82,9 +92,11 @@ class CategoryGraph:
         if clash.size and clash[0] < 2 * bad:
             j = clash[0]
             have, want = (CATEGORY if c else ARTICLE for c in (is_category[ids[j]], used[j]))
-            raise ValueError(f"node {ends[j]!r} used both as {have} and as {want}")
+            raise CategoryError(f"node {ends[j]!r} used both as {have} and as {want}",
+                                edges.index(triples[j // 2]))
         if unknown:
-            raise ValueError(f"unknown node kind {kinds[bad]!r} (expected article/category)")
+            raise CategoryError(f"unknown node kind {kinds[bad]!r} (expected article/category)",
+                                edges.index(triples[bad]))
         n, child, parent = len(names), ids[0::2], ids[1::2]
         indptr = np.concatenate([[0], np.cumsum(np.bincount(child, minlength=n))])
         parents = parent[np.argsort(child, kind="stable")]

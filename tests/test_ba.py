@@ -1,4 +1,6 @@
 """Preferential-attachment generator and the closed-form comparison column."""
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -25,6 +27,23 @@ class TestGenerate:
         assert np.array_equal(g1.dst, g2.dst)
         g3 = ba.generate(ba.BAParams(n=500, m=3, seed=78))
         assert not (np.array_equal(g1.src, g3.src) and np.array_equal(g1.dst, g3.dst))
+
+    @pytest.mark.parametrize(
+        "n, m, seed, digest",
+        [
+            (2, 1, 0, "db7f8e2aa97f8d230fc0a6c6d68184ecfee02f4bd2e94dcb331c0d3d54ca5fe8"),
+            (5, 1, 0, "95acb044500caaa168d19351a3a473fe1171465d6540110e74c85592d5de0400"),
+            (10, 9, 2, "3b9a4d3a36d2fda31e7daefb4f56480187fef4f6db35535f4e9cd6d14f24dfae"),
+            (2000, 1, 5, "4d8b8415427949de174e659080df44ed6a1327d515c00d47c1f64a1ad8a1e73f"),
+            (1000, 7, 3, "e45ac4f640dfcee2d0aebaa3884bed3ecdf52f171aa738aedc2b053f1200da63"),
+            (20000, 3, 0, "f01d1ae2a2554b1417c96aa026caa8d8f2939c7f7d76d37ede1038d48739c5f0"),
+        ],
+    )
+    def test_golden_stream(self, n, m, seed, digest):
+        # pins the seeded arc order, so a rewrite of the sampler keeps old baselines
+        g = ba.generate(ba.BAParams(n=n, m=m, seed=seed))
+        assert g.src.dtype == g.dst.dtype == np.int64
+        assert hashlib.sha256(g.src.tobytes() + g.dst.tobytes()).hexdigest() == digest
 
     def test_degree_sum_and_min_degree(self):
         p = ba.BAParams(n=2000, m=4, seed=1)

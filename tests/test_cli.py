@@ -338,6 +338,18 @@ class TestDisrupt:
         assert message in err
         assert "edges.tsv" not in err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("b\ta\n\nb\tp3\n", "edges.tsv:3: edge references unknown paper id 'p3'"),
+        ("b\ta\na\ta\n", "edges.tsv:2: self-citation on 'a'"),
+        ("a\ta\nb\tp3\n", "edges.tsv:2: edge references unknown paper id 'p3'"),
+    ], ids=["unknown", "self", "unknown-first"])
+    def test_edge_errors_name_the_edges_line(self, tmp_path, capsys, rows, message):
+        (tmp_path / "nodes.tsv").write_text("a\t2000\nb\t2001\n")
+        (tmp_path / "edges.tsv").write_text(rows)
+        assert run("disrupt", "--nodes", tmp_path / "nodes.tsv",
+                   "--edges", tmp_path / "edges.tsv", "--quiet") == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+
 
 class TestTaxonomy:
     @pytest.fixture
@@ -392,6 +404,19 @@ class TestTaxonomy:
     def test_unknown_root_message_is_not_requoted(self, hierarchy, capsys):
         assert run("taxonomy", "--edges", hierarchy, "--roots", "Nope") == 1
         assert capsys.readouterr().err == "error: unknown category: 'Nope'\n"
+
+    @pytest.mark.parametrize("rows, line", [
+        ("A\tRoot\tcategory\nx\tA\tarticle\nB\tx\tcategory\n", 3),
+        # the clash is the third distinct triple, first on line 5 of the file
+        ("A\tRoot\tcategory\n\nx\tA\tarticle\nA\tRoot\tcategory\n"
+         "B\tx\tcategory\nB\tx\tcategory\n", 5),
+    ], ids=["plain", "repeated"])
+    def test_kind_clash_names_its_first_line(self, tmp_path, capsys, rows, line):
+        (tmp_path / "cat.tsv").write_text(rows)
+        assert run("taxonomy", "--edges", tmp_path / "cat.tsv", "--roots", "Root") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cat.tsv'}:{line}: node 'x' used both as article and as category\n"
+        )
 
     def test_exactly_one_root_source(self, hierarchy, capsys):
         assert run("taxonomy", "--edges", hierarchy) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from knowgrow import disruption
 from knowgrow.disruption import (
     BLOCK_WORK,
+    CitationError,
     CitationGraph,
     d_index,
     d_index_all,
@@ -54,6 +55,16 @@ class TestBuild:
             build(papers, [("a", "b"), ("b", "b")])
         with pytest.raises(ValueError, match="unknown paper id 'ghost'"):
             build(papers, [("b", "b"), ("a", "ghost")])
+
+    @pytest.mark.parametrize("edges, row", [
+        ([("a", "b"), ("b", "b")], 1),
+        ([("a", "b"), ("b", "a"), ("ghost", "a"), ("a", "ghost")], 2),
+        ([("b", "b"), ("a", "ghost")], 1),
+    ], ids=["self", "unknown", "unknown-first"])
+    def test_edge_errors_carry_the_pair_row(self, edges, row):
+        with pytest.raises(CitationError) as info:
+            build([("a", 2000), ("b", 2001)], edges)
+        assert info.value.row == row
 
     def test_year_range(self):
         with pytest.raises(ValueError, match="year"):

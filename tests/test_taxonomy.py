@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knowgrow.taxonomy import (
+    CategoryError,
     CategoryGraph,
     count_members,
     count_members_by_level,
@@ -57,6 +58,16 @@ class TestConstruction:
             CategoryGraph.from_edges(
                 [("X", "Cat", "article"), ("X", "Other", "category")]
             )
+
+    def test_fault_row_is_the_first_input_row_of_its_triple(self):
+        edges = [("X", "Cat", "article"), ("X", "Cat", "article"), ("Cat", "Top", "category"),
+                 ("Child", "X", "category"), ("Child", "X", "category"), ("B", "A", "page")]
+        with pytest.raises(CategoryError, match="'X' used both") as info:
+            CategoryGraph.from_edges(edges)
+        assert info.value.row == 3
+        with pytest.raises(CategoryError, match="kind 'page'") as info:
+            CategoryGraph.from_edges(edges[:3] + edges[5:])
+        assert info.value.row == 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
