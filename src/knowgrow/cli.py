@@ -295,6 +295,8 @@ def cmd_taxonomy(args) -> int:
         roots = presets[args.preset]
     else:
         roots = [r.strip() for r in args.roots.split(",") if r.strip()]
+        if not roots:
+            raise ValueError("--roots names no category")
     levels = count_members_by_level(g, roots, args.depth)
     categories, articles = levels[-1]
     if args.plot_csv:  # one row per depth; rows past the last repeat it
@@ -317,6 +319,8 @@ def cmd_taxonomy(args) -> int:
 
 def cmd_intersect(args) -> int:
     percentiles = [float(p) for p in args.percentiles.split(",") if p.strip()]
+    if not percentiles:
+        raise ValueError("--percentiles names no percentile")
     dsa, a_ids = load_id_list(args.a)
     dsb, b_ids = load_id_list(args.b)
     dsc, ctop = load_id_list(args.ctop)

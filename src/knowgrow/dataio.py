@@ -178,15 +178,14 @@ def _record_line(lines: list[str], row: int) -> int:
 
 def _intern_arcs(path: str | Path, undirected: bool) -> tuple[list[str], np.ndarray, int]:
     """Labels in first-appearance order, the ``(m, 2)`` index arcs and the record count."""
-    ends: list[str] = []  # src0, dst0, src1, dst1, ...
-    for _, pair in _records(path, _read_lines(path), (2,)):
-        ends += pair
-    labels = list(dict.fromkeys(ends))
-    index = dict(zip(labels, range(len(labels))))
-    arcs = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)).reshape(-1, 2)
+    index: dict[str, int] = {}
+    records = _records(path, _read_lines(path), (2,))
+    ends = (index.setdefault(end, len(index)) for _, pair in records for end in pair)
+    arcs = np.fromiter(ends, np.int64).reshape(-1, 2)
+    rows = len(arcs)
     if undirected:
         arcs = np.concatenate([arcs, arcs[:, ::-1]])
-    return labels, arcs, len(ends) // 2
+    return list(index), arcs, rows
 
 
 def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
@@ -222,11 +221,7 @@ def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
     lines = _read_lines(path)
-    triples = []
-    for no, (child, parent, kind) in _records(path, lines, (3,)):
-        if kind not in ("article", "category"):
-            raise DataFormatError(path, no, f"kind must be article|category, got {kind!r}")
-        triples.append((child, parent, kind))
+    triples = [tuple(triple) for _, triple in _records(path, lines, (3,))]
     if not triples:
         raise DataFormatError(path, None, "category file is empty")
     try:
@@ -266,12 +261,7 @@ def load_citation(
 ) -> tuple[tuple[Dataset, Dataset], CitationGraph]:
     """Citation graph from a nodes file and an edges file."""
     node_lines = _read_lines(nodes_path)
-    papers = []
-    for no, (pid, year, *_) in _records(nodes_path, node_lines, (2, 3)):
-        try:
-            papers.append((pid, int(year)))
-        except ValueError:
-            raise DataFormatError(nodes_path, no, f"not a year: {year!r}") from None
+    papers = [row for _, row in _records(nodes_path, node_lines, (2, 3))]
     edge_lines = _read_lines(edges_path)
     edges = [pair for _, pair in _records(edges_path, edge_lines, (2,))]
     try:

@@ -97,7 +97,11 @@ class CitationGraph:
         years: list[int] = []
         index: dict[str, int] = {}
         for row in papers:
-            pid, year = row[0], int(row[1])
+            pid = row[0]
+            try:
+                year = int(row[1])
+            except ValueError:
+                raise PaperError(f"not a year: {row[1]!r}", len(ids)) from None
             if pid in index:
                 raise PaperError(f"duplicate paper id {pid!r}", len(ids), index[pid])
             if not YEAR_RANGE[0] <= year <= YEAR_RANGE[1]:

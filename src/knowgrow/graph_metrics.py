@@ -401,11 +401,9 @@ def powerlaw_fit(degrees: np.ndarray, kmin: int | None = None) -> PowerlawFit:
 
     best: PowerlawFit | None = None
     for candidate in np.unique(xs)[:-1]:
-        tail = xs[xs >= candidate]
+        tail = xs[np.searchsorted(xs, candidate):]
         if len(tail) < MIN_TAIL:
             break
-        if np.unique(tail).size < 2:
-            continue
         alpha, at_bound = _discrete_powerlaw_mle(tail, int(candidate))
         ks = _powerlaw_ks(tail, int(candidate), alpha)
         if best is None or ks < best.ks_distance:

@@ -73,35 +73,30 @@ class CategoryGraph:
         """
         from scipy import sparse
 
-        triples = list(dict.fromkeys(edges))
-        kinds = [kind for _, _, kind in triples]
-        ends = [end for child, parent, _ in triples for end in (child, parent)]
-        names = list(dict.fromkeys(ends))
-        index = dict(zip(names, range(len(names))))
-        ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
-        # the kind each end is used as: a child its declared kind, a parent a category
-        used = np.ones(len(ends), bool)
-        used[0::2] = np.fromiter(map(CATEGORY.__eq__, kinds), bool, len(kinds))
-        # ids count up in first-appearance order, so their running maximum
-        # steps exactly at each node's first end, which fixes the node's kind
-        is_category = used[np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))]
-        unknown = set(kinds).difference(_KINDS)
-        bad = min(map(kinds.index, unknown), default=len(kinds))
-        clash = np.flatnonzero(used != is_category[ids])
-        # triple i's kind is read before its ends 2i and 2i + 1
-        if clash.size and clash[0] < 2 * bad:
-            j = clash[0]
-            have, want = (CATEGORY if c else ARTICLE for c in (is_category[ids[j]], used[j]))
-            raise CategoryError(f"node {ends[j]!r} used both as {have} and as {want}",
-                                edges.index(triples[j // 2]))
-        if unknown:
-            raise CategoryError(f"unknown node kind {kinds[bad]!r} (expected article/category)",
-                                edges.index(triples[bad]))
-        n, child, parent = len(names), ids[0::2], ids[1::2]
+        index: dict[str, int] = {}
+        is_category: list[bool] = []  # fixed where each node first appears
+        links: list[int] = []  # child0, parent0, child1, ... ids
+        for triple in dict.fromkeys(edges):
+            child, parent, kind = triple
+            if kind not in _KINDS:
+                raise CategoryError(f"unknown node kind {kind!r} (expected article/category)",
+                                    edges.index(triple))
+            # a child is used as its declared kind, a parent as a category
+            for name, used in ((child, kind == CATEGORY), (parent, True)):
+                i = index.setdefault(name, len(index))
+                if i == len(is_category):
+                    is_category.append(used)
+                elif is_category[i] != used:
+                    have, want = (CATEGORY if c else ARTICLE for c in (is_category[i], used))
+                    raise CategoryError(f"node {name!r} used both as {have} and as {want}",
+                                        edges.index(triple))
+                links.append(i)
+        ids = np.asarray(links, np.int64)
+        n, child, parent = len(index), ids[0::2], ids[1::2]
         indptr = np.concatenate([[0], np.cumsum(np.bincount(child, minlength=n))])
         parents = parent[np.argsort(child, kind="stable")]
         up = sparse.csr_matrix((np.ones(len(parents), np.int8), parents, indptr), shape=(n, n))
-        return cls(names, index, is_category, up)
+        return cls(list(index), index, np.asarray(is_category, bool), up)
 
     def __len__(self) -> int:
         return len(self.names)

@@ -328,7 +328,10 @@ class TestDisrupt:
     @pytest.mark.parametrize("rows, message", [
         ("a\t2000\nb\t2001\na\t2002\n", "nodes.tsv:3: duplicate paper id 'a', first on line 1"),
         ("a\t2000\nb\t1800\n", "nodes.tsv:2: year 1800 of 'b' outside (1900, 2100)"),
-    ], ids=["duplicate", "year"])
+        ("a\t2000\nb\t99999999999999999999\n",
+         "nodes.tsv:2: year 99999999999999999999 of 'b' outside (1900, 2100)"),
+        ("a\t2000\n\nb\t19x0\n", "nodes.tsv:3: not a year: '19x0'"),
+    ], ids=["duplicate", "year", "huge-year", "not-a-year"])
     def test_paper_errors_name_the_nodes_line(self, tmp_path, capsys, rows, message):
         (tmp_path / "nodes.tsv").write_text(rows)
         (tmp_path / "edges.tsv").write_text("b\ta\n")
@@ -422,6 +425,18 @@ class TestTaxonomy:
         assert run("taxonomy", "--edges", hierarchy) == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("roots", [",", " , ,"])
+    def test_empty_root_list_exits_1(self, hierarchy, capsys, roots):
+        assert run("taxonomy", "--edges", hierarchy, "--roots", roots, "--quiet") == 1
+        assert capsys.readouterr().err == "error: --roots names no category\n"
+
+    def test_unknown_kind_names_its_line(self, tmp_path, capsys):
+        (tmp_path / "c.tsv").write_text("A\tRoot\tcategory\nX\tA\tpage\n")
+        assert run("taxonomy", "--edges", tmp_path / "c.tsv", "--roots", "Root") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c.tsv'}:2: unknown node kind 'page' (expected article/category)\n"
+        )
+
 
 class TestIntersect:
     def test_prefix_fixture_scores_one(self, tmp_path):
@@ -439,6 +454,15 @@ class TestIntersect:
         assert rows[0]["b_frac_of_set"] == 0.0
         header = (tmp_path / "ix.csv").read_text().splitlines()[0]
         assert header.startswith("percentile,")
+
+    @pytest.mark.parametrize("percentiles", [",", " , "])
+    def test_empty_percentile_list_exits_1(self, tmp_path, capsys, percentiles):
+        for name in ("a", "b", "ctop"):
+            (tmp_path / f"{name}.txt").write_text("p1\np2\n")
+        assert run("intersect", "--a", tmp_path / "a.txt", "--b", tmp_path / "b.txt",
+                   "--ctop", tmp_path / "ctop.txt", "--percentiles", percentiles,
+                   "--quiet") == 1
+        assert capsys.readouterr().err == "error: --percentiles names no percentile\n"
 
     @pytest.mark.parametrize("edited", ["a", "b"])
     def test_inputs_sharing_a_file_name_both_verify(self, tmp_path, edited):

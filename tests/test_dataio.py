@@ -233,6 +233,12 @@ class TestGoldenDigests:
         assert list(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (1, 2), (2, 0), (3, 1)]
         assert (g.duplicate_count, g.self_loop_count) == (1, 1)
 
+    def test_labels_follow_first_appearance_not_sorted_order(self, tmp_path):
+        ds, g = load_edge_list(write(tmp_path / "e.tsv", "z\ty\ny\tx\nx\tz\n"))
+        assert g.labels == ["z", "y", "x"]
+        assert sorted(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (1, 2), (2, 0)]
+        assert ds.rows == 3
+
     def test_edge_list_undirected(self, tmp_path):
         ds, g = load_edge_list(write(tmp_path / "e.tsv", self.EDGES), undirected=True)
         assert ds.digest == "872ae742dec68f7d664214949094ef877bf1f0a62e67f4c55ed73b5781b099a9"

@@ -9,6 +9,7 @@ from knowgrow.disruption import (
     BLOCK_WORK,
     CitationError,
     CitationGraph,
+    PaperError,
     d_index,
     d_index_all,
     inclusion_lag,
@@ -69,6 +70,11 @@ class TestBuild:
     def test_year_range(self):
         with pytest.raises(ValueError, match="year"):
             build([("a", 1850)], [])
+
+    def test_year_that_is_not_an_integer_names_its_row(self):
+        with pytest.raises(PaperError, match="not a year: '19x0'") as info:
+            build([("a", "19x0")], [])
+        assert info.value.row == 0
 
     def test_duplicate_id(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from knowgrow import graph_metrics
 from knowgrow.graph_metrics import (
+    PowerlawFit,
     SnapshotGraph,
     avg_shortest_path,
     clustering_coefficient,
@@ -368,6 +369,17 @@ class TestPowerlawFit:
         res = powerlaw_fit(np.concatenate([head, tail]))
         assert res.kmin >= 3
         assert res.exponent == pytest.approx(3.0, abs=0.15)
+
+    def test_ba_degrees_golden(self):
+        # recorded before the KS scan took its tails as slices of the sorted sample
+        from knowgrow import ba
+
+        degrees = ba.generate(ba.BAParams(20000, 3, 0)).degrees("out")
+        assert powerlaw_fit(degrees) == PowerlawFit(
+            2.866012712002483, 9, 0.00514040059899587, 2697, False
+        )
+        fixed = powerlaw_fit(degrees, kmin=5)
+        assert (fixed.exponent, fixed.kmin, fixed.n_tail) == (2.757275966259711, 5, 7975)
 
     def test_degenerate_tail_rejected(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,21 @@ class TestConstruction:
             CategoryGraph.from_edges(edges[:3] + edges[5:])
         assert info.value.row == 3
 
+    @pytest.mark.parametrize("edges, message, row", [
+        ([("A", "Root", "category"), ("B", "A", "page"), ("X", "A", "article"),
+          ("Y", "X", "category")], "unknown node kind 'page' (expected article/category)", 1),
+        ([("X", "Root", "article"), ("X", "Y", "category"), ("B", "A", "page")],
+         "node 'X' used both as article and as category", 1),
+        ([("X", "Root", "article"), ("New", "X", "category")],
+         "node 'X' used both as article and as category", 1),
+        ([("X", "Root", "article"), ("B", "Root", "category"), ("X", "B", "page")],
+         "unknown node kind 'page' (expected article/category)", 2),
+    ], ids=["unknown-then-clash", "clash-then-unknown", "clash-on-parent", "unknown-on-known"])
+    def test_first_fault_in_edge_order(self, edges, message, row):
+        with pytest.raises(CategoryError) as info:
+            CategoryGraph.from_edges(edges)
+        assert (str(info.value), info.value.row) == (message, row)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             CategoryGraph.from_edges([("A", "B", "page")])
