@@ -14,17 +14,24 @@ Formats (all plain text, UTF-8):
 - citation:  nodes TSV ``id<TAB>year[<TAB>field]`` plus edges TSV
              ``citing<TAB>cited``; duplicate citations dropped with a count.
              A paper without a field has two columns: an empty third
-             column is malformed, like any empty field.
+             column is malformed, like any empty field.  A year is ASCII
+             digits.
 - samples:   one positive integer per line.
 - id_list:   one paper id per line (order is meaningful for rankings).
 
-The TSV formats and the sample list are parsed by one record reader: blank
+The TSV formats and the sample list are parsed by one record reader,
+`_records`: lines end at ``\n`` (``\r\n`` and ``\r`` read as ``\n``), blank
 lines are skipped, every other line must have the format's field count and
 no empty field (an error names the line), and a Dataset's ``rows`` is the
-number of records parsed.  Each file is read once.  Digests canonicalize
-before hashing: edge lists hash their sorted ``src<TAB>dst`` label rows
-(order-insensitive, the rows ``write_edge_tsv`` writes), series and
-rankings hash in sequence order.  Reports are JSON documents embedding
+number of records parsed.  Edge lists and citation files take a byte-level
+fast path instead when every line is fields of printable ASCII (``!`` to
+``~``) around tabs, in the format's count, and the file ends in a newline.
+It gives the same arrays, so interning, graph build and digest are shared;
+any other file goes to `_records`, which words every format diagnostic.
+Digests canonicalize before hashing: edge lists hash their sorted
+``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
+writes), citation files their sorted lines, series and rankings hash in
+sequence order.  Reports are JSON documents embedding
 ``schema_version``, the tool version, and the digests of their inputs,
 keyed by file name (by path where two inputs share a name); writes are
 atomic (temp file + rename).
@@ -45,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .disruption import CitationError, CitationGraph, PaperError
+from .disruption import CitationError, CitationGraph, PaperError, byte_keys
 from .fitting import TimeSeries
 from .graph_metrics import SnapshotGraph
 from .months import add_months, month_ordinal
@@ -73,6 +80,7 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "KNOWGROW_CACHE_DIR"
+TAB, NL = 9, 10
 
 KINDS = (
     "series", "edge_list", "undirected_edge_list", "citation", "category", "samples", "id_list"
@@ -109,8 +117,10 @@ def _digest(lines: list[str]) -> str:
 
 
 def _read_lines(path: str | Path) -> list[str]:
+    """The lines between ``\\n`` (after universal-newline translation), final newline optional."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        lines = fh.read().split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def load_series_csv(path: str | Path) -> tuple[Dataset, TimeSeries]:
@@ -176,16 +186,61 @@ def _record_line(lines: list[str], row: int) -> int:
     return [no for no, raw in enumerate(lines, start=1) if raw.strip()][row]
 
 
-def _intern_arcs(path: str | Path, undirected: bool) -> tuple[list[str], np.ndarray, int]:
-    """Labels in first-appearance order, the ``(m, 2)`` index arcs and the record count."""
-    index: dict[str, int] = {}
-    records = _records(path, _read_lines(path), (2,))
-    ends = (index.setdefault(end, len(index)) for _, pair in records for end in pair)
-    arcs = np.fromiter(ends, np.int64).reshape(-1, 2)
-    rows = len(arcs)
-    if undirected:
-        arcs = np.concatenate([arcs, arcs[:, ::-1]])
-    return list(index), arcs, rows
+def _scan(path: str | Path):
+    """The fast path's bytes, field starts and ends, and first and last field of each line.
+
+    None unless every line is non-empty printable-ASCII fields around tabs
+    and the file ends in a newline: `_records` reads any other file.
+    """
+    buf = np.fromfile(path, np.uint8)
+    ends = np.flatnonzero((buf == TAB) | (buf == NL))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    printable = np.count_nonzero(buf - np.uint8(0x21) <= 0x7E - 0x21)
+    if not len(buf) or buf[-1] != NL or printable + len(ends) != len(buf):
+        return None
+    if (starts == ends).any():  # an empty field or a blank line
+        return None
+    last = np.flatnonzero(buf[ends] == NL)
+    return buf, starts, ends, np.concatenate(([0], last[:-1] + 1)), last
+
+
+def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The fast path's runs ``buf[starts[k]:ends[k]]`` as one ``S`` array, column by column."""
+    out = np.empty((len(starts), max(int((ends - starts).max(initial=0)), 1)), np.uint8)
+    at = starts.copy()
+    for column in out.T:
+        column[:] = buf[at] * (at < ends)  # a run's end is a separator, written as padding
+        np.minimum(at + 1, ends, out=at)
+    return out.view(f"S{out.shape[1]}").ravel()
+
+
+def _strings(items: list[bytes]) -> np.ndarray:
+    """``items`` as an ``S`` array, or as objects if one ends in NUL, which ``S`` drops."""
+    return np.array(items, object if any(b.endswith(b"\0") for b in items) else bytes)
+
+
+def _fields(path: str | Path, n_fields: tuple[int, ...], scan) -> np.ndarray:
+    """The first two fields of every record, as ``(records, 2)`` byte strings."""
+    if scan is not None:
+        buf, starts, ends, first, last = scan
+        if np.isin(last - first + 1, n_fields).all():
+            pick = np.stack([first, first + 1], axis=1).ravel()
+            return _gather(buf, starts[pick], ends[pick]).reshape(-1, 2)
+    records = _records(path, _read_lines(path), n_fields)
+    return _strings([f.encode() for _, parts in records for f in parts[:2]]).reshape(-1, 2)
+
+
+def _intern(names: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted unique names, the rank among them of each id, and the id of each name.
+
+    Ids follow first appearance.
+    """
+    keys, = byte_keys(names)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    ids = np.empty_like(rank)
+    ids[rank] = np.arange(len(rank))
+    return names.ravel()[first], rank, ids[inverse.reshape(names.shape)]
 
 
 def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
@@ -195,28 +250,58 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     line per undirected edge; the input is then recorded as kind
     ``undirected_edge_list`` so reports re-verify with the same mirroring.
     """
-    labels, arcs, rows = _intern_arcs(path, undirected)
-    if not labels:
+    fields = _fields(path, (2,), _scan(path))
+    if not len(fields):
         raise DataFormatError(path, None, "edge list is empty")
+    names, rank, arcs = _intern(fields)
+    del fields
+    rows = len(arcs)
+    if undirected:
+        arcs = np.concatenate([arcs, arcs[:, ::-1]])
+    labels = list(map(bytes.decode, names[rank].tolist()))
     graph = SnapshotGraph.from_edges(arcs, n=len(labels), labels=labels)
-    del arcs  # freed before the digest strings are built
+    del arcs  # freed before the digest rows are written
     kind = "undirected_edge_list" if undirected else "edge_list"
-    ds = Dataset(kind, str(path), _digest(_arc_lines(graph)), rows)
+    digest = hashlib.sha256(_arc_rows(names, rank[graph.src], rank[graph.dst])).hexdigest()
+    ds = Dataset(kind, str(path), digest, rows)
     if graph.duplicate_count:
         logger.warning("%s: dropped %d duplicate arcs", path, graph.duplicate_count)
     return ds, graph
 
 
-def _arc_lines(graph: SnapshotGraph) -> list[str]:
-    """Sorted ``src<TAB>dst`` label rows; node ids stand in for missing labels."""
-    names = graph.labels if graph.labels is not None else map(str, range(graph.n))
-    labels = np.fromiter(names, object, graph.n)
-    return sorted(map("\t".join, zip(labels[graph.src], labels[graph.dst])))
+def _arc_rows(names: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The sorted ``src<TAB>dst`` rows, each ended by a newline, of arcs between ``names``.
+
+    ``names`` are sorted and ``src``/``dst`` index them, so the arc order is
+    the row order unless a name holds a byte below TAB.
+    """
+    n = len(names)
+    codes = np.sort(src * n + dst)
+    items = names.tolist()
+    padded = np.array(items, bytes)  # a NUL that ``S`` drops from an end is padding again
+    width = padded.itemsize
+    shown = np.arange(width) < np.fromiter(map(len, items), np.int64, n)[:, None]
+    padded, shown = padded.view(f"V{width}"), shown.view(f"V{width}").ravel()
+    row = np.dtype([("src", f"V{width}"), ("tab", "u1"), ("dst", f"V{width}"), ("nl", "u1")])
+    blocks, step = [], max(1, (1 << 22) // row.itemsize)  # ~4 MB of rows at a time
+    for lo in range(0, len(codes), step):
+        s, d = np.divmod(codes[lo : lo + step], n)
+        rows, keep = np.empty(len(s), row), np.empty(len(s), row)
+        rows["src"], rows["tab"], rows["dst"], rows["nl"] = padded[s], TAB, padded[d], NL
+        keep["src"], keep["tab"], keep["dst"], keep["nl"] = shown[s], 1, shown[d], 1
+        blocks.append(rows.view(np.uint8)[keep.view(bool)])
+    out = np.concatenate(blocks or [np.empty(0, np.uint8)])
+    if (out < TAB).any():  # "a\x01\tb" sorts before "a\tb": sort the row bytes instead
+        lines = sorted(out.tobytes().split(b"\n")[:-1])
+        out = np.frombuffer(b"\n".join(lines + [b""]), np.uint8)
+    return out
 
 
 def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
     """Serialize to the canonical sorted TSV form (stable across reloads)."""
-    _atomic_write(path, ("\n".join(_arc_lines(graph)) + "\n").encode())
+    labels = graph.labels if graph.labels is not None else map(str, range(graph.n))
+    names, rank, _ = _intern(_strings([label.encode() for label in labels]))
+    _atomic_write(path, _arc_rows(names, rank[graph.src], rank[graph.dst]).tobytes())
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
@@ -260,29 +345,36 @@ def load_citation(
     nodes_path: str | Path, edges_path: str | Path
 ) -> tuple[tuple[Dataset, Dataset], CitationGraph]:
     """Citation graph from a nodes file and an edges file."""
-    node_lines = _read_lines(nodes_path)
-    papers = [row for _, row in _records(nodes_path, node_lines, (2, 3))]
-    edge_lines = _read_lines(edges_path)
-    edges = [pair for _, pair in _records(edges_path, edge_lines, (2,))]
+    node_scan, edge_scan = _scan(nodes_path), _scan(edges_path)
+    papers = _fields(nodes_path, (2, 3), node_scan)
+    edges = _fields(edges_path, (2,), edge_scan)
     try:
         graph = CitationGraph.build(papers, edges)
     except PaperError as exc:
-        line = partial(_record_line, node_lines)
+        line = partial(_record_line, _read_lines(nodes_path))
         first = "" if exc.first is None else f", first on line {line(exc.first)}"
         raise DataFormatError(nodes_path, line(exc.row), f"{exc}{first}") from None
     except CitationError as exc:
-        raise DataFormatError(edges_path, _record_line(edge_lines, exc.row), str(exc)) from None
-    ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(node_lines), len(papers))
-    ds_edges = Dataset("citation", str(edges_path), _citation_digest(edge_lines), len(edges))
+        line = _record_line(_read_lines(edges_path), exc.row)
+        raise DataFormatError(edges_path, line, str(exc)) from None
+    ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(nodes_path, node_scan),
+                       len(papers))
+    ds_edges = Dataset("citation", str(edges_path), _citation_digest(edges_path, edge_scan),
+                       len(edges))
     if graph.duplicate_count:
         logger.warning("%s: dropped %d duplicate citations", edges_path, graph.duplicate_count)
     return (ds_nodes, ds_edges), graph
 
 
-def _citation_digest(lines: list[str]) -> str:
+def _citation_digest(path: str | Path, scan) -> str:
     # role-independent: sorted non-empty rows, so either citation file can be
     # re-verified without knowing whether it held nodes or edges
-    return _digest(sorted(ln.strip() for ln in lines if ln.strip()))
+    if scan is not None:
+        buf, starts, ends, first, last = scan
+        rows = _gather(buf, starts[first], ends[last])
+    else:
+        rows = _strings([ln.strip().encode() for ln in _read_lines(path) if ln.strip()])
+    return hashlib.sha256(b"\n".join(np.sort(rows).tolist() + [b""])).hexdigest()
 
 
 _LOADERS = {
@@ -366,7 +458,7 @@ def verify_report_inputs(doc: dict) -> None:
     for name, meta in doc.get("inputs", {}).items():
         path = Path(meta["path"])
         if meta["kind"] == "citation":
-            fresh = _citation_digest(_read_lines(path))
+            fresh = _citation_digest(path, _scan(path))
         else:
             fresh = _LOADERS[meta["kind"]](path)[0].digest
         if fresh != meta["digest"]:

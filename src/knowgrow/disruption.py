@@ -22,7 +22,6 @@ callers who want one can filter the ranking by year range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -85,54 +84,80 @@ class CitationGraph:
     _scores: list[DScore] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def build(
-        cls,
-        papers: list[tuple],
-        edges: list[tuple[str, str]],
-    ) -> "CitationGraph":
-        """Build from ``(id, year[, field])`` rows and ``(citing, cited)`` pairs."""
+    def build(cls, papers, edges) -> "CitationGraph":
+        """Build from ``(id, year[, field])`` rows and ``(citing, cited)`` pairs.
+
+        Either may be a 2-D array of byte strings, as the loader passes, or
+        rows of ``str`` ids and ``int`` or ``str`` years.  A year is ASCII
+        digits.  The first faulty paper row, then the first faulty pair, raises.
+        """
         from scipy import sparse
 
-        ids: list[str] = []
-        years: list[int] = []
-        index: dict[str, int] = {}
-        for row in papers:
-            pid = row[0]
-            try:
-                year = int(row[1])
-            except ValueError:
-                raise PaperError(f"not a year: {row[1]!r}", len(ids)) from None
-            if pid in index:
-                raise PaperError(f"duplicate paper id {pid!r}", len(ids), index[pid])
-            if not YEAR_RANGE[0] <= year <= YEAR_RANGE[1]:
-                raise PaperError(f"year {year} of {pid!r} outside {YEAR_RANGE}", len(ids))
-            index[pid] = len(ids)
-            ids.append(pid)
-            years.append(year)
+        table, pairs = _byte_cells(papers), _byte_cells(edges)
+        n = len(table)
+        keys, pair_keys = byte_keys(table[:, 0], pairs)
+        order = np.argsort(keys, kind="stable")
+        known = keys[order]
+        new = np.concatenate(([True], known[1:] != known[:-1]))
+        first = np.empty(n, np.int64)  # the row where each row's id first appears
+        first[order] = order[np.flatnonzero(new)][np.cumsum(new) - 1]
+        _, spelled, inverse = np.unique(*byte_keys(table[:, 1]), return_index=True,
+                                        return_inverse=True)
+        years = np.array([min(int(y), 1 << 62) if y.isdigit() else -1
+                          for y in table[spelled, 1].tolist()], np.int64)[inverse.ravel()]
+        bad = (first != np.arange(n)) | (years < YEAR_RANGE[0]) | (years > YEAR_RANGE[1])
+        ids = list(map(bytes.decode, table[:, 0].tolist()))
+        if bad.any():
+            row = int(np.argmax(bad))
+            pid, year = ids[row], table[row, 1]
+            if years[row] < 0:
+                raise PaperError(f"not a year: {year.decode()!r}", row)
+            if first[row] != row:
+                raise PaperError(f"duplicate paper id {pid!r}", row, int(first[row]))
+            raise PaperError(f"year {int(year)} of {pid!r} outside {YEAR_RANGE}", row)
 
-        n = len(ids)
-        try:
-            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(edges)), np.int64,
-                               2 * len(edges))
-        except KeyError as exc:
-            row = next(i for i, pair in enumerate(edges) if exc.args[0] in pair)
-            raise CitationError(f"edge references unknown paper id {exc.args[0]!r}", row) from None
-        srcs, dsts = ends[0::2], ends[1::2]
+        at = np.searchsorted(known, pair_keys)
+        found = at < n
+        found[found] = known[at[found]] == pair_keys[found]
+        if not found.all():
+            end = int(np.argmin(found.ravel()))  # the first unknown end, row by row
+            raise CitationError(
+                f"edge references unknown paper id {pairs.flat[end].decode()!r}", end // 2
+            )
+        srcs, dsts = order[at].T
         loops = np.flatnonzero(srcs == dsts)
         if len(loops):
             row = int(loops[0])
             raise CitationError(f"self-citation on {ids[srcs[row]]!r}", row)
 
         # boolean values: repeated citations merge, coupling products cannot wrap
-        cites = sparse.csr_matrix((np.ones(len(edges), bool), (srcs, dsts)), shape=(n, n))
-        return cls(ids, np.asarray(years), index, cites, cites.T.tocsr(),
-                   len(edges) - cites.nnz)
+        cites = sparse.csr_matrix((np.ones(len(pairs), bool), (srcs, dsts)), shape=(n, n))
+        return cls(ids, years, dict(zip(ids, range(n))), cites, cites.T.tocsr(),
+                   len(pairs) - cites.nnz)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def citation_counts(self) -> np.ndarray:
         return np.diff(self.cited_by.indptr)
+
+
+def byte_keys(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Byte-string arrays as sort keys that order and compare like them.
+
+    ``S`` arrays of at most 8 bytes become zero-padded big-endian words,
+    which numpy sorts and searches about twice as fast; others are unchanged.
+    """
+    if all(a.dtype.kind == "S" and a.itemsize <= 8 for a in arrays):
+        return [a.astype("S8").view(">u8") for a in arrays]
+    return list(arrays)
+
+
+def _byte_cells(rows) -> np.ndarray:
+    """The first two columns of ``rows`` as byte strings; ``str`` and ``int`` cells are encoded."""
+    if not isinstance(rows, np.ndarray):
+        rows = np.array([tuple(row[:2]) for row in rows] or np.empty((0, 2), "S1"))
+    return rows if rows.dtype.kind in "SO" else np.strings.encode(rows.astype(str))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Loaders, report round-trips, digests, and the result cache."""
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knowgrow import dataio
 from knowgrow.dataio import (
     CACHE_ENV,
     DataFormatError,
@@ -275,6 +280,135 @@ class TestGoldenDigests:
         (dsn, dse), _ = load_citation(nodes, edges)
         assert dsn.digest == "84dd6dba23724aa93b15dad495b9a3303705e8d325c5e7a5a293b7b8e0f9da7a"
         assert dse.digest == "a282b8f844e1e4be301185e4720d310311a48fd7fa4a2f052eaa47c6866298e4"
+
+
+class TestFastPathAndFallback:
+    """Files the byte reader takes and files `_records` reads give the same results."""
+
+    LABELS = st.text(alphabet="!0ab~", min_size=1, max_size=12)  # prefixes and > 8 bytes
+
+    @staticmethod
+    def write_both(tmp_path, name, rows):
+        """``rows`` once with LF line ends (fast path) and once with CRLF (fallback)."""
+        text = "".join("\t".join(map(str, row)) + "\n" for row in rows)
+        fast, slow = tmp_path / f"fast-{name}", tmp_path / f"slow-{name}"
+        fast.write_bytes(text.encode())
+        slow.write_bytes(text.replace("\n", "\r\n").encode())
+        if rows:
+            assert dataio._scan(fast) is not None
+        assert dataio._scan(slow) is None
+        return fast, slow
+
+    @given(st.lists(st.tuples(LABELS, LABELS), max_size=40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_lists_agree(self, tmp_path_factory, arcs, undirected):
+        fast, slow = self.write_both(tmp_path_factory.mktemp("e"), "e.tsv", arcs)
+        if not arcs:
+            for path in (fast, slow):
+                with pytest.raises(DataFormatError, match="edge list is empty"):
+                    load_edge_list(path, undirected)
+            return
+        (ds1, g1), (ds2, g2) = (load_edge_list(p, undirected) for p in (fast, slow))
+        assert g1.labels == g2.labels == list(dict.fromkeys(x for arc in arcs for x in arc))
+        assert g1.src.tolist() == g2.src.tolist() and g1.dst.tolist() == g2.dst.tolist()
+        assert (ds1.rows, ds1.digest) == (ds2.rows, ds2.digest)
+        assert (g1.duplicate_count, g1.self_loop_count) == (g2.duplicate_count, g2.self_loop_count)
+        rows = sorted({f"{s}\t{d}" for s, d in arcs if s != d}
+                      | ({f"{d}\t{s}" for s, d in arcs if s != d} if undirected else set()))
+        assert ds1.digest == hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+
+    @given(
+        st.lists(LABELS, min_size=1, max_size=30, unique=True),
+        st.lists(st.tuples(st.integers(1900, 2100), st.sampled_from(["", "physics"])),
+                 min_size=30, max_size=30),
+        st.lists(st.tuples(st.integers(0, 29), st.integers(1, 29)), max_size=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_citation_pairs_agree(self, tmp_path_factory, ids, years, pairs):
+        tmp = tmp_path_factory.mktemp("c")
+        papers = [(pid, year, *([fld] if fld else [])) for pid, (year, fld) in zip(ids, years)]
+        # every pair cites another paper: the offset is never 0 modulo the paper count
+        pairs = [(ids[i % len(ids)], ids[(i + k) % len(ids)]) for i, k in pairs
+                 if k % len(ids)]
+        nodes = self.write_both(tmp, "n.tsv", papers)
+        edges = self.write_both(tmp, "e.tsv", pairs)
+        ((n1, e1), g1), ((n2, e2), g2) = (load_citation(n, e) for n, e in zip(nodes, edges))
+        assert g1.ids == g2.ids == ids
+        assert g1.years.tolist() == g2.years.tolist()
+        assert (g1.cites != g2.cites).nnz == 0
+        assert g1.duplicate_count == g2.duplicate_count == len(pairs) - len(set(pairs))
+        assert (n1.digest, n1.rows, e1.digest, e1.rows) == (n2.digest, n2.rows, e2.digest, e2.rows)
+
+    # digests pinned at the commit before the byte reader, like TestGoldenDigests
+    AB_BC = ("7482a2572c8623e3abc0ce677eb6daa8673344588bb7905dc0771cde230f0e4a",
+             "e3bea5a17deb5c5f5355938d0d41f4edf1c81f6ae09d74a25ebddff0d1b36508")
+
+    @pytest.mark.parametrize("data, digests, labels", [
+        (b"a\tb\r\nb\tc\r\n", AB_BC, ["a", "b", "c"]),
+        (b"a\tb\n\nb\tc\n", AB_BC, ["a", "b", "c"]),
+        (b"a\tb \nb\tc\n", AB_BC, ["a", "b", "c"]),
+        (b"a\tb\nb\tc", AB_BC, ["a", "b", "c"]),
+        ("é\tb\nb\tc\n".encode(), (
+            "cc87c4a0c14140e0bfec6cde1f93c88fc38424782e16f70fc915ac0f4906cc51",
+            "d0af9287da34e32d9d153d436cb2d4313fa99fa99612fab46480b00a6936c740"),
+         ["é", "b", "c"]),
+        # "a\x01" sorts after "a", but its row "a\x01\tb" sorts before "a\tc"
+        (b"a\x01\tb\na\tc\n", (
+            "2e65c99ccd38834888e0494972426ec33bbd4e76bca78a640af26191f0f10cbc",
+            "7bf42437628037e0ae7675e341c66a9b066bcd3cad1d330cef549062a7e27b7e"),
+         ["a\x01", "b", "a", "c"]),
+        # a trailing NUL keeps "a\x00" apart from "a"
+        (b"a\x00\tb\na\tb\n", (
+            "d0f11b2ef22175ea8bf671f1f21149560c2b16078e08bc6c92e74419fa8c45bc",
+            "1b81b5f0fff5d9035c6a761fc9b83b8f72975d53c04fc854a06b8fab3aafa5a9"),
+         ["a\x00", "b", "a"]),
+    ], ids=["crlf", "blank-line", "trailing-space", "no-final-newline", "non-ascii",
+            "byte-below-tab", "trailing-nul"])
+    def test_fallback_edge_lists_load_as_before(self, tmp_path, data, digests, labels):
+        p = tmp_path / "e.tsv"
+        p.write_bytes(data)
+        assert dataio._scan(p) is None
+        ds, g = load_edge_list(p)
+        assert (ds.digest, ds.rows, g.labels) == (digests[0], 2, labels)
+        assert load_edge_list(p, undirected=True)[0].digest == digests[1]
+
+    @pytest.mark.parametrize("data, where", [
+        (b"a\tb\nb\tc\td\n", r"e\.tsv:2: expected 2 tab-separated fields, got 3"),
+        (b"a\tb\nb\t\n", r"e\.tsv:2: empty field 2"),
+        # \x0c is no line break: the file has two lines
+        (b"a\tb\x0c\nc\td\te\n", r"e\.tsv:2: expected 2 tab-separated fields, got 3"),
+    ], ids=["three-fields", "empty-field", "form-feed"])
+    def test_fallback_edge_list_faults_name_their_line(self, tmp_path, data, where):
+        p = tmp_path / "e.tsv"
+        p.write_bytes(data)
+        with pytest.raises(DataFormatError, match=where):
+            load_edge_list(p)
+
+    @pytest.mark.parametrize("nodes, edges, digests", [
+        (b"a\t2000\r\nb\t1990\tphysics\r\n", b"a\tb\r\n", (
+            "84dd6dba23724aa93b15dad495b9a3303705e8d325c5e7a5a293b7b8e0f9da7a",
+            "5dd1197866f479824d9b483e1b7ae9ad3e518f3b4fd447c6b92d127dda6178c5")),
+        ("é\t2000\nb\t1990\n".encode(), "é\tb\n".encode(), (
+            "74143120df31a6e639b590d9eabb0c871dc8cee294562644b4643165b7239e27",
+            "8a860318e00d9bb123f65b0cdc4e5ece422068a20faedcbf4ff91d711ab1a70a")),
+        (b" a\t2000\n\nb\t1990 \n", b"a \tb\n", (
+            "9c7d1b55cb86824776c93e1575b935b3507ace4c3d07d7c80d71a5dcdacab0e1",
+            "b19aebadae31b85e98b3a8adedc9ec8b497e522b99cf44455b10bf31d6fdeef8")),
+    ], ids=["crlf", "non-ascii", "spaces-and-blank-line"])
+    def test_fallback_citation_pairs_load_as_before(self, tmp_path, nodes, edges, digests):
+        (tmp_path / "n.tsv").write_bytes(nodes)
+        (tmp_path / "e.tsv").write_bytes(edges)
+        (dsn, dse), g = load_citation(tmp_path / "n.tsv", tmp_path / "e.tsv")
+        assert (dsn.digest, dse.digest) == digests
+        assert (g.years.tolist(), g.cites.nnz) == ([2000, 1990], 1)
+
+    @pytest.mark.parametrize("year", ["2_000", "+2000", "１９９０", "2000\x00"])
+    def test_only_ascii_digits_are_a_year(self, tmp_path, year):
+        nodes = write(tmp_path / "n.tsv", f"a\t1990\nb\t{year}\n")
+        edges = write(tmp_path / "e.tsv", "b\ta\n")
+        where = r"n\.tsv:2: not a year: " + re.escape(repr(year))
+        with pytest.raises(DataFormatError, match=where):
+            load_citation(nodes, edges)
 
 
 class TestReports:

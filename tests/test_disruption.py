@@ -80,6 +80,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="duplicate"):
             build([("a", 2000), ("a", 2001)], [])
 
+    def test_rows_with_and_without_a_field_and_byte_arrays_build_alike(self):
+        rows = build([("a", 2000), ("b", "1990", "physics")], [("a", "b")])
+        arrays = build(np.array([[b"a", b"2000"], [b"b", b"1990"]]), np.array([[b"a", b"b"]]))
+        for g in (rows, arrays):
+            assert (g.ids, g.years.tolist(), g.cites.toarray().tolist()) == (
+                ["a", "b"], [2000, 1990], [[False, True], [False, False]])
+
 
 class TestDIndex:
     def test_all_citers_focal_only(self):
