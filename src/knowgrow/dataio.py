@@ -23,11 +23,10 @@ The TSV formats and the sample list are parsed by one record reader,
 `_records`: lines end at ``\n`` (``\r\n`` and ``\r`` read as ``\n``), blank
 lines are skipped, every other line must have the format's field count and
 no empty field (an error names the line), and a Dataset's ``rows`` is the
-number of records parsed.  Edge lists and citation files take a byte-level
-fast path instead when every line is fields of printable ASCII (``!`` to
-``~``) around tabs, in the format's count, and the file ends in a newline.
-It gives the same arrays, so interning, graph build and digest are shared;
-any other file goes to `_records`, which words every format diagnostic.
+number of records parsed.  Edge lists and citation files skip it when
+every line is printable-ASCII fields (``!`` to ``~``) around tabs, in the
+format's count, and the file ends in a newline: both give the same arrays,
+and `_records` words every format diagnostic.
 Digests canonicalize before hashing: edge lists hash their sorted
 ``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
 writes), citation files their sorted lines, series and rankings hash in
@@ -50,9 +49,10 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
-from .disruption import CitationError, CitationGraph, PaperError, byte_keys
+from .disruption import CitationError, CitationGraph, PaperError
 from .fitting import TimeSeries
 from .graph_metrics import SnapshotGraph
 from .months import add_months, month_ordinal
@@ -186,61 +186,71 @@ def _record_line(lines: list[str], row: int) -> int:
     return [no for no, raw in enumerate(lines, start=1) if raw.strip()][row]
 
 
-def _scan(path: str | Path):
-    """The fast path's bytes, field starts and ends, and first and last field of each line.
+def _scan(path: str | Path) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+    """The fast path's file bytes, separator offsets and field count of each line.
 
     None unless every line is non-empty printable-ASCII fields around tabs
     and the file ends in a newline: `_records` reads any other file.
     """
-    buf = np.fromfile(path, np.uint8)
-    ends = np.flatnonzero((buf == TAB) | (buf == NL))
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    data = Path(path).read_bytes()
+    buf = np.frombuffer(data, np.uint8)
+    seps = np.flatnonzero((buf == TAB) | (buf == NL))
     printable = np.count_nonzero(buf - np.uint8(0x21) <= 0x7E - 0x21)
-    if not len(buf) or buf[-1] != NL or printable + len(ends) != len(buf):
+    if not len(buf) or buf[-1] != NL or printable + len(seps) != len(buf):
         return None
-    if (starts == ends).any():  # an empty field or a blank line
+    if seps[0] == 0 or (np.diff(seps) == 1).any():  # an empty field or a blank line
         return None
-    last = np.flatnonzero(buf[ends] == NL)
-    return buf, starts, ends, np.concatenate(([0], last[:-1] + 1)), last
+    return data, seps, np.diff(np.flatnonzero(buf[seps] == NL), prepend=-1)
 
 
-def _gather(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The fast path's runs ``buf[starts[k]:ends[k]]`` as one ``S`` array, column by column."""
-    out = np.empty((len(starts), max(int((ends - starts).max(initial=0)), 1)), np.uint8)
-    at = starts.copy()
-    for column in out.T:
-        column[:] = buf[at] * (at < ends)  # a run's end is a separator, written as padding
-        np.minimum(at + 1, ends, out=at)
-    return out.view(f"S{out.shape[1]}").ravel()
+def _fields(path: str | Path, n_fields: tuple[int, ...], scan):
+    """Bytes, and the ``(records, 2)`` starts and ends in them of every record's first two fields.
 
-
-def _strings(items: list[bytes]) -> np.ndarray:
-    """``items`` as an ``S`` array, or as objects if one ends in NUL, which ``S`` drops."""
-    return np.array(items, object if any(b.endswith(b"\0") for b in items) else bytes)
-
-
-def _fields(path: str | Path, n_fields: tuple[int, ...], scan) -> np.ndarray:
-    """The first two fields of every record, as ``(records, 2)`` byte strings."""
-    if scan is not None:
-        buf, starts, ends, first, last = scan
-        if np.isin(last - first + 1, n_fields).all():
-            pick = np.stack([first, first + 1], axis=1).ravel()
-            return _gather(buf, starts[pick], ends[pick]).reshape(-1, 2)
-    records = _records(path, _read_lines(path), n_fields)
-    return _strings([f.encode() for _, parts in records for f in parts[:2]]).reshape(-1, 2)
-
-
-def _intern(names: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted unique names, the rank among them of each id, and the id of each name.
-
-    Ids follow first appearance.
+    Each field is followed by a separator byte in the bytes returned.
     """
-    keys, = byte_keys(names)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.argsort(first)
-    ids = np.empty_like(rank)
-    ids[rank] = np.arange(len(rank))
-    return names.ravel()[first], rank, ids[inverse.reshape(names.shape)]
+    if scan is not None and np.isin(scan[2], n_fields).all():
+        data, seps, counts = scan
+        first = np.cumsum(counts) - counts  # each line's first field
+        pick = np.stack([first, first + 1], axis=1)
+        return data, np.concatenate(([0], seps + 1))[pick], seps[pick]
+    records = _records(path, _read_lines(path), n_fields)
+    data = "".join(f"{parts[0]}\n{parts[1]}\n" for _, parts in records).encode()
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == NL)
+    return data, np.concatenate(([0], ends + 1))[:-1].reshape(-1, 2), ends.reshape(-1, 2)
+
+
+def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the fields ``data[starts:ends]`` in first-appearance order, and each id's first field.
+
+    Fields are compared in classes of like length (below ``2**c`` bytes, at
+    least 8), so a long field widens only its own class.
+    """
+    size = (ends - starts).ravel()
+    size_class = np.maximum(np.frexp(size)[1], 3)
+    buf = np.frombuffer(data, np.uint8)
+    buf = np.concatenate([buf, np.zeros(1 << int(size_class.max(initial=3)), np.uint8)])
+    key, firsts = np.empty(size.size, np.int64), []
+    for c in np.unique(size_class).tolist():
+        member = np.flatnonzero(size_class == c)
+        width = size[member]
+        cells = sliding_window_view(buf, 1 << c)[starts.ravel()[member]]
+        cells *= np.arange(1 << c) < width[:, None]  # each field's own bytes,
+        cells[np.arange(len(member)), width] = 1  # ended by a 1 so that trailing NULs count
+        cells = cells.view(">u8" if c == 3 else f"S{1 << c}").ravel()  # one word sorts as an int
+        order = np.argsort(cells)
+        cells = cells[order]
+        new = np.concatenate(([True], cells[1:] != cells[:-1]))
+        key[member[order]] = np.cumsum(new) - 1 + sum(map(len, firsts))
+        firsts.append(member[np.minimum.reduceat(order, np.flatnonzero(new))])
+    first = np.concatenate(firsts or [np.empty(0, np.int64)])
+    order = np.argsort(first)
+    ids = np.empty_like(order)
+    ids[order] = np.arange(len(order))
+    return ids[key].reshape(starts.shape), first[order]
+
+
+def _slices(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[bytes]:
+    return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
 
 
 def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
@@ -250,58 +260,59 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     line per undirected edge; the input is then recorded as kind
     ``undirected_edge_list`` so reports re-verify with the same mirroring.
     """
-    fields = _fields(path, (2,), _scan(path))
-    if not len(fields):
+    data, starts, ends = _fields(path, (2,), _scan(path))
+    if not len(starts):
         raise DataFormatError(path, None, "edge list is empty")
-    names, rank, arcs = _intern(fields)
-    del fields
+    arcs, first = _intern(data, starts, ends)
+    names = _slices(data, starts.flat[first], ends.flat[first])
+    del data, starts, ends
     rows = len(arcs)
     if undirected:
         arcs = np.concatenate([arcs, arcs[:, ::-1]])
-    labels = list(map(bytes.decode, names[rank].tolist()))
+    labels = list(map(bytes.decode, names))
     graph = SnapshotGraph.from_edges(arcs, n=len(labels), labels=labels)
     del arcs  # freed before the digest rows are written
     kind = "undirected_edge_list" if undirected else "edge_list"
-    digest = hashlib.sha256(_arc_rows(names, rank[graph.src], rank[graph.dst])).hexdigest()
-    ds = Dataset(kind, str(path), digest, rows)
+    digest = hashlib.sha256()
+    for block in _arc_rows(names, graph.src, graph.dst):
+        digest.update(block)
+    ds = Dataset(kind, str(path), digest.hexdigest(), rows)
     if graph.duplicate_count:
         logger.warning("%s: dropped %d duplicate arcs", path, graph.duplicate_count)
     return ds, graph
 
 
-def _arc_rows(names: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The sorted ``src<TAB>dst`` rows, each ended by a newline, of arcs between ``names``.
-
-    ``names`` are sorted and ``src``/``dst`` index them, so the arc order is
-    the row order unless a name holds a byte below TAB.
-    """
+def _arc_rows(names: list[bytes], src: np.ndarray, dst: np.ndarray):
+    """Blocks of the sorted ``src<TAB>dst`` rows, each ended by a newline."""
     n = len(names)
-    codes = np.sort(src * n + dst)
-    items = names.tolist()
-    padded = np.array(items, bytes)  # a NUL that ``S`` drops from an end is padding again
-    width = padded.itemsize
-    shown = np.arange(width) < np.fromiter(map(len, items), np.int64, n)[:, None]
-    padded, shown = padded.view(f"V{width}"), shown.view(f"V{width}").ravel()
-    row = np.dtype([("src", f"V{width}"), ("tab", "u1"), ("dst", f"V{width}"), ("nl", "u1")])
-    blocks, step = [], max(1, (1 << 22) // row.itemsize)  # ~4 MB of rows at a time
-    for lo in range(0, len(codes), step):
-        s, d = np.divmod(codes[lo : lo + step], n)
-        rows, keep = np.empty(len(s), row), np.empty(len(s), row)
-        rows["src"], rows["tab"], rows["dst"], rows["nl"] = padded[s], TAB, padded[d], NL
-        keep["src"], keep["tab"], keep["dst"], keep["nl"] = shown[s], 1, shown[d], 1
-        blocks.append(rows.view(np.uint8)[keep.view(bool)])
-    out = np.concatenate(blocks or [np.empty(0, np.uint8)])
-    if (out < TAB).any():  # "a\x01\tb" sorts before "a\tb": sort the row bytes instead
-        lines = sorted(out.tobytes().split(b"\n")[:-1])
-        out = np.frombuffer(b"\n".join(lines + [b""]), np.uint8)
-    return out
+    heads = [name + b"\t" for name in names]  # a source sorts as in its row: "a\x01\tb" < "a\tc"
+    by_head = sorted(range(n), key=heads.__getitem__)
+    by_name = by_head  # the same order unless a name holds a byte below TAB
+    if np.frombuffer(b"".join(names), np.uint8).min(initial=TAB) < TAB:
+        by_name = sorted(range(n), key=names.__getitem__)
+    rank_src, rank_dst = np.empty(n, np.int64), np.empty(n, np.int64)
+    rank_src[by_head] = rank_dst[by_name] = np.arange(n)
+    cells = [heads[i] for i in by_head] + [names[i] + b"\n" for i in by_name]
+    blob = np.frombuffer(b"".join(cells), np.uint8)
+    size = np.fromiter(map(len, cells), np.int64, 2 * n)
+    start = np.cumsum(size) - size
+    codes = rank_src[src]
+    codes *= n
+    codes += rank_dst[dst]
+    codes.sort()
+    for lo in range(0, len(codes), 1 << 12):
+        s, d = np.divmod(codes[lo : lo + (1 << 12)], n)
+        cell = np.stack([s, d + n], axis=1).ravel()  # each row is a head cell and a tail cell
+        width = size[cell]
+        at = np.repeat(start[cell] - (np.cumsum(width) - width), width)
+        yield blob[at + np.arange(len(at))].tobytes()
 
 
 def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
     """Serialize to the canonical sorted TSV form (stable across reloads)."""
     labels = graph.labels if graph.labels is not None else map(str, range(graph.n))
-    names, rank, _ = _intern(_strings([label.encode() for label in labels]))
-    _atomic_write(path, _arc_rows(names, rank[graph.src], rank[graph.dst]).tobytes())
+    names = [label.encode() for label in labels]
+    _atomic_write(path, b"".join(_arc_rows(names, graph.src, graph.dst)) or b"\n")
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
@@ -346,10 +357,21 @@ def load_citation(
 ) -> tuple[tuple[Dataset, Dataset], CitationGraph]:
     """Citation graph from a nodes file and an edges file."""
     node_scan, edge_scan = _scan(nodes_path), _scan(edges_path)
-    papers = _fields(nodes_path, (2, 3), node_scan)
-    edges = _fields(edges_path, (2,), edge_scan)
+    nodes, node_starts, node_ends = _fields(nodes_path, (2, 3), node_scan)
+    edges, starts, ends = _fields(edges_path, (2,), edge_scan)
+    n = len(node_starts)
+    # paper ids and citation ends interned together: an id that first
+    # appears past the n paper ids is one that no paper has
+    key, first_field = _intern(nodes + edges,
+                               np.concatenate([node_starts[:, 0], starts.ravel() + len(nodes)]),
+                               np.concatenate([node_ends[:, 0], ends.ravel() + len(nodes)]))
+    row = np.where(first_field < n, first_field, -1)[key]  # the paper row of each field's id
+    ids, years = (list(map(bytes.decode, _slices(nodes, node_starts[:, k], node_ends[:, k])))
+                  for k in (0, 1))
     try:
-        graph = CitationGraph.build(papers, edges)
+        graph = CitationGraph.from_arrays(
+            ids, years, row[:n], row[n:],
+            lambda end: edges[starts.flat[end] : ends.flat[end]].decode())
     except PaperError as exc:
         line = partial(_record_line, _read_lines(nodes_path))
         first = "" if exc.first is None else f", first on line {line(exc.first)}"
@@ -357,10 +379,9 @@ def load_citation(
     except CitationError as exc:
         line = _record_line(_read_lines(edges_path), exc.row)
         raise DataFormatError(edges_path, line, str(exc)) from None
-    ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(nodes_path, node_scan),
-                       len(papers))
+    ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(nodes_path, node_scan), n)
     ds_edges = Dataset("citation", str(edges_path), _citation_digest(edges_path, edge_scan),
-                       len(edges))
+                       len(starts))
     if graph.duplicate_count:
         logger.warning("%s: dropped %d duplicate citations", edges_path, graph.duplicate_count)
     return (ds_nodes, ds_edges), graph
@@ -369,12 +390,11 @@ def load_citation(
 def _citation_digest(path: str | Path, scan) -> str:
     # role-independent: sorted non-empty rows, so either citation file can be
     # re-verified without knowing whether it held nodes or edges
-    if scan is not None:
-        buf, starts, ends, first, last = scan
-        rows = _gather(buf, starts[first], ends[last])
-    else:
-        rows = _strings([ln.strip().encode() for ln in _read_lines(path) if ln.strip()])
-    return hashlib.sha256(b"\n".join(np.sort(rows).tolist() + [b""])).hexdigest()
+    if scan is None:
+        return _digest(sorted(filter(None, map(str.strip, _read_lines(path)))))
+    rows = scan[0].split(b"\n")[:-1]
+    rows.sort()
+    return hashlib.sha256(b"\n".join(rows) + b"\n").hexdigest()
 
 
 _LOADERS = {

@@ -22,7 +22,8 @@ callers who want one can filter the ranking by year range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 YEAR_RANGE = (1900, 2100)
+NOT_A_YEAR = -1 << 63
 
 BLOCK_WORK = 1 << 20
 
@@ -87,53 +89,52 @@ class CitationGraph:
     def build(cls, papers, edges) -> "CitationGraph":
         """Build from ``(id, year[, field])`` rows and ``(citing, cited)`` pairs.
 
-        Either may be a 2-D array of byte strings, as the loader passes, or
-        rows of ``str`` ids and ``int`` or ``str`` years.  A year is ASCII
-        digits.  The first faulty paper row, then the first faulty pair, raises.
+        A year is an integer or ASCII digits.  The first faulty paper row,
+        then the first faulty pair, raises.
+        """
+        table = [row[:2] for row in papers]
+        ids = [row[0] for row in table]
+        first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # each id's first row
+        ends = [end for pair in edges for end in pair]
+        return cls.from_arrays(ids, [row[1] for row in table],
+                               np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)),
+                               np.fromiter(map(first.get, ends, repeat(-1)), np.int64, len(ends)),
+                               ends.__getitem__)
+
+    @classmethod
+    def from_arrays(cls, ids: list[str], years: list, firsts: np.ndarray, ends: np.ndarray,
+                    end_name: Callable[[int], str]) -> "CitationGraph":
+        """Build from paper ids and years, the first row of each row's id, and citations.
+
+        ``ends`` holds the paper row of each citing and cited end in turn, -1
+        for an id no paper has, which ``end_name`` spells.
         """
         from scipy import sparse
 
-        table, pairs = _byte_cells(papers), _byte_cells(edges)
-        n = len(table)
-        keys, pair_keys = byte_keys(table[:, 0], pairs)
-        order = np.argsort(keys, kind="stable")
-        known = keys[order]
-        new = np.concatenate(([True], known[1:] != known[:-1]))
-        first = np.empty(n, np.int64)  # the row where each row's id first appears
-        first[order] = order[np.flatnonzero(new)][np.cumsum(new) - 1]
-        _, spelled, inverse = np.unique(*byte_keys(table[:, 1]), return_index=True,
-                                        return_inverse=True)
-        years = np.array([min(int(y), 1 << 62) if y.isdigit() else -1
-                          for y in table[spelled, 1].tolist()], np.int64)[inverse.ravel()]
-        bad = (first != np.arange(n)) | (years < YEAR_RANGE[0]) | (years > YEAR_RANGE[1])
-        ids = list(map(bytes.decode, table[:, 0].tolist()))
+        n = len(ids)
+        parsed = {y: _year(y) for y in set(years)}
+        year = np.fromiter(map(parsed.__getitem__, years), np.int64, n)
+        bad = (firsts != np.arange(n)) | (year < YEAR_RANGE[0]) | (year > YEAR_RANGE[1])
         if bad.any():
             row = int(np.argmax(bad))
-            pid, year = ids[row], table[row, 1]
-            if years[row] < 0:
-                raise PaperError(f"not a year: {year.decode()!r}", row)
-            if first[row] != row:
-                raise PaperError(f"duplicate paper id {pid!r}", row, int(first[row]))
-            raise PaperError(f"year {int(year)} of {pid!r} outside {YEAR_RANGE}", row)
-
-        at = np.searchsorted(known, pair_keys)
-        found = at < n
-        found[found] = known[at[found]] == pair_keys[found]
-        if not found.all():
-            end = int(np.argmin(found.ravel()))  # the first unknown end, row by row
-            raise CitationError(
-                f"edge references unknown paper id {pairs.flat[end].decode()!r}", end // 2
-            )
-        srcs, dsts = order[at].T
+            if year[row] == NOT_A_YEAR:
+                raise PaperError(f"not a year: {years[row]!r}", row)
+            if firsts[row] != row:
+                raise PaperError(f"duplicate paper id {ids[row]!r}", row, int(firsts[row]))
+            raise PaperError(f"year {int(years[row])} of {ids[row]!r} outside {YEAR_RANGE}", row)
+        if (ends < 0).any():
+            end = int(np.argmax(ends < 0))
+            raise CitationError(f"edge references unknown paper id {end_name(end)!r}", end // 2)
+        srcs, dsts = ends.reshape(-1, 2).T
         loops = np.flatnonzero(srcs == dsts)
         if len(loops):
             row = int(loops[0])
             raise CitationError(f"self-citation on {ids[srcs[row]]!r}", row)
 
         # boolean values: repeated citations merge, coupling products cannot wrap
-        cites = sparse.csr_matrix((np.ones(len(pairs), bool), (srcs, dsts)), shape=(n, n))
-        return cls(ids, years, dict(zip(ids, range(n))), cites, cites.T.tocsr(),
-                   len(pairs) - cites.nnz)
+        cites = sparse.csr_matrix((np.ones(len(srcs), bool), (srcs, dsts)), shape=(n, n))
+        return cls(ids, year, dict(zip(ids, range(n))), cites, cites.T.tocsr(),
+                   len(srcs) - cites.nnz)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -142,22 +143,12 @@ class CitationGraph:
         return np.diff(self.cited_by.indptr)
 
 
-def byte_keys(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Byte-string arrays as sort keys that order and compare like them.
-
-    ``S`` arrays of at most 8 bytes become zero-padded big-endian words,
-    which numpy sorts and searches about twice as fast; others are unchanged.
-    """
-    if all(a.dtype.kind == "S" and a.itemsize <= 8 for a in arrays):
-        return [a.astype("S8").view(">u8") for a in arrays]
-    return list(arrays)
-
-
-def _byte_cells(rows) -> np.ndarray:
-    """The first two columns of ``rows`` as byte strings; ``str`` and ``int`` cells are encoded."""
-    if not isinstance(rows, np.ndarray):
-        rows = np.array([tuple(row[:2]) for row in rows] or np.empty((0, 2), "S1"))
-    return rows if rows.dtype.kind in "SO" else np.strings.encode(rows.astype(str))
+def _year(spelled) -> int:
+    """An integer year, or ASCII digits as one; `NOT_A_YEAR` for anything else."""
+    if not isinstance(spelled, str):
+        return int(spelled)
+    digits = spelled.isascii() and spelled.isdigit()
+    return min(int(spelled), 1 << 62) if digits else NOT_A_YEAR
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,18 @@ class TestDisrupt:
         assert message in err
         assert "edges.tsv" not in err
 
+    @pytest.mark.parametrize("nodes", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_no_papers(self, tmp_path, capsys, nodes):
+        (tmp_path / "nodes.tsv").write_text(nodes)
+        (tmp_path / "edges.tsv").write_text("")
+        files = ("--nodes", tmp_path / "nodes.tsv", "--edges", tmp_path / "edges.tsv")
+        assert run("disrupt", *files) == 0
+        assert capsys.readouterr().out.startswith("0 papers;")
+        (tmp_path / "edges.tsv").write_text("a\tb\n")
+        assert run("disrupt", *files, "--quiet") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'edges.tsv'}:1: edge references unknown paper id 'a'\n")
+
     @pytest.mark.parametrize("rows, message", [
         ("b\ta\n\nb\tp3\n", "edges.tsv:3: edge references unknown paper id 'p3'"),
         ("b\ta\na\ta\n", "edges.tsv:2: self-citation on 'a'"),

@@ -132,6 +132,11 @@ class TestEdgeLoader:
         write_edge_tsv(load_edge_list(out1)[1], out2)
         assert out2.read_bytes() == out1.read_bytes()
 
+    def test_edgeless_graph_writes_one_newline(self, tmp_path):
+        out = tmp_path / "g.tsv"
+        write_edge_tsv(SnapshotGraph.from_edges(np.empty((0, 2), np.int64), n=3), out)
+        assert out.read_bytes() == b"\n"
+
     def test_canonicalization_idempotent(self, tmp_path):
         p = write(tmp_path / "e.tsv", "b\tc\na\tb\nb\tc\n")
         ds1, g1 = load_edge_list(p)
@@ -285,7 +290,9 @@ class TestGoldenDigests:
 class TestFastPathAndFallback:
     """Files the byte reader takes and files `_records` reads give the same results."""
 
-    LABELS = st.text(alphabet="!0ab~", min_size=1, max_size=12)  # prefixes and > 8 bytes
+    # prefixes, and lengths in several of the interning's size classes
+    LABELS = (st.text(alphabet="!0ab~", min_size=1, max_size=12)
+              | st.text(alphabet="!0ab~", min_size=13, max_size=70))
 
     @staticmethod
     def write_both(tmp_path, name, rows):
@@ -371,6 +378,27 @@ class TestFastPathAndFallback:
         ds, g = load_edge_list(p)
         assert (ds.digest, ds.rows, g.labels) == (digests[0], 2, labels)
         assert load_edge_list(p, undirected=True)[0].digest == digests[1]
+
+    # ids that differ only in their last byte, at the edges of the size classes,
+    # and (falling back) ones that differ only in trailing NULs
+    ALIKE = [stem + end for k in (1, 7, 8, 9, 15, 16, 17, 300)
+             for stem in ["x" * (k - 1)] for end in "01yz"]
+
+    @pytest.mark.parametrize("labels", [ALIKE, ["a", "a\x00", "a\x00\x00", "b\x00"]],
+                             ids=["last-byte", "trailing-nul"])
+    def test_interning_is_exact(self, tmp_path, labels):
+        # a ring, and a star whose targets sort as names, not as sources
+        rows = list(dict.fromkeys([*zip(labels, labels[1:] + labels[:1]),
+                                   *((labels[0], x) for x in labels[1:])]))
+        p = tmp_path / "e.tsv"
+        p.write_bytes("".join(f"{a}\t{b}\n" for a, b in rows * 2).encode())
+        ds, g = load_edge_list(p)
+        assert g.labels == labels
+        assert (ds.rows, g.duplicate_count) == (2 * len(rows), len(rows))
+        text = "".join(row + "\n" for row in sorted(f"{a}\t{b}" for a, b in rows))
+        assert ds.digest == hashlib.sha256(text.encode()).hexdigest()
+        nodes = write(tmp_path / "n.tsv", "".join(f"{x}\t2000\n" for x in labels))
+        assert load_citation(nodes, p)[1].ids == labels
 
     @pytest.mark.parametrize("data, where", [
         (b"a\tb\nb\tc\td\n", r"e\.tsv:2: expected 2 tab-separated fields, got 3"),

@@ -80,12 +80,20 @@ class TestBuild:
         with pytest.raises(ValueError, match="duplicate"):
             build([("a", 2000), ("a", 2001)], [])
 
-    def test_rows_with_and_without_a_field_and_byte_arrays_build_alike(self):
+    def test_rows_with_and_without_a_field_and_arrays_build_alike(self):
         rows = build([("a", 2000), ("b", "1990", "physics")], [("a", "b")])
-        arrays = build(np.array([[b"a", b"2000"], [b"b", b"1990"]]), np.array([[b"a", b"b"]]))
+        arrays = CitationGraph.from_arrays(["a", "b"], ["2000", "1990"], np.arange(2),
+                                           np.array([0, 1]), str)
         for g in (rows, arrays):
             assert (g.ids, g.years.tolist(), g.cites.toarray().tolist()) == (
                 ["a", "b"], [2000, 1990], [[False, True], [False, False]])
+
+    def test_no_papers(self):
+        g = build([], [])
+        assert (len(g), g.cites.shape, g.duplicate_count) == (0, (0, 0), 0)
+        with pytest.raises(CitationError, match="unknown paper id 'a'") as info:
+            build([], [("a", "b")])
+        assert info.value.row == 0
 
 
 class TestDIndex:
