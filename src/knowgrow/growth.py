@@ -24,7 +24,8 @@ Families and their parameter vectors::
 
 Each family is defined once, by the linear design ``basis`` that the
 variable-projection fitter solves; its value is derived from that basis.
-``Li`` has one implementation, the closed form ``Ei(ln x) - Ei(ln 2)``.
+``Li`` has one implementation, the closed form ``Ei(ln x) - Ei(ln 2)``,
+with the exponential integral ``Ei`` computed in-package by :func:`_expi`.
 
 ``reciprocal_log`` and ``logarithmic`` are increment laws: they describe
 the monthly gain of a quantity, so their ``increment`` is the model value
@@ -58,8 +59,15 @@ __all__ = [
 #: Lower limit of the offset logarithmic integral Li(x) = int_2^x du/ln(u).
 LI_LOWER = 2.0
 
-#: ``Ei(ln 2)``, bit for bit what ``scipy.special.expi`` returns (a test pins it).
+#: ``Ei(ln 2)``, bit for bit what :func:`_expi` and ``scipy.special.expi``
+#: return (a test pins both), so ``log_integral(2.0) == 0.0``.
 _LI_AT_LOWER = 1.0451637801174922
+
+#: Euler-Mascheroni constant, the constant term of Ei's power series.
+_EULER = 0.5772156649015329
+
+#: Above this argument Ei switches to its asymptotic series, as specfun's EIX does.
+_EI_SERIES_MAX = 40.0
 
 
 class DomainError(ValueError):
@@ -70,7 +78,8 @@ def log_integral(x: float) -> float:
     """Offset logarithmic integral ``Li(x) = int_2^x du / ln(u)``.
 
     Computed in closed form as ``Ei(ln x) - Ei(ln 2)``, the expression the
-    ``log_integral`` family evaluates.  The lower limit 2 avoids the
+    ``log_integral`` family evaluates, with the in-package exponential
+    integral :func:`_expi`.  The lower limit 2 avoids the
     integrand pole at u = 1; model offsets absorb the constant difference
     from other conventions.  Requires ``x >= 2``.
     """
@@ -81,10 +90,51 @@ def log_integral(x: float) -> float:
 
 
 def _li(x: float | np.ndarray) -> float | np.ndarray:
-    from scipy.special import expi
-
     # li(x) = Ei(ln x), offset so that Li(2) = 0
-    return expi(np.log(x)) - _LI_AT_LOWER
+    return _expi(np.log(x)) - _LI_AT_LOWER
+
+
+def _expi(x: float | np.ndarray) -> float | np.ndarray:
+    """Exponential integral ``Ei(x)`` for ``x > 0``, elementwise.
+
+    Up to ``x = 40`` it sums the power series ``γ + ln x + Σ x^k/(k·k!)``;
+    above, specfun's 20-term asymptotic series ``e^x/x · Σ k!/x^k``.  It is
+    finite up to ``ln(sys.float_info.max)``.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x <= _EI_SERIES_MAX
+    if small.all():
+        return _ei_series(x)
+    out = np.empty_like(x)
+    out[small] = _ei_series(x[small])
+    out[~small] = _ei_asymptotic(x[~small])
+    return out[()]
+
+
+def _ei_series(x: np.ndarray) -> np.ndarray:
+    # x * (1 + sum of R_k), R_k = R_(k-1) * k*x / (k+1)^2, is sum x^k / (k k!).
+    # Every element runs to one shared stop, checked every 8 terms.  A term
+    # below 2^-54 of its sum is under half an ULP of it, and so is every later
+    # (smaller) term, so running on leaves that sum unchanged: an element's
+    # value does not depend on the rest of the array.
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k = 0
+    while not (term < total * 2.0**-54).all():
+        for _ in range(8):
+            k += 1
+            term *= x * (k / (k + 1) ** 2)
+            total += term
+    return _EULER + np.log(x) + x * total
+
+
+def _ei_asymptotic(x: np.ndarray) -> np.ndarray:
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 21):
+        term = term * k / x
+        total += term
+    return np.exp(x) / x * total
 
 
 def li_three_term(x: float | np.ndarray) -> float | np.ndarray:

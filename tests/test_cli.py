@@ -80,14 +80,31 @@ SERIES_24 = "date,value\n" + "".join(
     f"{2020 + i // 12}-{i % 12 + 1:02d},{100 + i * i}\n" for i in range(24)
 )
 
+# the growth commands evaluate Li with the in-package Ei, so they load no
+# scipy at all; --fit forecasts a log_integral fit report
+GROWTH_COMMANDS = {
+    "fit": ["fit", "--input", "s.csv", "--family", "auto"],
+    "segment": ["segment", "--input", "s.csv"],
+    "forecast-fit": ["forecast", "--fit", "li.json", "--until", "2023-06"],
+    "forecast-model": ["forecast", "--model", "wiki_categories", "--from", "2020-01",
+                       "--until", "2020-12"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_COMMANDS))
+def test_growth_command_loads_no_scipy(tmp_path, monkeypatch, case):
+    (tmp_path / "s.csv").write_text(SERIES_24)
+    monkeypatch.chdir(tmp_path)
+    assert run("fit", "--input", "s.csv", "--family", "log_integral", "--json", "li.json",
+               "--quiet") == 0
+    modules = _imports("knowgrow.cli", *GROWTH_COMMANDS[case], "--json", "r.json", "--quiet")
+    assert not _scipy(modules)
+
+
 # command: (arguments, input files, scipy modules it must load); bounded
 # Brent is in-package, so none of them loads scipy.optimize
 COMMAND_IMPORTS = {
     "ba": (["--nodes", "300", "--m", "2"], {}, {"scipy.sparse", "scipy.special"}),
-    "fit": (["--input", "s.csv", "--family", "auto"], {"s.csv": SERIES_24}, {"scipy.special"}),
-    "segment": (["--input", "s.csv"], {"s.csv": SERIES_24}, {"scipy.special"}),
-    "forecast": (["--model", "wiki_categories", "--from", "2020-01", "--until", "2020-12"], {},
-                 set()),
     "distfit": (["--input", "d.txt", "--family", "powerlaw", "--kmin", "1"],
                 {"d.txt": "\n".join(map(str, range(1, 201)))}, {"scipy.special"}),
     "metrics": (["--edges", "e.tsv", "--no-clustering"], {"e.tsv": "a\tb\nb\tc\nc\ta\n"},

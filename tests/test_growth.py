@@ -1,5 +1,6 @@
 """Growth-law families, the logarithmic integral, and the model catalog."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,51 @@ class TestLogIntegral:
     def test_domain_error_below_two(self):
         with pytest.raises(DomainError):
             log_integral(1.5)
+
+    def test_finite_at_largest_float(self):
+        assert math.isfinite(log_integral(sys.float_info.max))
+
+    def test_float_in_float_out(self):
+        assert type(log_integral(3.0)) is float
+        assert isinstance(growth._expi(1.5), float)
+        assert isinstance(growth._expi(50.0), float)
+        assert isinstance(growth._li(3.0), float)
+
+
+# Ei arguments of log_integral: ln 2 to ln 5000 covers the fits, then the rest
+# of the power series' range and the asymptotic series' range up to the
+# largest float's log; each with its bound in ULPs of scipy's value
+EXPI_RANGES = {
+    "fits": (math.log(2.0), math.log(5000.0), 12),
+    "series": (math.log(5000.0), 40.0, 32),
+    "asymptotic": (np.nextafter(40.0, 41.0), math.log(sys.float_info.max), 4),
+}
+
+
+class TestExpi:
+    @pytest.mark.parametrize("name", sorted(EXPI_RANGES))
+    def test_matches_scipy_within_ulps(self, name):
+        lo, hi, bound = EXPI_RANGES[name]
+        x = np.random.default_rng(sorted(EXPI_RANGES).index(name)).uniform(lo, hi, 4000)
+        ref = scipy.special.expi(x)
+        assert np.all(np.abs(growth._expi(x) - ref) <= bound * np.spacing(ref))
+
+    def test_at_ln_two_is_the_offset_constant_bit_for_bit(self):
+        assert growth._expi(math.log(2.0)) == growth._LI_AT_LOWER
+
+    def test_value_does_not_depend_on_the_rest_of_the_array(self):
+        # the series runs all elements to one shared stop
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(math.log(2.0), 40.0, 300), rng.uniform(40.0, 700.0, 30)])
+        rng.shuffle(x)
+        whole = growth._expi(x)
+        assert [growth._expi(v) for v in x] == list(whole)
+        assert np.array_equal(growth._expi(x[:20]), whole[:20])
+
+    def test_keeps_shape(self):
+        x = np.array([[0.5, 1.0], [45.0, 2.0]])
+        assert growth._expi(x).shape == (2, 2)
+        assert growth._expi(np.array([])).shape == (0,)
 
 
 class TestLiThreeTerm:
