@@ -36,10 +36,10 @@ def main() -> None:
     args = parser.parse_args()
 
     g, ids = build_corpus(args.papers, args.seed)
-    scores = d_index_all(g)
-    defined = [s.d for s in scores.values() if s.defined]
+    counts, d = d_index_all(g)
+    defined = d[counts.sum(axis=1) > 0]
     print(f"{args.papers} papers, {len(defined)} with defined disruption scores; "
-          f"mean d = {np.mean(defined):+.4f}")
+          f"mean d = {defined.mean():+.4f}")
 
     ctop = rank(g, key="citations")
     top_d = set(rank(g, key="disruption", k=args.set_size))

@@ -30,7 +30,7 @@ from .dataio import (
     report_bytes,
     save_report,
 )
-from .disruption import YEAR_RANGE, d_index_all, intersect_analysis, rank
+from .disruption import YEAR_RANGE, d_index, d_index_all, intersect_analysis, rank
 from .fitting import FitResult, TimeSeries, forecast, segment_break, select
 from .graph_metrics import (
     avg_shortest_path,
@@ -254,7 +254,7 @@ def cmd_ba(args) -> int:
 def cmd_disrupt(args) -> int:
     year_range = _parse_year_range(args)
     (dsn, dse), g = load_citation(args.nodes, args.edges)
-    scores = d_index_all(g)
+    counts, d = d_index_all(g)
     ordered = rank(g, key=args.key, k=args.top, year_range=year_range)
     citations = g.citation_counts()
     payload = {
@@ -262,17 +262,16 @@ def cmd_disrupt(args) -> int:
         "key": args.key,
         "year_range": list(year_range) if year_range else None,
         "top": [
-            {"paper": pid, "citations": int(citations[g.index[pid]]), **scores[pid].to_json()}
+            {"paper": pid, "citations": int(citations[g.index[pid]]), **d_index(g, pid).to_json()}
             for pid in ordered
         ],
     }
     if args.plot_csv:
-        d_values = [s.d for s in scores.values() if s.defined]
-        counts, edges = np.histogram(d_values, bins=40, range=(-1.0, 1.0))
+        hist, edges = np.histogram(d[counts.sum(axis=1) > 0], bins=40, range=(-1.0, 1.0))
         _write_csv(
             args.plot_csv,
             ["d_bin_left", "count"],
-            list(zip(edges[:-1].tolist(), counts.tolist())),
+            list(zip(edges[:-1].tolist(), hist.tolist())),
         )
     summary = [f"{len(g)} papers; top {len(ordered)} by {args.key}:"]
     for entry in payload["top"][:10]:

@@ -236,13 +236,13 @@ def test_criterion_6_disruption_oracle():
     for seed in range(50):
         papers, edges = _random_citation_dag(seed)
         g = CitationGraph.build(papers, edges)
-        scores = d_index_all(g)
+        counts, d = d_index_all(g)
         ids = [p for p, _ in papers]
         for pid in ids:
-            n_i, n_j, n_k, d = naive_disruption(ids, edges, pid)
-            s = scores[pid]
+            expected = naive_disruption(ids, edges, pid)
+            i = g.index[pid]
             checked += 1
-            if (s.n_i, s.n_j, s.n_k) != (n_i, n_j, n_k) or s.d != d:
+            if (*counts[i].tolist(), d[i]) != expected:
                 mismatches += 1
 
     g_max = CitationGraph.build(

@@ -1,4 +1,5 @@
 """End-to-end CLI runs: exit codes, determinism, report and CSV outputs."""
+import hashlib
 import json
 import os
 import subprocess
@@ -332,6 +333,43 @@ class TestDisrupt:
         payload = load_report(out)["payload"]
         assert payload["year_range"] == [0, 0]
         assert payload["top"] == []
+
+    def test_year_max_beyond_int64(self, citation_files, tmp_path):
+        nodes, edges = citation_files
+        out = tmp_path / "d.json"
+        rc = run("disrupt", "--nodes", nodes, "--edges", edges, "--key", "citations",
+                 "--year-min", 2001, "--year-max", "99999999999999999999", "--json", out, "--quiet")
+        assert rc == 0
+        payload = load_report(out)["payload"]
+        assert payload["year_range"] == [2001, 99999999999999999999]
+        assert [e["paper"] for e in payload["top"]] == ["i2", "j1", "k1"]
+
+    # A cyclic graph with a repeated citation, tied scores and citation
+    # counts, and papers nobody engages with (undefined d).  The digests were
+    # recorded before the scores became arrays; any change of a report byte
+    # shows here.
+    GOLDEN_NODES = ("a\t1990\nb\t1995\tphysics\nc\t2000\nd\t2005\ne\t2010\n"
+                    "f\t1985\nu1\t2001\nu2\t1999\ng\t2003\nh\t1992\n")
+    GOLDEN_EDGES = ("a\tb\nb\tc\nc\ta\nd\ta\nd\tb\ne\ta\ne\tc\n"
+                    "f\tc\ng\td\ng\te\nd\te\nh\tf\nh\tf\n")
+    GOLDEN_CSV = "fbc6adcc43f6f01fd95256bffea2358bdaf0607190680c0b9dfdfca32a016dcf"
+
+    @pytest.mark.parametrize("key, years, report", [
+        ("disruption", (), "636ef68656c7132d9e79c2c0bde9de4c00c87d863b889d7e0df171fde55ff2d1"),
+        ("disruption", ("--year-min", 1990, "--year-max", 2005),
+         "6aa8023a531a2030a6f15cf66e7c22785569b0189af4c9412513ddc2142f5694"),
+        ("citations", (), "c90bd9d9487160304970424ab506c552f67a2b30c58139345e92bd42c3a03a34"),
+        ("citations", ("--year-min", 1990, "--year-max", 2005),
+         "6f3924e026178b56aedd80b5314995b5834f2a365a196781b7a6c719f0821e63"),
+    ], ids=["disruption", "disruption-years", "citations", "citations-years"])
+    def test_golden_report_bytes(self, tmp_path, monkeypatch, key, years, report):
+        monkeypatch.chdir(tmp_path)  # relative paths: the report names its inputs as given
+        Path("nodes.tsv").write_text(self.GOLDEN_NODES)
+        Path("edges.tsv").write_text(self.GOLDEN_EDGES)
+        assert run("disrupt", "--nodes", "nodes.tsv", "--edges", "edges.tsv", "--key", key,
+                   "--top", 6, *years, "--json", "r.json", "--plot-csv", "p.csv", "--quiet") == 0
+        assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == report
+        assert hashlib.sha256(Path("p.csv").read_bytes()).hexdigest() == self.GOLDEN_CSV
 
     @pytest.mark.parametrize("bounds, message", [
         (("--year-min", 2005, "--year-max", 2001), "--year-min 2005 > --year-max 2001"),

@@ -1,4 +1,6 @@
 """Disruption scores against brute-force enumeration, ranking, intersections."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,25 +151,29 @@ class TestDIndex:
     def test_batch_matches_single(self):
         papers, edges = random_citation_dag(5, max_nodes=60, max_edges=300)
         g = build(papers, edges)
-        batch = d_index_all(g)
-        assert list(batch) == sorted(p for p, _ in papers)
+        counts, d = d_index_all(g)
+        assert counts.shape == (len(papers), 3) and counts.dtype == np.int64
+        fresh = build(papers, edges)  # unscored: d_index runs the single-paper kernel
         for pid, _ in papers:
-            assert batch[pid] == d_index(g, pid)
+            i = g.index[pid]
+            batch = (pid, *counts[i].tolist(), d[i], counts[i].sum() > 0)
+            assert batch == astuple(d_index(fresh, pid)) == astuple(d_index(g, pid))
+        assert fresh._counts is None
 
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=25, deadline=None)
     def test_oracle_equivalence_random_dags(self, seed):
         papers, edges = random_citation_dag(seed, max_nodes=60, max_edges=400)
         g = build(papers, edges)
-        scores = d_index_all(g)
+        counts, d = d_index_all(g)
         ids = [p for p, _ in papers]
         for pid in ids:
             expected = naive_disruption(ids, edges, pid)
-            s = scores[pid]
-            assert (s.n_i, s.n_j, s.n_k) == expected[:3]
-            if s.defined:
-                assert s.d == pytest.approx(expected[3])
-            assert -1.0 <= s.d <= 1.0
+            i = g.index[pid]
+            assert tuple(counts[i].tolist()) == expected[:3]
+            if counts[i].sum() > 0:
+                assert d[i] == pytest.approx(expected[3])
+            assert -1.0 <= d[i] <= 1.0
 
     def test_adding_focal_only_citer_increases_d(self):
         papers = [("f", 1990), ("r", 1980), ("j1", 2000), ("k1", 2000)]
@@ -181,11 +187,12 @@ class TestDIndex:
     def test_extremes_characterization(self):
         papers, edges = random_citation_dag(77, max_nodes=80, max_edges=500)
         g = build(papers, edges)
-        for s in d_index_all(g).values():
-            if s.d == 1.0:
-                assert s.n_i > 0 and s.n_j == 0 and s.n_k == 0
-            if s.d == -1.0:
-                assert s.n_j > 0 and s.n_i == 0 and s.n_k == 0
+        counts, d = d_index_all(g)
+        for (n_i, n_j, n_k), value in zip(counts.tolist(), d.tolist()):
+            if value == 1.0:
+                assert n_i > 0 and n_j == 0 and n_k == 0
+            if value == -1.0:
+                assert n_j > 0 and n_i == 0 and n_k == 0
 
 
 def random_citation_graph(seed: int, n: int = 60, m: int = 400):
@@ -209,13 +216,14 @@ class TestCouplingKernel:
             papers, edges = random_citation_graph(seed)
             g = build(papers, edges)
             ids = [p for p, _ in papers]
-            scores = d_index_all(g)
+            counts, d = d_index_all(g)
             for pid in ids:
                 expected = naive_disruption(ids, edges, pid)
-                s = scores[pid]
-                assert (s.n_i, s.n_j, s.n_k) == expected[:3]
-                assert s.d == pytest.approx(expected[3])
-                assert d_index(g, pid) == s
+                i = g.index[pid]
+                assert tuple(counts[i].tolist()) == expected[:3]
+                assert d[i] == pytest.approx(expected[3])
+                batch = (pid, *counts[i].tolist(), d[i], counts[i].sum() > 0)
+                assert astuple(d_index(g, pid)) == batch
 
     def test_duplicate_citation_counts_once(self):
         papers = [("f", 1990), ("r", 1980), ("c", 2000), ("e", 2001)]
@@ -230,14 +238,15 @@ class TestCouplingKernel:
     def test_rank_reuses_scores(self, monkeypatch):
         papers, edges = random_citation_graph(3)
         g = build(papers, edges)
-        scores = d_index_all(g)
+        counts, d = d_index_all(g)
 
         def fail(*args):
             raise AssertionError("scored twice")
 
         monkeypatch.setattr(disruption, "_counts", fail)
         ordered = rank(g, "disruption")
-        assert ordered == sorted(scores, key=lambda p: (-scores[p].d, p))
+        assert ordered == sorted(g.ids, key=lambda p: (-d[g.index[p]], p))
+        assert [d_index(g, p).d for p in g.ids] == d.tolist()
 
 
 class TestRank:
@@ -263,6 +272,14 @@ class TestRank:
         g = build(*self.FIXTURE)
         assert rank(g, "citations", year_range=(2000, 2001)) == ["w", "x"]
 
+    @pytest.mark.parametrize("key", ["citations", "disruption"])
+    def test_year_bounds_beyond_int64(self, key):
+        g = build(*self.FIXTURE)
+        assert rank(g, key, year_range=(-10**30, 10**30)) == rank(g, key)
+        assert rank(g, key, year_range=(2001, 10**30)) == rank(g, key, year_range=(2001, 2100))
+        assert rank(g, key, year_range=(-10**30, 1960)) == ["z"]
+        assert rank(g, key, year_range=(10**30, 10**31)) == []
+
     def test_invariant_to_edge_order(self):
         papers, edges = self.FIXTURE
         g1 = build(papers, edges)
@@ -272,8 +289,8 @@ class TestRank:
     def test_disruption_key(self):
         g = build(*self.FIXTURE)
         ordered = rank(g, "disruption", k=2)
-        scores = d_index_all(g)
-        assert scores[ordered[0]].d >= scores[ordered[1]].d
+        _, d = d_index_all(g)
+        assert d[g.index[ordered[0]]] >= d[g.index[ordered[1]]]
 
     def test_k_validation(self):
         g = build(*self.FIXTURE)
@@ -306,6 +323,13 @@ class TestIntersect:
         assert rows[0]["prefix_size"] == 1200
         assert rows[0]["a_count"] == 300
         assert rows[0]["a_frac_of_set"] == pytest.approx(0.25)
+
+    def test_prefix_size_floors_the_decimal_percentile(self):
+        # 18.4% of 375 is exactly 69; 375 * 18.4 / 100.0 in binary is 68.99...
+        ctop = [f"c{i:03d}" for i in range(375)]
+        rows = intersect_analysis(set(ctop), set(), ctop, [18.4, 5.0, 10.0, 20.0])
+        assert [r["prefix_size"] for r in rows] == [69, 18, 37, 75]
+        assert rows[0]["a_count"] == 69
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
