@@ -64,18 +64,11 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: list[str], *columns) -> None:
+    """One CSV row per position of ``columns``, which must be of equal length."""
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_csv_cell, row)) for row in zip(*columns, strict=True))
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
-def _emit(args, payload: dict, kind: str, inputs: list[Dataset], summary: list[str]) -> None:
-    if args.json:
-        save_report(payload, args.json, kind, inputs)
-    if not args.quiet:
-        for line in summary:
-            print(line)
 
 
 def _parse_year_range(args) -> tuple[int, int] | None:
@@ -89,10 +82,13 @@ def _parse_year_range(args) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each writes its own --plot-csv and returns its report
+# as (kind, inputs, payload, summary lines); main writes --json and stdout
+
+Report = tuple[str, list[Dataset], dict, list[str]]
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> Report:
     ds, series = load_series_csv(args.input)
     if args.family == "auto":
         # leave out what fit_points rejects: log space on y <= 0, too few points
@@ -119,25 +115,16 @@ def cmd_fit(args) -> int:
         "series": series.to_json(),
     }
     if args.plot_csv:
-        rows = [
-            (series.month_at(i + 1), series.values[i], float(p))
-            for i, p in enumerate(best.predictions)
-        ]
-        _write_csv(args.plot_csv, ["date", "actual", "fitted"], rows)
-    _emit(
-        args,
-        payload,
-        "fit_result",
-        [ds],
-        [
-            f"best family: {best.model.family}  params={tuple(round(p, 6) for p in best.model.params)}",
-            f"mape={best.mape:.3e}  signed_mpe={best.signed_mpe:+.3e}  rmse={best.rmse:.4g}",
-        ],
-    )
-    return 0
+        _write_csv(args.plot_csv, ["date", "actual", "fitted"],
+                   map(series.month_at, range(1, len(series) + 1)),
+                   series.values, best.predictions)
+    return "fit_result", [ds], payload, [
+        f"best family: {best.model.family}  params={tuple(round(p, 6) for p in best.model.params)}",
+        f"mape={best.mape:.3e}  signed_mpe={best.signed_mpe:+.3e}  rmse={best.rmse:.4g}",
+    ]
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args) -> Report:
     if bool(args.fit) == bool(args.model):
         raise ValueError("provide exactly one of --fit or --model")
     if args.fit:
@@ -165,19 +152,12 @@ def cmd_forecast(args) -> int:
         series = TimeSeries(origin=args.from_month, values=tuple(values), label=args.model)
     payload = {"model": model.to_json(), "forecast": series.to_json()}
     if args.plot_csv:
-        rows = [(series.month_at(i + 1), v) for i, v in enumerate(series.values)]
-        _write_csv(args.plot_csv, ["date", "value"], rows)
-    _emit(
-        args,
-        payload,
-        "forecast",
-        [],
-        [f"{series.month_at(len(series))}: {series.values[-1]:,.0f}"],
-    )
-    return 0
+        _write_csv(args.plot_csv, ["date", "value"],
+                   map(series.month_at, range(1, len(series) + 1)), series.values)
+    return "forecast", [], payload, [f"{series.month_at(len(series))}: {series.values[-1]:,.0f}"]
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> Report:
     ds, g = load_edge_list(args.edges, undirected=args.undirected)
     params = {
         "quantile": args.quantile,
@@ -208,24 +188,22 @@ def cmd_metrics(args) -> int:
             payload["clustering"] = clustering_coefficient(g)
         cache_put("metrics", ds.digest, params, report_bytes(payload, "metrics", [ds]))
     if args.plot_csv:
-        vals, counts = np.unique(g.degrees("total"), return_counts=True)
-        _write_csv(args.plot_csv, ["degree", "count"], list(zip(vals.tolist(), counts.tolist())))
-    summary = [
+        _write_csv(args.plot_csv, ["degree", "count"],
+                   *np.unique(g.degrees("total"), return_counts=True))
+    return "metrics", [ds], payload, [
         f"n={payload['n']}  arcs={payload['arcs']}  density={payload['density']:.4g}",
         f"effective_diameter={payload['effective_diameter']}  "
         f"avg_shortest_path={payload['avg_shortest_path']:.3f}",
         f"degree_entropy(total)={payload['degree_entropy']['total']:.4f}",
     ]
-    _emit(args, payload, "metrics", [ds], summary)
-    return 0
 
 
-def cmd_ba(args) -> int:
+def cmd_ba(args) -> Report:
     params = ba_mod.BAParams(n=args.nodes, m=args.m, seed=args.seed)
     g = ba_mod.generate(params)
     if args.edges_out:
         mask = g.src < g.dst
-        rows = [f"{s}\t{d}" for s, d in zip(g.src[mask], g.dst[mask])]
+        rows = [f"{s}\t{d}" for s, d in zip(g.src[mask].tolist(), g.dst[mask].tolist())]
         _atomic_write(args.edges_out, ("\n".join(rows) + "\n").encode())
     report = ba_mod.compare(g, params, sources=args.sources)
     if args.plot_csv:
@@ -234,11 +212,8 @@ def cmd_ba(args) -> int:
         deg = g.degrees("out")
         ks, ccdf_emp = empirical_ccdf(np.sort(deg))
         ccdf_theory = 2.0 * params.m**2 * zeta(3.0, ks.astype(float))
-        _write_csv(
-            args.plot_csv,
-            ["degree", "ccdf_empirical", "ccdf_reference"],
-            list(zip(ks.tolist(), ccdf_emp.tolist(), ccdf_theory.tolist())),
-        )
+        _write_csv(args.plot_csv, ["degree", "ccdf_empirical", "ccdf_reference"],
+                   ks, ccdf_emp, ccdf_theory)
     summary = [f"BA n={params.n} m={params.m} seed={params.seed}: "
                f"{report['undirected_edges']} undirected edges"]
     for row in report["rows"]:
@@ -247,11 +222,10 @@ def cmd_ba(args) -> int:
             f"  {row['metric']:<20} {row['empirical']:.4g} vs {row['reference']:.4g} "
             f"(ratio {row['ratio']:.2f}){flag}"
         )
-    _emit(args, report, "ba_compare", [], summary)
-    return 0
+    return "ba_compare", [], report, summary
 
 
-def cmd_disrupt(args) -> int:
+def cmd_disrupt(args) -> Report:
     year_range = _parse_year_range(args)
     (dsn, dse), g = load_citation(args.nodes, args.edges)
     counts, d = d_index_all(g)
@@ -268,22 +242,17 @@ def cmd_disrupt(args) -> int:
     }
     if args.plot_csv:
         hist, edges = np.histogram(d[counts.sum(axis=1) > 0], bins=40, range=(-1.0, 1.0))
-        _write_csv(
-            args.plot_csv,
-            ["d_bin_left", "count"],
-            list(zip(edges[:-1].tolist(), hist.tolist())),
-        )
+        _write_csv(args.plot_csv, ["d_bin_left", "count"], edges[:-1], hist)
     summary = [f"{len(g)} papers; top {len(ordered)} by {args.key}:"]
     for entry in payload["top"][:10]:
         summary.append(
             f"  {entry['paper']}: citations={entry['citations']} d={entry['d']:+.4f}"
             + ("" if entry["defined"] else " (undefined)")
         )
-    _emit(args, payload, "disruption", [dsn, dse], summary)
-    return 0
+    return "disruption", [dsn, dse], payload, summary
 
 
-def cmd_taxonomy(args) -> int:
+def cmd_taxonomy(args) -> Report:
     if bool(args.roots) == bool(args.preset):
         raise ValueError("provide exactly one of --roots or --preset")
     ds, g = load_category_tsv(args.edges)
@@ -299,8 +268,9 @@ def cmd_taxonomy(args) -> int:
     levels = count_members_by_level(g, roots, args.depth)
     categories, articles = levels[-1]
     if args.plot_csv:  # one row per depth; rows past the last repeat it
-        rows = [(k, *levels[min(k, len(levels) - 1)]) for k in range(args.depth + 1)]
-        _write_csv(args.plot_csv, ["depth", "categories", "articles"], rows)
+        depths = np.arange(args.depth + 1)
+        _write_csv(args.plot_csv, ["depth", "categories", "articles"],
+                   depths, *np.array(levels)[np.minimum(depths, len(levels) - 1)].T)
     payload = {"roots": roots, "depth": args.depth, "articles": articles, "categories": categories}
     if args.cycles:
         payload["cycles"] = detect_cycles(g)
@@ -312,11 +282,10 @@ def cmd_taxonomy(args) -> int:
         cycles = payload["cycles"]
         summary.append(f"{len(cycles)} cycle(s) detected")
         summary.extend(f"  {' -> '.join(c)}" for c in cycles[:10])
-    _emit(args, payload, "taxonomy", [ds], summary)
-    return 0
+    return "taxonomy", [ds], payload, summary
 
 
-def cmd_intersect(args) -> int:
+def cmd_intersect(args) -> Report:
     percentiles = [float(p) for p in args.percentiles.split(",") if p.strip()]
     if not percentiles:
         raise ValueError("--percentiles names no percentile")
@@ -327,27 +296,18 @@ def cmd_intersect(args) -> int:
     payload = {"a_size": len(set(a_ids)), "b_size": len(set(b_ids)),
                "ctop_size": len(ctop), "rows": rows}
     if args.plot_csv:
-        _write_csv(
-            args.plot_csv,
-            ["percentile", "a_frac_of_set", "b_frac_of_set", "a_frac_of_prefix", "b_frac_of_prefix"],
-            [
-                (r["percentile"], r["a_frac_of_set"], r["b_frac_of_set"],
-                 r["a_frac_of_prefix"], r["b_frac_of_prefix"])
-                for r in rows
-            ],
-        )
-    summary = []
-    for r in rows:
-        summary.append(
-            f"top {r['percentile']:g}% ({r['prefix_size']} ids): "
-            f"|a∩prefix|={r['a_count']} ({r['a_frac_of_set']:.1%} of a), "
-            f"|b∩prefix|={r['b_count']} ({r['b_frac_of_set']:.1%} of b)"
-        )
-    _emit(args, payload, "intersect", [dsa, dsb, dsc], summary)
-    return 0
+        header = ["percentile", "a_frac_of_set", "b_frac_of_set",
+                  "a_frac_of_prefix", "b_frac_of_prefix"]
+        _write_csv(args.plot_csv, header, *([r[h] for r in rows] for h in header))
+    return "intersect", [dsa, dsb, dsc], payload, [
+        f"top {r['percentile']:g}% ({r['prefix_size']} ids): "
+        f"|a∩prefix|={r['a_count']} ({r['a_frac_of_set']:.1%} of a), "
+        f"|b∩prefix|={r['b_count']} ({r['b_frac_of_set']:.1%} of b)"
+        for r in rows
+    ]
 
 
-def cmd_distfit(args) -> int:
+def cmd_distfit(args) -> Report:
     if args.family == "lognormal" and args.kmin is not None:
         raise ValueError("--kmin applies to --family powerlaw only")
     ds, samples = load_samples(args.input)
@@ -366,11 +326,8 @@ def cmd_distfit(args) -> int:
                 )
             else:
                 fit_pdf = np.zeros_like(centers)
-            _write_csv(
-                args.plot_csv,
-                ["log_value", "density_empirical", "density_fitted"],
-                list(zip(centers.tolist(), counts.tolist(), fit_pdf.tolist())),
-            )
+            _write_csv(args.plot_csv, ["log_value", "density_empirical", "density_fitted"],
+                       centers, counts, fit_pdf)
     else:
         res = powerlaw_fit(samples, kmin=args.kmin)
         payload = {"family": "powerlaw", "exponent": res.exponent, "kmin": res.kmin,
@@ -382,36 +339,26 @@ def cmd_distfit(args) -> int:
         ]
         if args.plot_csv:
             tail = np.sort(samples[samples >= res.kmin])
-            ks, ccdf_emp, ccdf_fit = powerlaw_ccdf(tail, res.kmin, res.exponent)
-            _write_csv(
-                args.plot_csv,
-                ["value", "ccdf_empirical", "ccdf_fitted"],
-                list(zip(ks.tolist(), ccdf_emp.tolist(), ccdf_fit.tolist())),
-            )
-    _emit(args, payload, "distfit", [ds], summary)
-    return 0
+            _write_csv(args.plot_csv, ["value", "ccdf_empirical", "ccdf_fitted"],
+                       *powerlaw_ccdf(tail, res.kmin, res.exponent))
+    return "distfit", [ds], payload, summary
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args) -> Report:
     ds, series = load_series_csv(args.input)
     split = segment_break(series, args.early_family, args.late_family)
     payload = split.to_json()
     if args.plot_csv:
         fitted = np.concatenate([split.early_fit.predictions, split.late_fit.predictions])
-        rows = [
-            (series.month_at(i + 1), series.values[i], float(fitted[i]))
-            for i in range(len(series))
-        ]
-        _write_csv(args.plot_csv, ["date", "actual", "fitted"], rows)
+        _write_csv(args.plot_csv, ["date", "actual", "fitted"],
+                   map(series.month_at, range(1, len(series) + 1)), series.values, fitted)
     flag = "  [low contrast]" if split.low_contrast else ""
-    summary = [
+    return "segment", [ds], payload, [
         f"break after {split.break_month} (t={split.break_index}); "
         f"contrast={split.contrast:.3f}{flag}",
         f"early: {split.early_fit.model.family} mape={split.early_fit.mape:.3e}",
         f"late:  {split.late_fit.model.family} mape={split.late_fit.mape:.3e}",
     ]
-    _emit(args, payload, "segment", [ds], summary)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +479,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        kind, inputs, payload, summary = args.func(args)
+        if args.json:
+            save_report(payload, args.json, kind, inputs)
     except (FileNotFoundError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        for line in summary:
+            print(line)
+    return 0
 
 
 if __name__ == "__main__":

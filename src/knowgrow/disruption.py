@@ -236,9 +236,10 @@ def rank(
     if year_range is not None:
         lo, hi = year_range
         candidates = np.flatnonzero((lo <= g.years) & (g.years <= hi))
-    negated, ids = (-values).tolist(), g.ids
-    ordered = sorted(candidates.tolist(), key=lambda i: (negated[i], ids[i]))
-    return [ids[i] for i in ordered[:k]]
+    # by id, then a stable sort by descending value keeps ties in id order
+    by_id = np.array(sorted(candidates.tolist(), key=g.ids.__getitem__), dtype=np.int64)
+    ordered = by_id[np.argsort(-values[by_id], kind="stable")]
+    return [g.ids[i] for i in ordered[:k].tolist()]
 
 
 def intersect_analysis(

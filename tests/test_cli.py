@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import knowgrow
-from knowgrow.cli import main
+from knowgrow.cli import _write_csv, build_parser, main
 from knowgrow.dataio import CACHE_ENV, load_report, verify_report_inputs
 from knowgrow.growth import QUASI_LINEAR_FAMILIES, STANDARD_FAMILIES
 
@@ -122,6 +122,100 @@ def test_command_loads_no_optimize(tmp_path, monkeypatch, command):
     modules = _imports("knowgrow.cli", command, *args, "--json", "r.json", "--quiet")
     assert loads <= modules
     assert "scipy.optimize" not in modules
+
+
+# command: (arguments, input files, report kind), each on a small fixture
+OUTPUT_PATH = {
+    "fit": (["--input", "s.csv", "--family", "linear"], {"s.csv": SERIES_24}, "fit_result"),
+    "forecast": (["--model", "wiki_categories", "--from", "2020-01", "--until", "2020-12"], {},
+                 "forecast"),
+    "metrics": (["--edges", "e.tsv"], {"e.tsv": "a\tb\nb\tc\nc\ta\n"}, "metrics"),
+    "ba": (["--nodes", "60", "--m", "2"], {}, "ba_compare"),
+    "disrupt": (["--nodes", "n.tsv", "--edges", "c.tsv"],
+                {"n.tsv": "a\t2000\nb\t1990\nc\t1995\n", "c.tsv": "a\tb\na\tc\nc\tb\n"},
+                "disruption"),
+    "taxonomy": (["--edges", "t.tsv", "--roots", "Root", "--cycles"],
+                 {"t.tsv": "Child\tRoot\tcategory\na1\tChild\tarticle\n"}, "taxonomy"),
+    "intersect": (["--a", "ids.txt", "--b", "ids.txt", "--ctop", "ids.txt"],
+                  {"ids.txt": "a\nb\nc\n"}, "intersect"),
+    "distfit": (["--input", "d.txt", "--family", "lognormal"],
+                {"d.txt": "\n".join(map(str, range(1, 201)))}, "distfit"),
+    "segment": (["--input", "s.csv"], {"s.csv": SERIES_24}, "segment"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_PATH))
+def test_one_output_path(tmp_path, monkeypatch, capsys, command):
+    # main alone writes the handler's report and prints its summary
+    args, files, kind = OUTPUT_PATH[command]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    parsed = build_parser().parse_args([command, *args])
+    returned, _, _, summary = parsed.func(parsed)
+    assert returned == kind
+    assert run(command, *args, "--json", "r.json", "--quiet") == 0
+    assert capsys.readouterr().out == ""
+    assert load_report(tmp_path / "r.json")["kind"] == kind
+    assert run(command, *args) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in summary)
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    path = tmp_path / "p.csv"
+    with pytest.raises(ValueError, match="zip"):
+        _write_csv(str(path), ["x", "y"], [1, 2, 3], np.array([0.5, 0.25]))
+    assert not path.exists()
+
+
+# Outputs whose bytes are integers or single IEEE divisions, recorded before
+# the handlers returned their reports: (argv, input files, {output: sha256}).
+# The taxonomy depth runs past the node count, so the last rows repeat.
+GOLDEN_OUTPUTS = {
+    "taxonomy": (
+        ["taxonomy", "--edges", "cats.tsv", "--roots", "Mathematics", "--depth", 8,
+         "--cycles", "--json", "r.json", "--plot-csv", "p.csv"],
+        {"cats.tsv": "Physics\tMathematics\tcategory\nMathematics\tPhysics\tcategory\n"
+                     "Algebra\tMathematics\tcategory\na1\tAlgebra\tarticle\n"
+                     "a2\tAlgebra\tarticle\na3\tMathematics\tarticle\n"},
+        {"r.json": "1c4fef2c012233f220d67a422578a638a6a5f3fb917428df441cfec6b531fc8b",
+         "p.csv": "f558f31ba9f771da8103b5ef09da2651527b94a70ab6a607faaa9ce704ee12bb"},
+    ),
+    "intersect": (
+        ["intersect", "--a", "a.txt", "--b", "b.txt", "--ctop", "ctop.txt",
+         "--percentiles", "5,10,18.4", "--json", "r.json", "--plot-csv", "p.csv"],
+        {"a.txt": "".join(f"{i}\n" for i in range(1, 51)),
+         "b.txt": "".join(f"{i}\n" for i in range(60, 81)),
+         "ctop.txt": "".join(f"{i}\n" for i in range(1, 376))},
+        {"r.json": "20ebc0c0741424d1c5ba37a63d1aea2494c132a252f077c9baf28154299f17a8",
+         "p.csv": "fdf8d189a32b2cfdce40a86368ce50615ad4beb6543be5f5804e310c5cd3a2f0"},
+    ),
+    # a hub, a chain and a triangle, mirrored: total degrees 2, 4 and 16
+    "metrics": (
+        ["metrics", "--edges", "e.tsv", "--undirected", "--plot-csv", "p.csv"],
+        {"e.tsv": "".join(f"h\tn{i}\n" for i in range(7))
+                  + "h\tc0\nc0\tc1\nc1\tc2\nx\ty\ny\tz\nz\tx\n"},
+        {"p.csv": "601d67c59b03cb9bd8b8a958a01d50ad7c1d6cfd00825161b243adffd29c729e"},
+    ),
+    "ba-edges-out": (
+        ["ba", "--nodes", 200, "--m", 3, "--seed", 7, "--edges-out", "e.tsv"],
+        {},
+        {"e.tsv": "83cbc8895502debc0c9a439405e219654aa98e935b254993cef317f0dcd62890"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_OUTPUTS))
+def test_golden_output_bytes(tmp_path, monkeypatch, case):
+    argv, files, digests = GOLDEN_OUTPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)  # relative paths: the report names its inputs as given
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert run(*argv, "--quiet") == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestFit:
