@@ -4,7 +4,8 @@ Formats (all plain text, UTF-8):
 
 - series:    CSV with header ``date,value``; date is ISO ``YYYY-MM`` and
              months must be consecutive (a gap is an error naming the
-             missing month).
+             missing month).  A value is an ASCII float spelling without
+             ``_``.
 - edge_list: TSV ``src<TAB>dst``; node ids are opaque strings interned to
              dense indices in first-appearance order; duplicate arcs are
              dropped with a count.  Loaded with ``undirected=True`` (every
@@ -16,17 +17,17 @@ Formats (all plain text, UTF-8):
              A paper without a field has two columns: an empty third
              column is malformed, like any empty field.  A year is ASCII
              digits.
-- samples:   one positive integer per line.
+- samples:   one positive integer per line, in ASCII digits.
 - id_list:   one paper id per line (order is meaningful for rankings).
 
-The TSV formats and the sample list are parsed by one record reader,
-`_records`: lines end at ``\n`` (``\r\n`` and ``\r`` read as ``\n``), blank
-lines are skipped, every other line must have the format's field count and
-no empty field (an error names the line), and a Dataset's ``rows`` is the
-number of records parsed.  Edge lists and citation files skip it when
-every line is printable-ASCII fields (``!`` to ``~``) around tabs, in the
-format's count, and the file ends in a newline: both give the same arrays,
-and `_records` words every format diagnostic.
+The TSV formats and the sample list are read by one numpy reader, `_table`:
+lines end at ``\n`` (``\r\n`` and ``\r`` read as ``\n``), fields are split at
+tabs and stripped as `str.strip` strips them, blank lines are skipped,
+every other line must have the format's field count and no empty field (an
+error names the line), and a Dataset's ``rows`` is the number of records
+read.  It returns field offsets into the file's bytes and the line of each
+record, so loaders intern fields without making strings and map a graph
+fault to its line.
 Digests canonicalize before hashing: edge lists hash their sorted
 ``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
 writes), citation files their sorted lines, series and rankings hash in
@@ -142,6 +143,8 @@ def load_series_csv(path: str | Path) -> tuple[Dataset, TimeSeries]:
         except ValueError as exc:
             raise DataFormatError(path, no, str(exc)) from None
         try:
+            if not val.isascii() or "_" in val:  # float() also reads 1_0 and full-width digits
+                raise ValueError(val)
             value = float(val)
         except ValueError:
             raise DataFormatError(path, no, f"not a number: {val!r}") from None
@@ -165,58 +168,56 @@ def load_series_csv(path: str | Path) -> tuple[Dataset, TimeSeries]:
     return Dataset("series", str(path), _digest(canonical), len(values)), series
 
 
-def _records(path: str | Path, lines: list[str], n_fields: tuple[int, ...]):
-    """``(line number, stripped fields)`` of every non-blank tab-separated line."""
-    for no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        parts = [p.strip() for p in raw.split("\t")]
-        if len(parts) not in n_fields:
-            want = " or ".join(map(str, n_fields))
-            raise DataFormatError(
-                path, no, f"expected {want} tab-separated fields, got {len(parts)}"
-            )
-        if not all(parts):
-            raise DataFormatError(path, no, f"empty field {parts.index('') + 1}")
-        yield no, parts
+def _table(path: str | Path, n_fields: tuple[int, ...]):
+    """The records of a TSV file: its bytes, the ``(records, k)`` starts and ends
+    in them of each record's first ``k = min(n_fields)`` fields, and each record's line.
 
-
-def _record_line(lines: list[str], row: int) -> int:
-    """The file line of record ``row``: the records are the non-blank lines."""
-    return [no for no, raw in enumerate(lines, start=1) if raw.strip()][row]
-
-
-def _scan(path: str | Path) -> tuple[bytes, np.ndarray, np.ndarray] | None:
-    """The fast path's file bytes, separator offsets and field count of each line.
-
-    None unless every line is non-empty printable-ASCII fields around tabs
-    and the file ends in a newline: `_records` reads any other file.
+    Lines end at ``\\n`` (``\\r\\n`` and ``\\r`` read as ``\\n``) and split at tabs.
+    Each field is stripped as `str.strip` strips it, and lines of whitespace
+    are skipped.  The first other line whose field count is not in
+    ``n_fields``, or that has an empty field, raises a `DataFormatError`; a
+    file that is not UTF-8 raises `UnicodeDecodeError`.
     """
     data = Path(path).read_bytes()
+    if not data.isascii():
+        data.decode()  # rejects a file that is not UTF-8
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
     buf = np.frombuffer(data, np.uint8)
-    seps = np.flatnonzero((buf == TAB) | (buf == NL))
-    printable = np.count_nonzero(buf - np.uint8(0x21) <= 0x7E - 0x21)
-    if not len(buf) or buf[-1] != NL or printable + len(seps) != len(buf):
-        return None
-    if seps[0] == 0 or (np.diff(seps) == 1).any():  # an empty field or a blank line
-        return None
-    return data, seps, np.diff(np.flatnonzero(buf[seps] == NL), prepend=-1)
-
-
-def _fields(path: str | Path, n_fields: tuple[int, ...], scan):
-    """Bytes, and the ``(records, 2)`` starts and ends in them of every record's first two fields.
-
-    Each field is followed by a separator byte in the bytes returned.
-    """
-    if scan is not None and np.isin(scan[2], n_fields).all():
-        data, seps, counts = scan
-        first = np.cumsum(counts) - counts  # each line's first field
-        pick = np.stack([first, first + 1], axis=1)
-        return data, np.concatenate(([0], seps + 1))[pick], seps[pick]
-    records = _records(path, _read_lines(path), n_fields)
-    data = "".join(f"{parts[0]}\n{parts[1]}\n" for _, parts in records).encode()
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == NL)
-    return data, np.concatenate(([0], ends + 1))[:-1].reshape(-1, 2), ends.reshape(-1, 2)
+    seps = np.flatnonzero((buf == TAB) | (buf == NL))  # each field's end
+    line_end = np.flatnonzero(buf[seps] == NL)  # each line's last field
+    counts = np.diff(line_end, prepend=-1)
+    first = line_end - counts + 1  # each line's first field
+    # a field whose last or first byte is not printable ASCII (``!`` to ``~``) is
+    # stripped in Python: such fields are few, and empty ones are among them, as
+    # their bytes read separators (an empty first field reads the final newline)
+    last, head = buf[seps - 1], np.concatenate((buf[:1], buf[1:][seps[:-1]]))
+    odd = np.flatnonzero((last - np.uint8(0x21) > 0x5D) | (head - np.uint8(0x21) > 0x5D))
+    lo, hi = np.where(odd > 0, seps[odd - 1] + 1, 0), seps[odd]
+    for j, text in enumerate(_texts(data, lo, hi)):
+        lo[j] += len(text[: len(text) - len(text.lstrip())].encode())
+        hi[j] = lo[j] + len(text.strip().encode())
+    empty = odd[lo == hi]
+    n_empty = np.bincount(np.searchsorted(line_end, empty), minlength=len(counts))
+    keep = n_empty < counts  # lines of whitespace are skipped
+    wrong = np.logical_and.reduce([counts != n for n in n_fields])
+    faults = np.flatnonzero(keep & ((n_empty > 0) | wrong))
+    if len(faults):
+        line, want = int(faults[0]), " or ".join(map(str, n_fields))
+        message = f"expected {want} tab-separated fields, got {counts[line]}"
+        if counts[line] in n_fields:  # the count is right, so a field is empty
+            message = f"empty field {empty[np.searchsorted(empty, first[line])] - first[line] + 1}"
+        raise DataFormatError(path, line + 1, message)
+    # a full per-field starts array lives only while the records are picked:
+    # held longer, it raised the peak RSS of metrics
+    pick = np.stack([first[keep] + j for j in range(min(n_fields))], axis=1)
+    starts, ends = np.concatenate(([0], seps + 1))[pick], seps[pick]
+    picked = np.isin(odd, pick)  # stripped fields that the records hold
+    at = np.searchsorted(pick.ravel(), odd[picked])
+    starts.flat[at], ends.flat[at] = lo[picked], hi[picked]
+    return data, starts, ends, np.flatnonzero(keep) + 1
 
 
 def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,8 +250,8 @@ def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarr
     return ids[key].reshape(starts.shape), first[order]
 
 
-def _slices(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[bytes]:
-    return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+def _texts(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    return [data[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
@@ -260,11 +261,11 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     line per undirected edge; the input is then recorded as kind
     ``undirected_edge_list`` so reports re-verify with the same mirroring.
     """
-    data, starts, ends = _fields(path, (2,), _scan(path))
+    data, starts, ends = _table(path, (2,))[:3]  # lines unneeded: freed now, for peak RSS
     if not len(starts):
         raise DataFormatError(path, None, "edge list is empty")
     arcs, first = _intern(data, starts, ends)
-    names = _slices(data, starts.flat[first], ends.flat[first])
+    names = [data[s:e] for s, e in zip(starts.flat[first].tolist(), ends.flat[first].tolist())]
     del data, starts, ends
     rows = len(arcs)
     if undirected:
@@ -316,27 +317,26 @@ def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
-    lines = _read_lines(path)
-    triples = [tuple(triple) for _, triple in _records(path, lines, (3,))]
+    data, starts, ends, lines = _table(path, (3,))
+    triples = list(zip(*(_texts(data, starts[:, k], ends[:, k]) for k in range(3))))
     if not triples:
         raise DataFormatError(path, None, "category file is empty")
     try:
         graph = CategoryGraph.from_edges(triples)
     except CategoryError as exc:
-        raise DataFormatError(path, _record_line(lines, exc.row), str(exc)) from None
+        raise DataFormatError(path, int(lines[exc.row]), str(exc)) from None
     canonical = sorted(map("\t".join, triples))
     return Dataset("category", str(path), _digest(canonical), len(triples)), graph
 
 
 def load_samples(path: str | Path) -> tuple[Dataset, np.ndarray]:
+    data, starts, ends, lines = _table(path, (1,))
     values = []
-    for no, (raw,) in _records(path, _read_lines(path), (1,)):
-        try:
-            v = int(raw)
-        except ValueError:
-            raise DataFormatError(path, no, f"not an integer: {raw!r}") from None
+    for no, raw in zip(lines.tolist(), _texts(data, starts[:, 0], ends[:, 0])):
+        # ASCII digits, as int() alone also reads 1_0, +5 and full-width digits
+        v = int(raw) if raw.isascii() and raw.isdigit() and len(raw) < 19 else 0
         if v <= 0:
-            raise DataFormatError(path, no, f"sample must be positive, got {v}")
+            raise DataFormatError(path, no, f"not a positive integer below 10**18: {raw!r}")
         values.append(v)
     if not values:
         raise DataFormatError(path, None, "no samples in file")
@@ -356,9 +356,8 @@ def load_citation(
     nodes_path: str | Path, edges_path: str | Path
 ) -> tuple[tuple[Dataset, Dataset], CitationGraph]:
     """Citation graph from a nodes file and an edges file."""
-    node_scan, edge_scan = _scan(nodes_path), _scan(edges_path)
-    nodes, node_starts, node_ends = _fields(nodes_path, (2, 3), node_scan)
-    edges, starts, ends = _fields(edges_path, (2,), edge_scan)
+    nodes, node_starts, node_ends, node_lines = _table(nodes_path, (2, 3))
+    edges, starts, ends, edge_lines = _table(edges_path, (2,))
     n = len(node_starts)
     # paper ids and citation ends interned together: an id that first
     # appears past the n paper ids is one that no paper has
@@ -366,35 +365,27 @@ def load_citation(
                                np.concatenate([node_starts[:, 0], starts.ravel() + len(nodes)]),
                                np.concatenate([node_ends[:, 0], ends.ravel() + len(nodes)]))
     row = np.where(first_field < n, first_field, -1)[key]  # the paper row of each field's id
-    ids, years = (list(map(bytes.decode, _slices(nodes, node_starts[:, k], node_ends[:, k])))
-                  for k in (0, 1))
+    ids, years = (_texts(nodes, node_starts[:, k], node_ends[:, k]) for k in (0, 1))
     try:
         graph = CitationGraph.from_arrays(
             ids, years, row[:n], row[n:],
             lambda end: edges[starts.flat[end] : ends.flat[end]].decode())
     except PaperError as exc:
-        line = partial(_record_line, _read_lines(nodes_path))
-        first = "" if exc.first is None else f", first on line {line(exc.first)}"
-        raise DataFormatError(nodes_path, line(exc.row), f"{exc}{first}") from None
+        first = "" if exc.first is None else f", first on line {node_lines[exc.first]}"
+        raise DataFormatError(nodes_path, int(node_lines[exc.row]), f"{exc}{first}") from None
     except CitationError as exc:
-        line = _record_line(_read_lines(edges_path), exc.row)
-        raise DataFormatError(edges_path, line, str(exc)) from None
-    ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(nodes_path, node_scan), n)
-    ds_edges = Dataset("citation", str(edges_path), _citation_digest(edges_path, edge_scan),
-                       len(starts))
+        raise DataFormatError(edges_path, int(edge_lines[exc.row]), str(exc)) from None
+    ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(nodes_path), n)
+    ds_edges = Dataset("citation", str(edges_path), _citation_digest(edges_path), len(starts))
     if graph.duplicate_count:
         logger.warning("%s: dropped %d duplicate citations", edges_path, graph.duplicate_count)
     return (ds_nodes, ds_edges), graph
 
 
-def _citation_digest(path: str | Path, scan) -> str:
+def _citation_digest(path: str | Path) -> str:
     # role-independent: sorted non-empty rows, so either citation file can be
     # re-verified without knowing whether it held nodes or edges
-    if scan is None:
-        return _digest(sorted(filter(None, map(str.strip, _read_lines(path)))))
-    rows = scan[0].split(b"\n")[:-1]
-    rows.sort()
-    return hashlib.sha256(b"\n".join(rows) + b"\n").hexdigest()
+    return _digest(sorted(filter(None, map(str.strip, _read_lines(path)))))
 
 
 _LOADERS = {
@@ -478,7 +469,7 @@ def verify_report_inputs(doc: dict) -> None:
     for name, meta in doc.get("inputs", {}).items():
         path = Path(meta["path"])
         if meta["kind"] == "citation":
-            fresh = _citation_digest(path, _scan(path))
+            fresh = _citation_digest(path)
         else:
             fresh = _LOADERS[meta["kind"]](path)[0].digest
         if fresh != meta["digest"]:

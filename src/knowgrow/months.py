@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import re
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")  # ASCII digits, matched whole
 
 
 def parse_month(month: str) -> tuple[int, int]:
     """Parse ``YYYY-MM`` into (year, month), validating the month number."""
-    m = _MONTH_RE.match(month)
+    m = _MONTH_RE.fullmatch(month)
     if not m:
         raise ValueError(f"not an ISO year-month (expected YYYY-MM): {month!r}")
     year, mon = int(m.group(1)), int(m.group(2))

@@ -6,8 +6,9 @@ decimal exponential integral, deque-based BFS,
 per-focal set enumeration for disruption scores, level-by-level closure
 for category counting, neighbour-pair enumeration for clustering,
 mutual reachability for strong components, a joint trust-region
-least-squares refinement over every growth-law parameter at once, and an
-exhaustive profile fit of both segments at every split of a series.
+least-squares refinement over every growth-law parameter at once, an
+exhaustive profile fit of both segments at every split of a series, and a
+line-by-line ``str`` reader of tab-separated files.
 """
 from __future__ import annotations
 
@@ -322,3 +323,29 @@ def exhaustive_segment_break(series, early_family: str, late_family: str):
         break_index=b, break_month=series.month_at(b), early_fit=early,
         late_fit=late, contrast=contrast, low_contrast=low,
     )
+
+
+def tsv_records(path, n_fields: tuple[int, ...]) -> list[tuple[int, list[str]]]:
+    """``(line number, stripped fields)`` of every non-blank tab-separated line.
+
+    The file is read as UTF-8 text with universal newlines; a line of the
+    wrong field count or with an empty field raises ``DataFormatError``.
+    """
+    from knowgrow.dataio import DataFormatError
+
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    records = []
+    for no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        parts = [p.strip() for p in raw.split("\t")]
+        if len(parts) not in n_fields:
+            want = " or ".join(map(str, n_fields))
+            raise DataFormatError(
+                path, no, f"expected {want} tab-separated fields, got {len(parts)}"
+            )
+        if not all(parts):
+            raise DataFormatError(path, no, f"empty field {parts.index('') + 1}")
+        records.append((no, parts))
+    return records

@@ -29,6 +29,9 @@ from knowgrow.dataio import (
 )
 from knowgrow.fitting import FitResult, fit
 from knowgrow.graph_metrics import SnapshotGraph
+from knowgrow.months import parse_month
+
+from _oracles import tsv_records
 
 
 def write(path, text):
@@ -68,6 +71,21 @@ class TestSeriesLoader:
         p = write(tmp_path / "s.csv", f"date,value\n2020-01,10\n2020-02,{value}\n")
         with pytest.raises(DataFormatError, match=r"s\.csv:3: value must be finite"):
             load_series_csv(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2020-02,1_000", "not a number: '1_000'"),
+        ("2020-02,１２", "not a number: '１２'"),
+        ("２０２０-02,12", "not an ISO year-month"),
+    ])
+    def test_only_ascii_spellings_load(self, tmp_path, row, message):
+        p = write(tmp_path / "s.csv", f"date,value\n2020-01,10\n{row}\n")
+        with pytest.raises(DataFormatError, match=r"s\.csv:3: " + re.escape(message)):
+            load_series_csv(p)
+
+    @pytest.mark.parametrize("month", ["２０２０-01", "2020-01\n"])
+    def test_a_month_is_ascii_digits_alone(self, month):
+        with pytest.raises(ValueError, match="not an ISO year-month"):
+            parse_month(month)
 
     def test_order_sensitive_digest(self, tmp_path):
         a = write(tmp_path / "a.csv", "date,value\n2020-01,10\n2020-02,11\n")
@@ -157,6 +175,13 @@ class TestOtherLoaders:
         bad = write(tmp_path / "bad.txt", "5\n-1\n")
         with pytest.raises(DataFormatError, match=r"bad\.txt:2"):
             load_samples(bad)
+
+    @pytest.mark.parametrize("raw", ["1_0", "+5", "５", "0", "-1", "1e3", "9" * 19])
+    def test_a_sample_is_ascii_digits(self, tmp_path, raw):
+        p = write(tmp_path / "k.txt", f"5\n\n{raw}\n")
+        where = r"k\.txt:3: not a positive integer below 10\*\*18: "
+        with pytest.raises(DataFormatError, match=where + re.escape(repr(raw))):
+            load_samples(p)
 
     def test_id_list_preserves_order(self, tmp_path):
         p = write(tmp_path / "ids.txt", "z9\na1\nm5\n")
@@ -267,6 +292,19 @@ class TestGoldenDigests:
             "3132b6698d1ac86f53a5e0277b17d81fba17a1205fafb67c5d2e17fdb2dee559"
         )
 
+    def test_category_crlf_blank_line_spaces_and_accents(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_bytes("Computer science\tScience\tcategory\r\n\r\n"
+                      "Café culture\tComputer science\tcategory\r\n"
+                      " Ada Lovelace \tComputer science\tarticle\r\n"
+                      "École\tCafé culture\tarticle\r\n".encode())
+        ds, g = load_category_tsv(p)
+        assert (ds.digest, ds.rows) == (
+            "798672c8779e21759d9a7665d5944e6d031a580bcf38d705dc36a34730cc124d", 4)
+        assert g.names == ["Computer science", "Science", "Café culture", "Ada Lovelace", "École"]
+        assert g.is_category.tolist() == [True, True, True, False, False]
+        assert (g.up.indptr.tolist(), g.up.indices.tolist()) == ([0, 1, 1, 2, 3, 4], [1, 0, 0, 2])
+
     def test_samples(self, tmp_path):
         p = write(tmp_path / "k.txt", "5\n10\n\n4\n")
         assert load_samples(p)[0].digest == (
@@ -287,8 +325,8 @@ class TestGoldenDigests:
         assert dse.digest == "a282b8f844e1e4be301185e4720d310311a48fd7fa4a2f052eaa47c6866298e4"
 
 
-class TestFastPathAndFallback:
-    """Files the byte reader takes and files `_records` reads give the same results."""
+class TestLfAndCrlfFilesAgree:
+    """Files with LF and with CRLF line ends load alike, and odd files load as before."""
 
     # prefixes, and lengths in several of the interning's size classes
     LABELS = (st.text(alphabet="!0ab~", min_size=1, max_size=12)
@@ -296,26 +334,23 @@ class TestFastPathAndFallback:
 
     @staticmethod
     def write_both(tmp_path, name, rows):
-        """``rows`` once with LF line ends (fast path) and once with CRLF (fallback)."""
+        """``rows`` once with LF line ends and once with CRLF."""
         text = "".join("\t".join(map(str, row)) + "\n" for row in rows)
-        fast, slow = tmp_path / f"fast-{name}", tmp_path / f"slow-{name}"
-        fast.write_bytes(text.encode())
-        slow.write_bytes(text.replace("\n", "\r\n").encode())
-        if rows:
-            assert dataio._scan(fast) is not None
-        assert dataio._scan(slow) is None
-        return fast, slow
+        lf, crlf = tmp_path / f"lf-{name}", tmp_path / f"crlf-{name}"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        return lf, crlf
 
     @given(st.lists(st.tuples(LABELS, LABELS), max_size=40), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_edge_lists_agree(self, tmp_path_factory, arcs, undirected):
-        fast, slow = self.write_both(tmp_path_factory.mktemp("e"), "e.tsv", arcs)
+        lf, crlf = self.write_both(tmp_path_factory.mktemp("e"), "e.tsv", arcs)
         if not arcs:
-            for path in (fast, slow):
+            for path in (lf, crlf):
                 with pytest.raises(DataFormatError, match="edge list is empty"):
                     load_edge_list(path, undirected)
             return
-        (ds1, g1), (ds2, g2) = (load_edge_list(p, undirected) for p in (fast, slow))
+        (ds1, g1), (ds2, g2) = (load_edge_list(p, undirected) for p in (lf, crlf))
         assert g1.labels == g2.labels == list(dict.fromkeys(x for arc in arcs for x in arc))
         assert g1.src.tolist() == g2.src.tolist() and g1.dst.tolist() == g2.dst.tolist()
         assert (ds1.rows, ds1.digest) == (ds2.rows, ds2.digest)
@@ -371,16 +406,15 @@ class TestFastPathAndFallback:
          ["a\x00", "b", "a"]),
     ], ids=["crlf", "blank-line", "trailing-space", "no-final-newline", "non-ascii",
             "byte-below-tab", "trailing-nul"])
-    def test_fallback_edge_lists_load_as_before(self, tmp_path, data, digests, labels):
+    def test_odd_edge_lists_load_as_before(self, tmp_path, data, digests, labels):
         p = tmp_path / "e.tsv"
         p.write_bytes(data)
-        assert dataio._scan(p) is None
         ds, g = load_edge_list(p)
         assert (ds.digest, ds.rows, g.labels) == (digests[0], 2, labels)
         assert load_edge_list(p, undirected=True)[0].digest == digests[1]
 
     # ids that differ only in their last byte, at the edges of the size classes,
-    # and (falling back) ones that differ only in trailing NULs
+    # and ones that differ only in trailing NULs
     ALIKE = [stem + end for k in (1, 7, 8, 9, 15, 16, 17, 300)
              for stem in ["x" * (k - 1)] for end in "01yz"]
 
@@ -406,7 +440,7 @@ class TestFastPathAndFallback:
         # \x0c is no line break: the file has two lines
         (b"a\tb\x0c\nc\td\te\n", r"e\.tsv:2: expected 2 tab-separated fields, got 3"),
     ], ids=["three-fields", "empty-field", "form-feed"])
-    def test_fallback_edge_list_faults_name_their_line(self, tmp_path, data, where):
+    def test_odd_edge_list_faults_name_their_line(self, tmp_path, data, where):
         p = tmp_path / "e.tsv"
         p.write_bytes(data)
         with pytest.raises(DataFormatError, match=where):
@@ -423,7 +457,7 @@ class TestFastPathAndFallback:
             "9c7d1b55cb86824776c93e1575b935b3507ace4c3d07d7c80d71a5dcdacab0e1",
             "b19aebadae31b85e98b3a8adedc9ec8b497e522b99cf44455b10bf31d6fdeef8")),
     ], ids=["crlf", "non-ascii", "spaces-and-blank-line"])
-    def test_fallback_citation_pairs_load_as_before(self, tmp_path, nodes, edges, digests):
+    def test_odd_citation_pairs_load_as_before(self, tmp_path, nodes, edges, digests):
         (tmp_path / "n.tsv").write_bytes(nodes)
         (tmp_path / "e.tsv").write_bytes(edges)
         (dsn, dse), g = load_citation(tmp_path / "n.tsv", tmp_path / "e.tsv")
@@ -437,6 +471,49 @@ class TestFastPathAndFallback:
         where = r"n\.tsv:2: not a year: " + re.escape(repr(year))
         with pytest.raises(DataFormatError, match=where):
             load_citation(nodes, edges)
+
+
+class TestTableReader:
+    """`dataio._table` reads every file as the line-by-line oracle does."""
+
+    # every character str.strip removes below U+3001 (line ends among them),
+    # CRLF, and characters it keeps: NUL, \x01, a BOM, a zero-width space
+    PIECES = ["a", "bc", "é", "\t", "\t", "\n", "\n", "\r\n", "\x00", "\x01", "\ufeff",
+              "\u200b", *(c for c in map(chr, range(0x3001)) if c.isspace())]
+    FIELD = st.lists(st.sampled_from(["ab"] * 20 + [c for c in PIECES if c not in "\t\n\r\n"]),
+                     max_size=4).map("".join)
+    LINE = st.tuples(st.lists(FIELD, min_size=1, max_size=4).map("\t".join),
+                     st.sampled_from(["\n", "\r\n", "\r", ""])).map("".join)
+    # free mixes of the pieces, and files of lines of one to four fields
+    TEXT = (st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
+            | st.lists(LINE, max_size=8).map("".join))
+    NOT_UTF8 = [b""] * 6 + [b"\xff", b"\xe2\x80", b"\xed\xa0\x80"]
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return read()
+        except DataFormatError as exc:
+            return str(exc)
+        except UnicodeDecodeError:
+            return UnicodeDecodeError
+
+    @staticmethod
+    def table(path, n_fields):
+        data, starts, ends, lines = dataio._table(path, n_fields)
+        return [(no, [data[s:e].decode() for s, e in zip(srow, erow)])
+                for no, srow, erow in zip(lines.tolist(), starts.tolist(), ends.tolist())]
+
+    @given(TEXT, st.sampled_from(NOT_UTF8), st.integers(0, 80),
+           st.sampled_from([(1,), (2,), (2, 3), (3,)]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_reader(self, tmp_path_factory, text, bad, at, n_fields):
+        text = text.encode()
+        path = tmp_path_factory.mktemp("t") / "t.tsv"
+        path.write_bytes(text[:at] + bad + text[at:])
+        k = min(n_fields)
+        want = self.outcome(lambda: [(no, parts[:k]) for no, parts in tsv_records(path, n_fields)])
+        assert self.outcome(lambda: self.table(path, n_fields)) == want
 
 
 class TestReports:
