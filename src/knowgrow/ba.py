@@ -5,8 +5,9 @@ to m distinct existing nodes with probability proportional to degree,
 sampled O(1) per draw from an urn of edge endpoints.  The urn is the edge
 list itself, one flat list of edge ends in arrival order.  Duplicate
 targets are rejected and redrawn.  The result is exposed as a directed
-:class:`~knowgrow.graph_metrics.SnapshotGraph` with symmetric arcs so the
-one metrics engine serves both real and simulated snapshots.
+:class:`~knowgrow.graph_metrics.SnapshotGraph` with mirrored arcs, recorded
+as symmetric, so the one metrics engine serves both real and simulated
+snapshots.
 
 ``theory`` supplies the closed-form reference column for such graphs
 (density m/n, diameter ln N/ln ln N, clustering (ln N)^2/N, degree law
@@ -69,9 +70,11 @@ def generate(params: BAParams) -> SnapshotGraph:
             urn += (u, v)
 
     ends = np.array(urn, np.int64)
+    del urn
     src, dst = ends[0::2], ends[1::2]
-    # arcs are simple and loop-free by construction: skip from_edges' dedup
-    return SnapshotGraph(n=n, src=np.concatenate([src, dst]), dst=np.concatenate([dst, src]))
+    # arcs are simple, loop-free and mirrored by construction: skip from_edges' dedup
+    return SnapshotGraph(n=n, src=np.concatenate([src, dst]), dst=np.concatenate([dst, src]),
+                         symmetric=True)
 
 
 @dataclass(frozen=True)

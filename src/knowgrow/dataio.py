@@ -199,8 +199,10 @@ def _table(path: str | Path, n_fields: tuple[int, ...]):
     for j, text in enumerate(_texts(data, lo, hi)):
         lo[j] += len(text[: len(text) - len(text.lstrip())].encode())
         hi[j] = lo[j] + len(text.strip().encode())
-    empty = odd[lo == hi]
-    n_empty = np.bincount(np.searchsorted(line_end, empty), minlength=len(counts))
+    odd_line = np.searchsorted(line_end, odd)  # the line of each stripped field
+    blank = lo == hi
+    empty = odd[blank]
+    n_empty = np.bincount(odd_line[blank], minlength=len(counts))
     keep = n_empty < counts  # lines of whitespace are skipped
     wrong = np.logical_and.reduce([counts != n for n in n_fields])
     faults = np.flatnonzero(keep & ((n_empty > 0) | wrong))
@@ -210,72 +212,126 @@ def _table(path: str | Path, n_fields: tuple[int, ...]):
         if counts[line] in n_fields:  # the count is right, so a field is empty
             message = f"empty field {empty[np.searchsorted(empty, first[line])] - first[line] + 1}"
         raise DataFormatError(path, line + 1, message)
-    # a full per-field starts array lives only while the records are picked:
-    # held longer, it raised the peak RSS of metrics
-    pick = np.stack([first[keep] + j for j in range(min(n_fields))], axis=1)
-    starts, ends = np.concatenate(([0], seps + 1))[pick], seps[pick]
-    picked = np.isin(odd, pick)  # stripped fields that the records hold
-    at = np.searchsorted(pick.ravel(), odd[picked])
-    starts.flat[at], ends.flat[at] = lo[picked], hi[picked]
-    return data, starts, ends, np.flatnonzero(keep) + 1
+    del line_end, counts, n_empty, wrong
+    # the records' fields are picked from the separators, and a field starts
+    # past the one before it: a full per-field starts array raised the peak RSS
+    k = min(n_fields)
+    records = np.flatnonzero(keep)
+    pick = first[records][:, None] + np.arange(k)
+    ends = seps[pick]
+    pick -= 1
+    starts = seps[pick]
+    starts += 1
+    starts[pick < 0] = 0
+    del pick, seps
+    place = odd - first[odd_line]  # each stripped field's place in its line
+    held = keep[odd_line] & (place < k)
+    at = np.searchsorted(records, odd_line[held]), place[held]
+    starts[at], ends[at] = lo[held], hi[held]
+    return data, starts, ends, records + 1
+
+
+def _cells(buf: np.ndarray, starts: np.ndarray, width: np.ndarray, size: int, end: int):
+    """The ``(fields, size)`` table of the fields ``buf[starts:starts + width]``,
+    each followed by the byte ``end`` and then zeros.
+
+    ``buf`` must hold ``size`` bytes from every start on.  The bytes past each
+    field are cleared one column at a time, so no ``(fields, size)`` mask is built.
+    """
+    cells = sliding_window_view(buf, size)[starts]
+    for j in range(size):
+        column = cells[:, j]
+        column[width == j] = end
+        column[width < j] = 0
+    return cells
+
+
+def _size_classes(width: np.ndarray):
+    """``(size, members)`` of each nonempty class of fields ``width`` bytes long:
+    a class holds the fields below ``size = 2**c`` bytes (at least 8), and no
+    shorter class holds them, so each field and one more byte fit its class."""
+    top = max(3, int(width.max(initial=0)).bit_length())
+    for c in range(3, top + 1):
+        lo = 0 if c == 3 else 1 << (c - 1)
+        member = np.flatnonzero((width >= lo) & (width < 1 << c))
+        if len(member):
+            yield 1 << c, member
 
 
 def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the fields ``data[starts:ends]`` in first-appearance order, and each id's first field.
+    """Int32 ids of the fields ``data[starts:ends]`` in first-appearance order,
+    and each id's first field.
 
-    Fields are compared in classes of like length (below ``2**c`` bytes, at
-    least 8), so a long field widens only its own class.
+    Fields are compared in classes of like length (`_size_classes`), so a
+    long field widens only its own class.
     """
-    size = (ends - starts).ravel()
-    size_class = np.maximum(np.frexp(size)[1], 3)
-    buf = np.frombuffer(data, np.uint8)
-    buf = np.concatenate([buf, np.zeros(1 << int(size_class.max(initial=3)), np.uint8)])
-    key, firsts = np.empty(size.size, np.int64), []
-    for c in np.unique(size_class).tolist():
-        member = np.flatnonzero(size_class == c)
-        width = size[member]
-        cells = sliding_window_view(buf, 1 << c)[starts.ravel()[member]]
-        cells *= np.arange(1 << c) < width[:, None]  # each field's own bytes,
-        cells[np.arange(len(member)), width] = 1  # ended by a 1 so that trailing NULs count
-        cells = cells.view(">u8" if c == 3 else f"S{1 << c}").ravel()  # one word sorts as an int
+    shape, starts = starts.shape, starts.ravel()
+    width = np.subtract(ends.ravel(), starts, dtype=np.int32)
+    pad = 1 << max(3, int(width.max(initial=0)).bit_length())
+    buf = np.concatenate([np.frombuffer(data, np.uint8), np.zeros(pad, np.uint8)])
+    key, firsts, count = np.empty(len(width), np.int32), [], 0
+    for size, member in _size_classes(width):
+        # each field ended by a 1, so that trailing NULs count
+        cells = _cells(buf, starts[member], width[member], size, 1)
+        cells = cells.view(">u8" if size == 8 else f"S{size}").ravel()  # one word sorts as an int
         order = np.argsort(cells)
         cells = cells[order]
-        new = np.concatenate(([True], cells[1:] != cells[:-1]))
-        key[member[order]] = np.cumsum(new) - 1 + sum(map(len, firsts))
+        new = np.ones(len(cells), bool)
+        np.not_equal(cells[1:], cells[:-1], out=new[1:])
+        del cells
+        ids = np.cumsum(new, dtype=np.int32)
+        ids += count - 1
+        key[member[order]] = ids
+        del ids
         firsts.append(member[np.minimum.reduceat(order, np.flatnonzero(new))])
+        count += len(firsts[-1])
+    del buf, width
     first = np.concatenate(firsts or [np.empty(0, np.int64)])
     order = np.argsort(first)
-    ids = np.empty_like(order)
-    ids[order] = np.arange(len(order))
-    return ids[key].reshape(starts.shape), first[order]
+    ids = np.empty(len(order), np.int32)
+    ids[order] = np.arange(len(order), dtype=np.int32)
+    return np.take(ids, key, out=key).reshape(shape), first[order]
+
+
+def _column(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The bytes of the (at least one) fields ``data[starts:ends]``, each followed by a TAB."""
+    size = ends - starts + 1  # each field and the byte after it
+    at = np.cumsum(size)
+    column = np.frombuffer(data, np.uint8)[np.repeat(starts - at + size, size) + np.arange(at[-1])]
+    column[at - 1] = TAB
+    return column
 
 
 def _texts(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    return [data[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
+    """The fields ``data[starts:ends]``, decoded."""
+    if not len(starts):
+        return []
+    return _column(data, starts, ends).tobytes().decode().split("\t")[:-1]
 
 
 def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
     """Edge list TSV -> SnapshotGraph with labels interned in file order.
 
     ``undirected=True`` mirrors every arc, for edge lists that store one
-    line per undirected edge; the input is then recorded as kind
-    ``undirected_edge_list`` so reports re-verify with the same mirroring.
+    line per undirected edge, and the graph records that it is symmetric;
+    the input is then recorded as kind ``undirected_edge_list`` so reports
+    re-verify with the same mirroring.
     """
     data, starts, ends = _table(path, (2,))[:3]  # lines unneeded: freed now, for peak RSS
     if not len(starts):
         raise DataFormatError(path, None, "edge list is empty")
     arcs, first = _intern(data, starts, ends)
-    names = [data[s:e] for s, e in zip(starts.flat[first].tolist(), ends.flat[first].tolist())]
-    del data, starts, ends
+    starts, ends = starts.flat[first], ends.flat[first]
+    names = _column(data, starts, ends)
+    width = ends - starts
+    del data, starts, ends, first
+    labels = names.tobytes().decode().split("\t")[:-1]
+    graph = SnapshotGraph.from_edges(arcs, n=len(labels), labels=labels, mirror=undirected)
     rows = len(arcs)
-    if undirected:
-        arcs = np.concatenate([arcs, arcs[:, ::-1]])
-    labels = list(map(bytes.decode, names))
-    graph = SnapshotGraph.from_edges(arcs, n=len(labels), labels=labels)
     del arcs  # freed before the digest rows are written
     kind = "undirected_edge_list" if undirected else "edge_list"
     digest = hashlib.sha256()
-    for block in _arc_rows(names, graph.src, graph.dst):
+    for block in _arc_rows(names, width, graph.src, graph.dst):
         digest.update(block)
     ds = Dataset(kind, str(path), digest.hexdigest(), rows)
     if graph.duplicate_count:
@@ -283,37 +339,90 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     return ds, graph
 
 
-def _arc_rows(names: list[bytes], src: np.ndarray, dst: np.ndarray):
-    """Blocks of the sorted ``src<TAB>dst`` rows, each ended by a newline."""
-    n = len(names)
-    heads = [name + b"\t" for name in names]  # a source sorts as in its row: "a\x01\tb" < "a\tc"
-    by_head = sorted(range(n), key=heads.__getitem__)
-    by_name = by_head  # the same order unless a name holds a byte below TAB
-    if np.frombuffer(b"".join(names), np.uint8).min(initial=TAB) < TAB:
-        by_name = sorted(range(n), key=names.__getitem__)
-    rank_src, rank_dst = np.empty(n, np.int64), np.empty(n, np.int64)
-    rank_src[by_head] = rank_dst[by_name] = np.arange(n)
-    cells = [heads[i] for i in by_head] + [names[i] + b"\n" for i in by_name]
-    blob = np.frombuffer(b"".join(cells), np.uint8)
-    size = np.fromiter(map(len, cells), np.int64, 2 * n)
-    start = np.cumsum(size) - size
+def _sorted_ranks(tables: list[np.ndarray], members: list[np.ndarray], width: np.ndarray,
+                  n: int) -> np.ndarray:
+    """Rank of each name among all ``n`` in the order Python sorts the byte
+    strings that the tables hold.
+
+    Each table holds its class's strings, zero padded; numpy compares such
+    cells with the padding, so a class sorts by its cells and then by
+    ``width``.  Two classes compare at the narrower one's width, where the
+    wider string's cut sorts after each string it equals: that string is its prefix.
+    """
+    keys = [t.view(f"S{t.shape[1]}").ravel() for t in tables]
+    orders = [np.lexsort((width[m], k)) for m, k in zip(members, keys)]
+    keys = [k[o] for k, o in zip(keys, orders)]
+    rank = np.empty(n, np.int64)
+    for member, order in zip(members, orders):
+        rank[member[order]] = np.arange(len(order))
+    for c, wide in enumerate(tables):
+        for c2 in range(c):  # the narrower classes
+            cut = np.ascontiguousarray(wide[orders[c], : tables[c2].shape[1]])
+            cut = cut.view(keys[c2].dtype).ravel()
+            rank[members[c][orders[c]]] += np.searchsorted(keys[c2], cut, side="right")
+            rank[members[c2][orders[c2]]] += np.searchsorted(cut, keys[c2], side="left")
+    return rank
+
+
+def _arc_rows(names: np.ndarray, width: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Blocks of the sorted ``src<TAB>dst`` rows, each ended by a newline.
+
+    Name ``i`` is ``width[i]`` bytes of ``names``, which holds each name followed
+    by a TAB.  Each row is gathered from tables of fixed-width cells, one
+    per size class, and compacted with a width mask.
+    """
+    n = len(width)
+    buf = np.concatenate([names, np.zeros(8 + 2 * int(width.max(initial=0)), np.uint8)])
+    at = np.cumsum(width + 1) - (width + 1)
+    tables, members = [], []
+    cls, row = np.empty(n, np.int8), np.empty(n, np.int64)
+    for size, member in _size_classes(width):
+        cls[member], row[member] = len(tables), np.arange(len(member))
+        tables.append(_cells(buf, at[member], width[member], size, TAB))  # the head cells
+        members.append(member)
+    del buf, at
+    # a source sorts as in its row: "a\x01\tb" < "a\tc"; the names sort alone
+    rank_src = _sorted_ranks(tables, members, width + 1, n)
+    rank_dst = rank_src  # the same order unless a name holds a byte below TAB
+    if n and names.min() < TAB:
+        bare = [t.copy() for t in tables]
+        for t, m in zip(bare, members):
+            t[np.arange(len(m)), width[m]] = 0
+        rank_dst = _sorted_ranks(bare, members, width, n)
+        del bare
     codes = rank_src[src]
     codes *= n
     codes += rank_dst[dst]
     codes.sort()
+    by_src, by_dst = np.empty(n, np.int64), np.empty(n, np.int64)
+    by_src[rank_src], by_dst[rank_dst] = np.arange(n), np.arange(n)
+    del rank_src, rank_dst
     for lo in range(0, len(codes), 1 << 12):
         s, d = np.divmod(codes[lo : lo + (1 << 12)], n)
-        cell = np.stack([s, d + n], axis=1).ravel()  # each row is a head cell and a tail cell
-        width = size[cell]
-        at = np.repeat(start[cell] - (np.cumsum(width) - width), width)
-        yield blob[at + np.arange(len(at))].tobytes()
+        ids = np.stack([by_src[s], by_dst[d]], axis=1).ravel()  # a head and a tail cell a row
+        size = width[ids] + 1
+        parts = []  # each class's cells, in row order
+        for table in tables:
+            pick = np.flatnonzero(cls[ids] == len(parts))
+            cells = np.take(table, row[ids[pick]], axis=0)
+            tail = np.flatnonzero(pick % 2)
+            cells.reshape(-1)[tail * table.shape[1] + size[pick[tail]] - 1] = NL
+            parts.append(cells[np.arange(table.shape[1]) < size[pick, None]])
+        if len(parts) > 1:  # placed by the class of each byte
+            out, of = np.empty(int(size.sum()), np.uint8), np.repeat(cls[ids], size)
+            for c, part in enumerate(parts):
+                out[of == c] = part
+            parts = [out]
+        yield parts[0].tobytes()
 
 
 def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
     """Serialize to the canonical sorted TSV form (stable across reloads)."""
     labels = graph.labels if graph.labels is not None else map(str, range(graph.n))
     names = [label.encode() for label in labels]
-    _atomic_write(path, b"".join(_arc_rows(names, graph.src, graph.dst)) or b"\n")
+    width = np.fromiter(map(len, names), np.int64, len(names))
+    column = np.frombuffer(b"".join(name + b"\t" for name in names), np.uint8)
+    _atomic_write(path, b"".join(_arc_rows(column, width, graph.src, graph.dst)) or b"\n")
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:

@@ -12,6 +12,12 @@ Both distance metrics read one seeded traversal: a histogram of distances
 from the sampled sources (every node when exhaustive), computed once per
 graph by a bit-parallel multi-source BFS that sweeps the sources a bounded
 number of 64-bit words at a time, in O(n + arcs) memory.
+
+A graph built from mirrored arcs records that it is ``symmetric``:
+``from_edges(..., mirror=True)`` (the ``--undirected`` edge-list loader) and
+``ba.generate``.  Its out-adjacency is then also its in-adjacency and its
+undirected projection, so the BFS and the clustering coefficient reuse
+``out_csr()`` instead of building a transpose or ``out.maximum(out.T)``.
 """
 from __future__ import annotations
 
@@ -34,7 +40,6 @@ __all__ = [
     "mean_degree",
     "degree_entropy",
     "normalized_structural_entropy",
-    "entropy_reference_curve",
     "effective_diameter",
     "avg_shortest_path",
     "clustering_coefficient",
@@ -53,7 +58,8 @@ class SnapshotGraph:
 
     Arcs are deduplicated and self-loops are dropped from the adjacency at
     construction; both removals are counted and reported.  All metric
-    edge counts therefore refer to the cleaned arc set.
+    edge counts therefore refer to the cleaned arc set.  ``symmetric``
+    records that every arc's reverse is an arc too.
     """
 
     n: int
@@ -62,6 +68,7 @@ class SnapshotGraph:
     labels: list[str] | None = None
     self_loop_count: int = 0
     duplicate_count: int = 0
+    symmetric: bool = False
     _out: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
     _distances: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -71,25 +78,40 @@ class SnapshotGraph:
         edges: np.ndarray | list[tuple[int, int]],
         n: int | None = None,
         labels: list[str] | None = None,
+        mirror: bool = False,
     ) -> "SnapshotGraph":
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        """Graph of the ``(src, dst)`` rows; ``mirror=True`` adds every row's
+        reverse arc too, and records the graph as symmetric."""
+        arr = np.asarray(edges).reshape(-1, 2)
         if n is None:
             n = int(arr.max()) + 1 if arr.size else 1
         if n < 1:
             raise ValueError("graph needs at least one node")
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError(f"edge endpoint outside [0, {n})")
-        loops = arr[:, 0] == arr[:, 1]
-        self_loops = int(np.count_nonzero(loops))
-        codes = np.sort((arr[:, 0] * n + arr[:, 1])[~loops])  # sorted by (src, dst)
-        codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0: keeps the first
+        keep = arr[:, 0] != arr[:, 1]
+        self_loops = (len(arr) - int(np.count_nonzero(keep))) * (1 + mirror)
+        src, dst = arr[keep, 0].astype(np.int64), arr[keep, 1].astype(np.int64)
+        codes = src * n + dst
+        if mirror:
+            codes = np.concatenate([codes, dst * n + src])
+        del keep, src, dst
+        codes.sort()  # by (src, dst)
+        first = np.ones(len(codes), bool)
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        codes = codes[first]
+        del first
+        index = np.int32 if n < 2**31 else np.int64  # held for the graph's life
+        dst = (codes % n).astype(index)
+        codes //= n
         return cls(
             n=n,
-            src=codes // n,
-            dst=codes % n,
+            src=codes.astype(index),
+            dst=dst,
             labels=labels,
             self_loop_count=self_loops,
-            duplicate_count=len(arr) - self_loops - len(codes),
+            duplicate_count=len(arr) * (1 + mirror) - self_loops - len(dst),
+            symmetric=mirror,
         )
 
     @property
@@ -98,10 +120,7 @@ class SnapshotGraph:
 
     def out_csr(self) -> sparse.csr_matrix:
         if self._out is None:
-            from scipy import sparse
-
-            data = np.ones(len(self.src), dtype=np.int8)
-            self._out = sparse.csr_matrix((data, (self.src, self.dst)), shape=(self.n, self.n))
+            self._out = _csr(self.src, self.dst, self.n, np.int8)
         return self._out
 
     def degrees(self, direction: str = "total") -> np.ndarray:
@@ -118,7 +137,19 @@ class SnapshotGraph:
     def undirected_csr(self) -> sparse.csr_matrix:
         """Symmetric 0/1 adjacency of the undirected projection."""
         out = self.out_csr()
-        return out.maximum(out.T)
+        return out if self.symmetric else out.maximum(out.T)
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int, dtype) -> sparse.csr_matrix:
+    """Canonical n x n CSR matrix of the distinct ``(rows, cols)`` pairs, each entry 1."""
+    from scipy import sparse
+
+    codes = rows * np.int64(n) + cols
+    codes.sort()
+    index = np.int32 if max(n, len(codes)) < 2**31 else np.int64
+    indptr = np.searchsorted(codes, np.arange(n + 1) * np.int64(n)).astype(index)
+    indices = np.remainder(codes, n, out=codes).astype(index)
+    return sparse.csr_matrix((np.ones(len(codes), dtype), indices, indptr), shape=(n, n))
 
 
 def density(g: SnapshotGraph) -> float:
@@ -146,21 +177,6 @@ def normalized_structural_entropy(g: SnapshotGraph, direction: str = "total") ->
     if g.n < 2:
         raise ValueError("normalized entropy needs at least 2 nodes")
     return degree_entropy(g, direction) / math.log(g.n)
-
-
-def entropy_reference_curve(n: float, a: float, c: float, x: float) -> float:
-    """Reference entropy trend (a/c^2) * x * (ln(N)^2 - 2 ln(N) + 2).
-
-    The three shape constants are caller-supplied; this is a plotting aid
-    for comparing measured entropies against a log-squared trend, so N may
-    be any real >= 2.
-    """
-    if n < 2:
-        raise ValueError("reference curve defined for N >= 2")
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    ln = math.log(n)
-    return (a / c**2) * x * (ln * ln - 2.0 * ln + 2.0)
 
 
 # one dense BFS level of a sweep holds about this many values
@@ -193,7 +209,7 @@ def _distance_histogram(g: SnapshotGraph, sources: int, seed: int) -> np.ndarray
             rng = np.random.default_rng(seed)
             chosen = np.sort(rng.choice(g.n, size=sources, replace=False))
         out = g.out_csr()
-        inn = out.T.tocsr()
+        inn = out if g.symmetric else out.T.tocsr()
         words = min(-(-len(chosen) // 64), max(1, BLOCK_VALUES // (g.n + g.arc_count)))
         hist = np.zeros(g.n, dtype=np.int64)
         for lo in range(0, len(chosen), 64 * words):
@@ -212,6 +228,10 @@ def _distance_histogram(g: SnapshotGraph, sources: int, seed: int) -> np.ndarray
 # on 2 vCPUs, on scale-free and strip graphs of 6e4-1e5 nodes).
 TOP_DOWN_SHARE = 0.2
 
+# a bottom-up level ORs its in-rows in blocks that gather at most this many
+# words (one in-row longer than that is a block of its own)
+BOTTOM_UP_VALUES = 1 << 16
+
 
 def _bfs_sweep(
     out: sparse.csr_matrix, inn: sparse.csr_matrix, chosen: np.ndarray, hist: np.ndarray
@@ -228,7 +248,11 @@ def _bfs_sweep(
     words = -(-len(chosen) // 64)
     outdeg = np.diff(out.indptr)
     in_rows = np.flatnonzero(np.diff(inn.indptr))  # reduceat copies, not zeroes, empty rows
-    in_starts = inn.indptr[in_rows]
+    in_starts = np.append(inn.indptr[in_rows], inn.nnz)
+    blocks, step = [0], max(1, BOTTOM_UP_VALUES // words)
+    while blocks[-1] < len(in_rows):
+        last = int(np.searchsorted(in_starts, in_starts[blocks[-1]] + step, side="right")) - 1
+        blocks.append(max(last, blocks[-1] + 1))
     dense_work = (n + out.nnz) * words
     seen = np.zeros(n * words, dtype=np.uint64)
     i = np.arange(len(chosen))
@@ -260,11 +284,16 @@ def _bfs_sweep(
         else:
             frontier = np.zeros((n, words), dtype=np.uint64)
             frontier.reshape(-1)[keys] = bits
-            reached = np.bitwise_or.reduceat(frontier[inn.indices], in_starts, axis=0)
-            new = reached & ~seen.reshape(n, words)[in_rows]
-            flat = np.flatnonzero(new)
-            keys = in_rows[flat // words] * words + flat % words
-            bits = new.reshape(-1)[flat]
+            keys, bits = [np.empty(0, np.int64)], [np.empty(0, np.uint64)]
+            for lo, hi in zip(blocks, blocks[1:]):
+                a, b = in_starts[lo], in_starts[hi]
+                new = np.bitwise_or.reduceat(frontier[inn.indices[a:b]], in_starts[lo:hi] - a,
+                                             axis=0)
+                new &= ~seen.reshape(n, words)[in_rows[lo:hi]]
+                flat = np.flatnonzero(new)
+                keys.append(in_rows[lo + flat // words] * words + flat % words)
+                bits.append(new.reshape(-1)[flat])
+            keys, bits = np.concatenate(keys), np.concatenate(bits)
         seen[keys] |= bits
 
 
@@ -303,14 +332,19 @@ def clustering_coefficient(g: SnapshotGraph) -> float:
     of ``u`` is O(sqrt(edges)) long and no product needs memory blocks.
     Counts are int32; int8 wraps past 127 shared neighbours.
     """
-    from scipy import sparse
-
     if g.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
     a = g.undirected_csr()
     deg = np.diff(a.indptr)
     order = np.argsort(deg, kind="stable")
-    u = sparse.triu(a[order][:, order], k=1, format="csr").astype(np.int32)
+    rank = np.empty(g.n, a.indices.dtype)
+    rank[order] = np.arange(g.n)
+    lo, hi = np.repeat(rank, deg), rank[a.indices]  # each edge twice, as rank pairs
+    up = lo < hi
+    lo, hi = lo[up], hi[up]
+    del up
+    u = _csr(lo, hi, g.n, np.int32)
+    del lo, hi
     low = (u @ u).multiply(u)  # each triangle once, at its (lowest, highest) pair
     mid = (u.T.tocsr() @ u).multiply(u)  # and once at its (middle, highest) pair
     tri = np.zeros(g.n)

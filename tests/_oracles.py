@@ -7,8 +7,9 @@ per-focal set enumeration for disruption scores, level-by-level closure
 for category counting, neighbour-pair enumeration for clustering,
 mutual reachability for strong components, a joint trust-region
 least-squares refinement over every growth-law parameter at once, an
-exhaustive profile fit of both segments at every split of a series, and a
-line-by-line ``str`` reader of tab-separated files.
+exhaustive profile fit of both segments at every split of a series, a
+line-by-line ``str`` reader of tab-separated files, and the canonical rows
+of an edge list as Python's `sorted` orders them.
 """
 from __future__ import annotations
 
@@ -349,3 +350,12 @@ def tsv_records(path, n_fields: tuple[int, ...]) -> list[tuple[int, list[str]]]:
             raise DataFormatError(path, no, f"empty field {parts.index('') + 1}")
         records.append((no, parts))
     return records
+
+
+def edge_list_rows(pairs: list[tuple[str, str]], undirected: bool) -> bytes:
+    """The canonical form of an edge list: its distinct ``src<TAB>dst`` rows
+    without self-loops (each with its reverse when ``undirected``), encoded,
+    in the order of Python's `sorted`, each followed by a newline."""
+    arcs = set(pairs) | ({(b, a) for a, b in pairs} if undirected else set())
+    rows = sorted(f"{a}\t{b}".encode() for a, b in arcs if a != b)
+    return b"".join(row + b"\n" for row in rows)

@@ -31,7 +31,7 @@ from knowgrow.fitting import FitResult, fit
 from knowgrow.graph_metrics import SnapshotGraph
 from knowgrow.months import parse_month
 
-from _oracles import tsv_records
+from _oracles import edge_list_rows, tsv_records
 
 
 def write(path, text):
@@ -154,6 +154,25 @@ class TestEdgeLoader:
         out = tmp_path / "g.tsv"
         write_edge_tsv(SnapshotGraph.from_edges(np.empty((0, 2), np.int64), n=3), out)
         assert out.read_bytes() == b"\n"
+
+    # traced peak of an --undirected load over the file's bytes: 11.6 on the
+    # file below with numpy 2.4; the rest leaves room for other numpy builds
+    PEAK_PER_FILE_BYTE = 13
+
+    def test_ingest_memory_is_bounded_by_the_file(self, tmp_path):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        p = tmp_path / "e.tsv"
+        ends = rng.integers(0, 30_000, (100_000, 2)).tolist()
+        p.write_text("".join(f"v{a:x}\tv{b:x}\n" for a, b in ends))
+        tracemalloc.start()
+        try:
+            load_edge_list(p, undirected=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_PER_FILE_BYTE * p.stat().st_size
 
     def test_canonicalization_idempotent(self, tmp_path):
         p = write(tmp_path / "e.tsv", "b\tc\na\tb\nb\tc\n")
@@ -433,6 +452,24 @@ class TestLfAndCrlfFilesAgree:
         assert ds.digest == hashlib.sha256(text.encode()).hexdigest()
         nodes = write(tmp_path / "n.tsv", "".join(f"{x}\t2000\n" for x in labels))
         assert load_citation(nodes, p)[1].ids == labels
+
+    # labels of every size class, one 300 bytes long, bytes below TAB (which
+    # order names apart from sources), NUL, shared prefixes and non-ASCII
+    # letters; "a" then NULs ties with "a" in any narrower class's cells
+    LABEL = (st.text(alphabet="ab\x00\x01éж", min_size=1, max_size=12)
+             | st.sampled_from(["a", "a\x01", "ab", "a\x00", "a" * 8, "a" * 300, "ж" * 150,
+                                "a" + "\x00" * 8, "a" + "\x00" * 20]))
+
+    @given(st.lists(st.tuples(LABEL, LABEL), min_size=1, max_size=40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_digest_rows_follow_their_definition(self, tmp_path_factory, pairs, undirected):
+        path = tmp_path_factory.mktemp("d") / "e.tsv"
+        path.write_bytes("".join(f"{a}\t{b}\n" for a, b in pairs).encode())
+        rows = edge_list_rows(pairs, undirected)
+        ds, g = load_edge_list(path, undirected=undirected)
+        assert ds.digest == hashlib.sha256(rows).hexdigest()
+        write_edge_tsv(g, path.with_name("out.tsv"))
+        assert path.with_name("out.tsv").read_bytes() == (rows or b"\n")
 
     @pytest.mark.parametrize("data, where", [
         (b"a\tb\nb\tc\td\n", r"e\.tsv:2: expected 2 tab-separated fields, got 3"),

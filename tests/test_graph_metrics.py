@@ -15,7 +15,6 @@ from knowgrow.graph_metrics import (
     degree_entropy,
     density,
     effective_diameter,
-    entropy_reference_curve,
     lognormal_fit,
     mean_degree,
     normalized_structural_entropy,
@@ -146,22 +145,6 @@ class TestEntropy:
         center = values[10_000]
         assert all(abs(v - center) / center <= 0.15 for v in values.values())
 
-    def test_reference_curve_hand_values(self):
-        # at N = e^2 the bracket collapses to (4 - 4 + 2) = 2
-        assert entropy_reference_curve(math.e**2, 2.0, 2.0, 3.0) == pytest.approx(
-            (2.0 / 4.0) * 3.0 * 2.0
-        )
-        assert entropy_reference_curve(math.e, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-        ns = [10, 100, 1000, 10000]
-        vals = [entropy_reference_curve(n, 1.0, 1.0, 1.0) for n in ns]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_reference_curve_validation(self):
-        with pytest.raises(ValueError):
-            entropy_reference_curve(1, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            entropy_reference_curve(10, 1.0, 0.0, 1.0)
-
     def test_direction_validation(self):
         with pytest.raises(ValueError, match="direction"):
             degree_entropy(CYCLE3, "sideways")
@@ -235,6 +218,20 @@ class TestDistances:
             if words_per_sweep is not None:
                 assert max(map(len, sweeps)) == min(sources, 64 * words_per_sweep)
             assert np.array_equal(hist, oracle_histogram(n, edges, chosen))
+
+    @pytest.mark.parametrize("share", STEP_SHARES)
+    @pytest.mark.parametrize("budget", [1, 40])  # one in-row a block, or a few
+    def test_bottom_up_blocks_match_all_pairs_oracle(self, rng, monkeypatch, share, budget):
+        monkeypatch.setattr(graph_metrics, "TOP_DOWN_SHARE", share)
+        monkeypatch.setattr(graph_metrics, "BOTTOM_UP_VALUES", budget)
+        for trial in range(8):
+            n = int(rng.integers(20, 200))  # up to four words a node
+            edges = random_digraph(rng, n, int(rng.integers(n, 6 * n)))
+            _, _, pooled = all_pairs_stats(n, [tuple(e) for e in edges])
+            hist = graph_metrics._distance_histogram(graph(edges, n=n), n, 0)
+            assert np.array_equal(hist, np.bincount(pooled, minlength=n))
+        # a graph without arcs has no in-rows to block
+        assert not graph_metrics._distance_histogram(graph([], n=5), 5, 0).any()
 
     def test_hub_star_flips_the_step_direction(self):
         # chain -> hub -> k leaves -> collector -> chain, swept from the first
@@ -334,6 +331,52 @@ class TestClustering:
         ref = math.log(10_000) ** 2 / 10_000
         c = clustering_coefficient(g)
         assert ref / 5 <= c <= ref * 5
+
+
+class TestSymmetricRecord:
+    """A graph built from mirrored arcs reuses its out-adjacency, with the same results."""
+
+    @pytest.mark.parametrize("share", STEP_SHARES)
+    def test_recorded_and_unrecorded_graphs_agree(self, rng, monkeypatch, share):
+        from knowgrow import ba
+
+        monkeypatch.setattr(graph_metrics, "TOP_DOWN_SHARE", share)
+        made = [ba.generate(ba.BAParams(n=300, m=3, seed=4))]
+        for _ in range(6):
+            n = int(rng.integers(3, 150))
+            made.append(SnapshotGraph.from_edges(random_digraph(rng, n, 3 * n), n=n, mirror=True))
+        for g in made:
+            arcs = np.column_stack([g.src, g.dst])
+            plain = SnapshotGraph.from_edges(arcs, n=g.n)
+            assert g.symmetric and not plain.symmetric
+            assert (g.undirected_csr() != plain.undirected_csr()).nnz == 0
+            for sources, seed in ((g.n, 0), (5, 3)):
+                assert np.array_equal(graph_metrics._distance_histogram(g, sources, seed),
+                                      graph_metrics._distance_histogram(plain, sources, seed))
+            assert clustering_coefficient(g) == clustering_coefficient(plain)
+
+    def test_mirror_counts_each_arc_both_ways(self):
+        g = SnapshotGraph.from_edges([(0, 1), (1, 0), (2, 2), (1, 2)], n=3, mirror=True)
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert (g.self_loop_count, g.duplicate_count, g.symmetric) == (2, 2, True)
+
+    @pytest.mark.parametrize("share", STEP_SHARES)
+    def test_a_directed_edge_list_is_not_symmetric(self, tmp_path, monkeypatch, share):
+        from knowgrow.dataio import load_edge_list
+
+        # a one-way triangle plus a tail: out-arcs are not in-arcs here
+        monkeypatch.setattr(graph_metrics, "TOP_DOWN_SHARE", share)
+        path = tmp_path / "e.tsv"
+        path.write_text("a\tb\nb\tc\na\tc\nc\td\n")
+        g = load_edge_list(path)[1]
+        assert not g.symmetric
+        assert (g.undirected_csr() != g.out_csr()).nnz > 0
+        edges = list(zip(g.src.tolist(), g.dst.tolist()))
+        assert np.array_equal(graph_metrics._distance_histogram(g, g.n, 0),
+                              oracle_histogram(g.n, edges, range(g.n)))
+        assert clustering_coefficient(g) == pytest.approx(
+            np.mean(local_clustering(g.n, edges)), rel=1e-12)
+        assert load_edge_list(path, undirected=True)[1].symmetric
 
 
 class TestRelabelingInvariance:
