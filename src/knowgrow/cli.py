@@ -201,11 +201,11 @@ def cmd_metrics(args) -> Report:
 def cmd_ba(args) -> Report:
     params = ba_mod.BAParams(n=args.nodes, m=args.m, seed=args.seed)
     g = ba_mod.generate(params)
+    report = ba_mod.compare(g, params, sources=args.sources)
     if args.edges_out:
         mask = g.src < g.dst
         rows = [f"{s}\t{d}" for s, d in zip(g.src[mask].tolist(), g.dst[mask].tolist())]
         _atomic_write(args.edges_out, ("\n".join(rows) + "\n").encode())
-    report = ba_mod.compare(g, params, sources=args.sources)
     if args.plot_csv:
         from scipy.special import zeta
 

@@ -62,7 +62,6 @@ from .taxonomy import CategoryError, CategoryGraph
 __all__ = [
     "DataFormatError",
     "Dataset",
-    "load",
     "load_series_csv",
     "load_edge_list",
     "load_category_tsv",
@@ -82,11 +81,6 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 CACHE_ENV = "KNOWGROW_CACHE_DIR"
 TAB, NL = 9, 10
-
-KINDS = (
-    "series", "edge_list", "undirected_edge_list", "citation", "category", "samples", "id_list"
-)
-
 
 class DataFormatError(ValueError):
     """Malformed input; the message carries path and 1-based line number."""
@@ -507,21 +501,6 @@ _LOADERS = {
 }
 
 
-def load(path: str | Path, kind: str):
-    """Load and validate one input file of the given kind.
-
-    The two-file ``citation`` kind has its own entry point,
-    :func:`load_citation`.
-    """
-    if kind == "citation":
-        raise ValueError("citation inputs are two files; use load_citation(nodes, edges)")
-    if kind not in _LOADERS:
-        raise ValueError(f"unknown dataset kind {kind!r} (expected one of {KINDS})")
-    if not Path(path).exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    return _LOADERS[kind](path)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -607,8 +586,10 @@ def cache_get(operation: str, digest: str, params: dict) -> bytes | None:
         return None
     data = entry.read_bytes()
     try:
-        json.loads(data)
-    except json.JSONDecodeError:
+        doc = json.loads(data)
+    except ValueError:
+        doc = None
+    if not (isinstance(doc, dict) and isinstance(doc.get("payload"), dict)):
         logger.warning("corrupt cache entry %s: treating as miss", entry)
         return None
     return data

@@ -39,7 +39,6 @@ __all__ = [
     "d_index_all",
     "rank",
     "intersect_analysis",
-    "inclusion_lag",
 ]
 
 YEAR_RANGE = (1900, 2100)
@@ -282,33 +281,3 @@ def intersect_analysis(
         )
     return rows
 
-
-def inclusion_lag(
-    pub_years: np.ndarray,
-    incl_years: np.ndarray,
-    fields: list[str] | None = None,
-) -> dict:
-    """Lag between publication and inclusion years, optionally per field.
-
-    Negative lags (inclusion before publication) are tolerated but counted
-    in ``negative_count`` so dirty records are visible.
-    """
-    pub = np.asarray(pub_years, dtype=np.int64)
-    incl = np.asarray(incl_years, dtype=np.int64)
-    if pub.shape != incl.shape:
-        raise ValueError(f"length mismatch: {pub.shape} vs {incl.shape}")
-    if fields is not None and len(fields) != len(pub):
-        raise ValueError("fields vector must align with the year vectors")
-    lags = incl - pub
-    report = {
-        "mean_lag": float(lags.mean()) if lags.size else 0.0,
-        "lags": lags.tolist(),
-        "negative_count": int(np.count_nonzero(lags < 0)),
-        "per_field": {},
-    }
-    if fields is not None:
-        per: dict[str, list[int]] = {}
-        for f, lag in zip(fields, lags):
-            per.setdefault(f, []).append(int(lag))
-        report["per_field"] = {f: float(np.mean(v)) for f, v in sorted(per.items())}
-    return report

@@ -29,12 +29,10 @@ __all__ = [
     "SegmentSplit",
     "fit",
     "fit_points",
-    "mape",
     "select",
     "select_points",
     "forecast",
     "segment_break",
-    "ratio_series",
 ]
 
 #: Results whose MAPE differs by less than this are ranked by parsimony.
@@ -285,24 +283,6 @@ def fit(series: TimeSeries, family: str) -> FitResult:
     may lie beyond (always ``False`` for families without one).
     """
     return fit_points(series.t, series.y, family, t_origin=series.origin)
-
-
-def mape(series: TimeSeries, model: GrowthModel) -> dict:
-    """MAPE and signed mean percentage error of ``model`` against ``series``.
-
-    The signed form keeps the sign of (prediction - actual) / actual, so a
-    model undershooting by 0.78 percent everywhere scores -0.0078.
-    """
-    y = series.y
-    if np.any(y == 0):
-        raise ValueError("series contains zero actuals; MAPE undefined")
-    if model.t_origin is not None:
-        start = month_index(model.t_origin, series.origin)
-        t = np.arange(start, start + len(y), dtype=float)
-    else:
-        t = series.t
-    rel = (np.asarray(model.evaluate(t)) - y) / y
-    return {"mape": float(np.mean(np.abs(rel))), "signed_mpe": float(np.mean(rel))}
 
 
 def select_points(
@@ -562,15 +542,3 @@ def segment_break(series: TimeSeries, early_family: str, late_family: str) -> Se
         low_contrast=low,
     )
 
-
-def ratio_series(num: TimeSeries, den: TimeSeries) -> TimeSeries:
-    """Pointwise ratio of two aligned series (e.g. edits per article)."""
-    if num.origin != den.origin:
-        raise ValueError(f"origins differ: {num.origin} vs {den.origin}")
-    if len(num) != len(den):
-        raise ValueError(f"lengths differ: {len(num)} vs {len(den)}")
-    d = den.y
-    if np.any(d <= 0):
-        raise ValueError("denominator series must be strictly positive")
-    label = f"{num.label}/{den.label}" if num.label or den.label else ""
-    return TimeSeries(origin=num.origin, values=tuple(num.y / d), label=label)

@@ -26,11 +26,6 @@ Each family is defined once, by the linear design ``basis`` that the
 variable-projection fitter solves; its value is derived from that basis.
 ``Li`` has one implementation, the closed form ``Ei(ln x) - Ei(ln 2)``,
 with the exponential integral ``Ei`` computed in-package by :func:`_expi`.
-
-``reciprocal_log`` and ``logarithmic`` are increment laws: they describe
-the monthly gain of a quantity, so their ``increment`` is the model value
-itself.  The cumulative families return an analytic derivative where one
-exists and the discrete difference otherwise.
 """
 from __future__ import annotations
 
@@ -49,10 +44,8 @@ __all__ = [
     "GrowthModel",
     "STANDARD_FAMILIES",
     "QUASI_LINEAR_FAMILIES",
-    "INCREMENT_LAW_FAMILIES",
     "family_spec",
     "log_integral",
-    "li_three_term",
     "model_catalog",
 ]
 
@@ -138,24 +131,6 @@ def _ei_asymptotic(x: np.ndarray) -> np.ndarray:
     return np.exp(x) / x * total
 
 
-def li_three_term(x: float | np.ndarray) -> float | np.ndarray:
-    """Three-term quasi-linear approximation of the logarithmic integral.
-
-    Returns ``(x/ln x) * (1 + 1/ln x + 3/(ln x)^2)``.  The third term uses
-    coefficient 3, a deliberately heavier correction than the asymptotic
-    series coefficient 2, so the curve approaches ``log_integral`` from
-    above for large ``x``; the ratio of the two tends to 1 as x grows.
-
-    Requires ``x >= 3``.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 3.0):
-        raise DomainError("li_three_term requires x >= 3")
-    ln = np.log(arr)
-    out = (arr / ln) * (1.0 + 1.0 / ln + 3.0 / ln**2)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # family registry
 
@@ -181,7 +156,6 @@ class FamilySpec:
     arg_inclusive: bool = False
     nonlinear_index: int | None = None
     log_space: bool = False
-    analytic_increment: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
     def arity(self) -> int:
@@ -210,7 +184,6 @@ def _shift_family(
     transform: Callable[[np.ndarray], np.ndarray],
     threshold: float,
     inclusive: bool,
-    analytic_increment=None,
 ) -> FamilySpec:
     """Family of the form a * g(t + s) + b with one profiled shift s."""
     return FamilySpec(
@@ -220,7 +193,6 @@ def _shift_family(
         arg_threshold=threshold,
         arg_inclusive=inclusive,
         nonlinear_index=1,
-        analytic_increment=analytic_increment,
     )
 
 
@@ -250,20 +222,11 @@ def _make_families() -> dict[str, FamilySpec]:
     )
 
     fams["log_integral"] = _shift_family(
-        "log_integral",
-        _li,
-        threshold=LI_LOWER,
-        inclusive=True,
-        # d/dt a*Li(t+s) = a / ln(t+s): the reciprocal-of-logarithm increment
-        analytic_increment=lambda p, t: p[0] / np.log(t + p[1]),
+        "log_integral", _li, threshold=LI_LOWER, inclusive=True
     )
 
     fams["shifted_t_ln_t"] = _shift_family(
-        "shifted_t_ln_t",
-        lambda u: u * np.log(u),
-        threshold=0.0,
-        inclusive=False,
-        analytic_increment=lambda p, t: p[0] * (np.log(t + p[1]) + 1.0),
+        "shifted_t_ln_t", lambda u: u * np.log(u), threshold=0.0, inclusive=False
     )
 
     fams["t_ln_t"] = FamilySpec(
@@ -272,7 +235,6 @@ def _make_families() -> dict[str, FamilySpec]:
         basis=lambda t, _nl: np.column_stack([t * np.log(t), t, _ones_like(t)]),
         arg_threshold=0.0,
         arg_inclusive=False,
-        analytic_increment=lambda p, t: p[0] * (np.log(t) + 1.0) + p[1],
     )
 
     fams["exponential"] = FamilySpec(
@@ -322,9 +284,6 @@ QUASI_LINEAR_FAMILIES: tuple[str, ...] = (
     "t_ln_t",
     "shifted_t_ln_t",
 )
-
-#: Families whose value is itself a monthly increment, not a cumulative total.
-INCREMENT_LAW_FAMILIES: tuple[str, ...] = ("reciprocal_log", "logarithmic")
 
 
 def _polynomial_spec(degree: int) -> FamilySpec:
@@ -403,24 +362,6 @@ class GrowthModel:
         self._check_domain(arr)
         out = self.spec.value(self.params, arr)
         return float(out) if arr.ndim == 0 else out
-
-    def increment(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Monthly increment at ``t``.
-
-        Increment-law families (``reciprocal_log``, ``logarithmic``) return
-        their own value; cumulative families return the analytic derivative
-        where the family defines one and the discrete difference
-        ``evaluate(t+1) - evaluate(t)`` otherwise.
-        """
-        spec = self.spec
-        if spec.name in INCREMENT_LAW_FAMILIES:
-            return self.evaluate(t)
-        arr = np.asarray(t, dtype=float)
-        self._check_domain(arr)
-        if spec.analytic_increment is not None:
-            out = spec.analytic_increment(self.params, arr)
-            return float(out) if arr.ndim == 0 else out
-        return self.evaluate(arr + 1.0) - self.evaluate(arr)
 
     def index_of(self, month: str) -> int:
         if self.t_origin is None:

@@ -28,7 +28,6 @@ __all__ = [
     "CategoryGraph",
     "CategoryError",
     "detect_cycles",
-    "descendants",
     "count_members",
     "count_members_by_level",
     "wag_root_presets",
@@ -171,16 +170,6 @@ def _levels(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> np.nda
     ids = sorted({g.require_category(r) for r in roots})
     dist = csgraph.dijkstra(g.up.T, indices=ids, min_only=True, limit=depth + 1)
     return dist - ~g.is_category
-
-
-def descendants(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> set[str]:
-    """Categories reachable downward within ``depth`` levels of the roots.
-
-    Roots are included at level 0; every category is counted once at its
-    minimum level, so cyclic links cannot loop the search.
-    """
-    inside = _levels(g, roots, depth) <= depth
-    return {g.names[i] for i in np.flatnonzero(inside & g.is_category).tolist()}
 
 
 def count_members_by_level(

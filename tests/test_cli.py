@@ -340,6 +340,12 @@ class TestBA:
         assert len(doc["payload"]["rows"]) == 4
         assert plot.read_text().splitlines()[0] == "degree,ccdf_empirical,ccdf_reference"
 
+    def test_failed_compare_writes_no_edge_list(self, tmp_path, capsys):
+        edges = tmp_path / "e.tsv"
+        assert run("ba", "--nodes", 5, "--m", 1, "--edges-out", edges, "--quiet") == 1
+        assert "n >= 10" in capsys.readouterr().err
+        assert not edges.exists()
+
     def test_metrics_roundtrip_through_tsv(self, tmp_path):
         edges = tmp_path / "ba.tsv"
         run("ba", "--nodes", 300, "--m", 2, "--seed", 5, "--edges-out", edges, "--quiet")

@@ -14,7 +14,6 @@ from knowgrow.dataio import (
     DataFormatError,
     cache_get,
     cache_put,
-    load,
     load_category_tsv,
     load_citation,
     load_edge_list,
@@ -141,7 +140,9 @@ class TestEdgeLoader:
         assert load_edge_list(p)[0].kind == "edge_list"
         ds = load_edge_list(p, undirected=True)[0]
         assert ds.kind == "undirected_edge_list"
-        assert load(p, "undirected_edge_list")[0] == ds
+        doc = json.loads(report_bytes({}, "metrics", [ds]))
+        assert doc["inputs"]["e.tsv"]["kind"] == "undirected_edge_list"
+        verify_report_inputs(doc)
 
     def test_unlabeled_graph_sorts_ids_as_strings(self, tmp_path):
         out1, out2 = tmp_path / "g1.tsv", tmp_path / "g2.tsv"
@@ -259,14 +260,6 @@ class TestOtherLoaders:
         edges = write(tmp_path / "e.tsv", "a\tghost\n")
         with pytest.raises(DataFormatError, match="unknown"):
             load_citation(nodes, edges)
-
-    def test_load_dispatch(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown dataset kind"):
-            load(tmp_path / "x", "parquet")
-        with pytest.raises(FileNotFoundError):
-            load(tmp_path / "nope.csv", "series")
-        with pytest.raises(ValueError, match="two files"):
-            load(tmp_path / "x", "citation")
 
 
 class TestGoldenDigests:
@@ -650,12 +643,16 @@ class TestCache:
         cache_put("metrics", dsa.digest, {}, data)
         assert cache_get("metrics", dsb.digest, {}) == data
 
-    def test_corrupt_entry_is_miss(self, tmp_path, monkeypatch, caplog):
+    @pytest.mark.parametrize(
+        "corrupt", [b"{not json", b'{"payload": "\xc3\x28"}', b"[1,2]", b'{"payload": 5}'],
+        ids=["not-json", "not-utf8", "not-an-object", "payload-not-an-object"],
+    )
+    def test_corrupt_entry_is_miss(self, tmp_path, monkeypatch, caplog, corrupt):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         data = report_bytes({"x": 1}, "metrics")
         cache_put("metrics", "abc", {}, data)
         entry = next(tmp_path.glob("*.json"))
-        entry.write_bytes(b"{not json")
+        entry.write_bytes(corrupt)
         with caplog.at_level("WARNING"):
             assert cache_get("metrics", "abc", {}) is None
         assert "corrupt" in caplog.text

@@ -14,7 +14,6 @@ from knowgrow.disruption import (
     PaperError,
     d_index,
     d_index_all,
-    inclusion_lag,
     intersect_analysis,
     rank,
 )
@@ -339,32 +338,3 @@ class TestIntersect:
         with pytest.raises(ValueError, match="percentile"):
             intersect_analysis({"a"}, set(), ["a"], [150.0])
 
-
-class TestInclusionLag:
-    def test_identical_years(self):
-        r = inclusion_lag([2000, 2001], [2000, 2001])
-        assert r["mean_lag"] == 0.0
-        assert r["negative_count"] == 0
-
-    def test_constant_offset(self):
-        r = inclusion_lag([1990, 2000, 2010], [1998, 2008, 2018])
-        assert r["mean_lag"] == 8.0
-
-    def test_mixed_hand_mean(self):
-        r = inclusion_lag([2000, 2000, 2000], [2003, 2008, 2013])
-        assert r["mean_lag"] == pytest.approx(8.0)
-        assert r["lags"] == [3, 8, 13]
-
-    def test_negative_flagged(self):
-        r = inclusion_lag([2000, 2000], [1999, 2005])
-        assert r["negative_count"] == 1
-
-    def test_per_field(self):
-        r = inclusion_lag([2000, 2000, 2000], [2004, 2010, 2006], fields=["bio", "bio", "cs"])
-        assert r["per_field"] == {"bio": 7.0, "cs": 6.0}
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inclusion_lag([2000], [2001, 2002])
-        with pytest.raises(ValueError, match="align"):
-            inclusion_lag([2000], [2001], fields=["a", "b"])

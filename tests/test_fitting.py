@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _oracles import exhaustive_segment_break, grid_stage_sse, joint_least_squares_sse
 from knowgrow.fitting import (
@@ -18,8 +16,6 @@ from knowgrow.fitting import (
     fit,
     fit_points,
     forecast,
-    mape,
-    ratio_series,
     segment_break,
     select,
     select_points,
@@ -160,47 +156,6 @@ class TestFitRecovery:
         )
         assert r.converged
         assert before - after <= 1e-9 * before
-
-
-class TestMape:
-    def test_exact_model_scores_zero(self):
-        y, model = synthetic("linear")
-        s = TimeSeries("2001-01", tuple(y))
-        scores = mape(s, model)
-        assert scores["mape"] == pytest.approx(0.0, abs=1e-14)
-
-    def test_constant_offset(self):
-        s = TimeSeries("2001-01", (100.0,) * 12)
-        scores = mape(s, GrowthModel("constant", (101.0,)))
-        assert scores["mape"] == pytest.approx(0.01)
-        assert scores["signed_mpe"] == pytest.approx(0.01)
-
-    def test_signed_mpe_of_downward_perturbed_actuals(self):
-        # actuals 0.78% below the model -> signed error is positive
-        y, model = synthetic("t_over_ln_t")
-        s = TimeSeries("2001-01", tuple(y * (1.0 - 0.0078)))
-        scores = mape(s, model)
-        assert scores["signed_mpe"] == pytest.approx(0.0078 / (1 - 0.0078), rel=1e-6)
-        assert scores["signed_mpe"] == pytest.approx(0.0078, rel=0.01)
-
-    def test_zero_actual_rejected(self):
-        s = TimeSeries("2001-01", (1.0, 0.0, 3.0))
-        with pytest.raises(ValueError, match="zero"):
-            mape(s, GrowthModel("constant", (1.0,)))
-
-    def test_calendar_alignment(self):
-        model = GrowthModel("linear", (10.0, 0.0), t_origin="2001-01")
-        s = TimeSeries("2001-03", (30.0, 40.0))  # indices 3 and 4 of the model
-        assert mape(s, model)["mape"] == pytest.approx(0.0, abs=1e-14)
-
-    @given(st.integers(min_value=0, max_value=100))
-    @settings(max_examples=30)
-    def test_zero_iff_exact(self, bump):
-        y = 100.0 + 5.0 * np.arange(1, 13)
-        s = TimeSeries("2001-01", tuple(y))
-        model = GrowthModel("linear", (5.0, 100.0 + bump))
-        scores = mape(s, model)
-        assert (scores["mape"] == 0.0) == (bump == 0)
 
 
 class TestSelect:
@@ -423,38 +378,6 @@ def test_screen_matches_grid_stage(family, late, data):
     np.testing.assert_allclose(scores, direct, rtol=1e-9, atol=1e-12 * (y @ y))
 
 
-class TestRatioSeries:
-    def test_edits_per_article_trend(self):
-        t = np.arange(1, 31, dtype=float)
-        edits = TimeSeries("2001-01", tuple(t**2), label="edits")
-        n = TimeSeries("2001-01", tuple(t), label="N")
-        ratio = ratio_series(edits, n)
-        assert ratio.values == pytest.approx(tuple(t))
-        assert ratio.label == "edits/N"
-
-    def test_scaled_increment_shaped_ratio(self):
-        # edits ~ c * t * g(t), N ~ g(t): the ratio recovers the linear trend
-        t = np.arange(1, 61, dtype=float)
-        g = np.asarray(GrowthModel("log_integral", (1.0, 5.0, 3.0)).evaluate(t))
-        edits = TimeSeries("2001-01", tuple(7.0 * t * g))
-        n = TimeSeries("2001-01", tuple(g))
-        ratio = ratio_series(edits, n)
-        assert ratio.values == pytest.approx(tuple(7.0 * t), rel=1e-12)
-
-    def test_equal_series_gives_ones(self):
-        s = TimeSeries("2001-01", (3.0, 4.0, 5.0))
-        assert ratio_series(s, s).values == pytest.approx((1.0, 1.0, 1.0))
-
-    def test_misalignment_and_zero_denominator(self):
-        a = TimeSeries("2001-01", (1.0, 2.0, 3.0))
-        with pytest.raises(ValueError, match="origins"):
-            ratio_series(a, TimeSeries("2001-02", (1.0, 2.0, 3.0)))
-        with pytest.raises(ValueError, match="lengths"):
-            ratio_series(a, TimeSeries("2001-01", (1.0, 2.0)))
-        with pytest.raises(ValueError, match="positive"):
-            ratio_series(a, TimeSeries("2001-01", (1.0, 0.0, 2.0)))
-
-
 class TestFitResult:
     def test_json_round_trip_lossless(self):
         y, _ = synthetic("shifted_t_ln_t", noise=0.001)
@@ -475,6 +398,8 @@ class TestFitResult:
         assert len(r.residuals) == len(y)
         mask = y != 0
         assert r.mape == pytest.approx(float(np.mean(np.abs(r.residuals[mask] / y[mask]))))
+        # signed: (prediction - actual) / actual
+        assert r.signed_mpe == pytest.approx(float(np.mean(r.residuals[mask] / y[mask])))
         assert r.predictions == pytest.approx(y + r.residuals)
 
 

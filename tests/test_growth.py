@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from knowgrow import growth
 from knowgrow.growth import (
-    INCREMENT_LAW_FAMILIES,
     QUASI_LINEAR_FAMILIES,
     STANDARD_FAMILIES,
     DomainError,
     GrowthModel,
     family_spec,
-    li_three_term,
     log_integral,
     model_catalog,
 )
@@ -118,33 +116,6 @@ class TestExpi:
         assert growth._expi(np.array([])).shape == (0,)
 
 
-class TestLiThreeTerm:
-    def test_hand_value_at_e_squared(self):
-        # (e^2/2) * (1 + 1/2 + 3/4), evaluated by hand
-        assert li_three_term(math.e**2) == pytest.approx(8.312688111296981, rel=1e-12)
-
-    def test_ratio_to_li_near_one_at_1e6(self):
-        assert li_three_term(1e6) / log_integral(1e6) == pytest.approx(1.0, abs=0.01)
-
-    def test_ratio_bounded_and_converging(self):
-        # the ratio is not monotone in x (the heavier ln^-2 coefficient and
-        # the lower-limit offset pull in opposite directions) but it stays
-        # within a narrow band and tightens by 1e6
-        devs = {x: abs(li_three_term(x) / log_integral(x) - 1.0) for x in LI_PROBES[1:]}
-        assert all(d < 0.05 for d in devs.values())
-        assert devs[1e6] < 0.05
-        assert devs[1e6] < devs[1e2]
-
-    def test_monotone_increasing(self):
-        xs = np.geomspace(10, 1e6, 50)
-        vals = li_three_term(xs)
-        assert np.all(np.diff(vals) > 0)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            li_three_term(2.9)
-
-
 class TestEvaluate:
     def test_wag_linear_hand_value(self):
         wag = model_catalog()["wag_articles"]
@@ -166,6 +137,14 @@ class TestEvaluate:
         vec = m.evaluate(ts)
         assert vec == pytest.approx([m.evaluate(float(t)) for t in ts])
 
+    def test_reciprocal_log_catalog_hand_value(self):
+        mi = model_catalog()["wiki_articles_increment"]  # 140000 / ln(t)
+        assert mi.evaluate(math.e**5) == pytest.approx(28000.0)
+
+    def test_logarithmic_hand_value(self):
+        mc = GrowthModel("logarithmic", (2000.0, 0.0, 0.0))
+        assert mc.evaluate(math.e) == pytest.approx(2000.0)
+
     def test_domain_error_on_invalid_t(self):
         mi = model_catalog()["wiki_articles_increment"]  # 140000 / ln(t)
         with pytest.raises(DomainError):
@@ -173,40 +152,6 @@ class TestEvaluate:
         m = GrowthModel("log_integral", (1.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             m.evaluate(1.5)  # below the Li lower limit
-
-
-class TestIncrement:
-    def test_reciprocal_log_is_own_increment(self):
-        mi = model_catalog()["wiki_articles_increment"]
-        assert mi.increment(math.e**5) == pytest.approx(28000.0)
-
-    def test_logarithmic_is_own_increment(self):
-        mc = GrowthModel("logarithmic", (2000.0, 0.0, 0.0))
-        assert mc.increment(math.e) == pytest.approx(2000.0)
-
-    def test_inclusion_increment_hand_value(self):
-        incl = model_catalog()["wiki_inclusion"]
-        t_at_ct_e = math.e / 0.033
-        assert incl.increment(t_at_ct_e) == pytest.approx(10560.0)
-
-    @pytest.mark.parametrize(
-        "family,params",
-        [
-            ("log_integral", (140000.0, 100.0, 1_350_000.0)),
-            ("t_ln_t", (2467.0, -2467.0, 147079.0)),
-            ("shifted_t_ln_t", (2000.0, 12.0, 0.0)),
-            ("linear", (30.0, 3800.0)),
-            ("t_over_ln_t", (1000.0, 20.0, 5000.0)),
-            ("exponential", (50.0, 0.01, 1000.0)),
-        ],
-    )
-    def test_increment_consistent_with_difference(self, family, params):
-        # cumulative families: analytic increment within 1% of the discrete
-        # difference for t >= 24
-        m = GrowthModel(family, params)
-        for t in (24.0, 36.0, 60.0, 120.0, 240.0):
-            diff = m.evaluate(t + 1) - m.evaluate(t)
-            assert m.increment(t) == pytest.approx(diff, rel=0.01)
 
 
 # each family written out by hand, independently of its basis; Li comes
@@ -349,6 +294,3 @@ class TestSerialization:
     def test_origin_validation(self):
         with pytest.raises(ValueError):
             GrowthModel("linear", (1.0, 2.0), t_origin="2007-13")
-
-    def test_increment_law_families_listed(self):
-        assert set(INCREMENT_LAW_FAMILIES) == {"reciprocal_log", "logarithmic"}

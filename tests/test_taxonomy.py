@@ -11,7 +11,6 @@ from knowgrow.taxonomy import (
     CategoryGraph,
     count_members,
     count_members_by_level,
-    descendants,
     detect_cycles,
     wag_root_presets,
 )
@@ -161,43 +160,6 @@ class TestDetectCycles:
             assert ids[0] == min(g.index[name] for name in comp)
 
 
-class TestDescendants:
-    def test_depth_zero_is_roots(self):
-        g = CategoryGraph.from_edges(cat_edges(("B", "A"), ("C", "B")))
-        assert descendants(g, ["A"], 0) == {"A"}
-
-    def test_chain_depth_three(self):
-        g = CategoryGraph.from_edges(
-            cat_edges(
-                ("Algebra", "Math"),
-                ("LinearAlgebra", "Algebra"),
-                ("Matrices", "LinearAlgebra"),
-            )
-        )
-        assert descendants(g, ["Math"], 3) == {"Math", "Algebra", "LinearAlgebra", "Matrices"}
-        assert descendants(g, ["Math"], 2) == {"Math", "Algebra", "LinearAlgebra"}
-
-    def test_cycle_terminates(self):
-        assert descendants(MUTUAL_PARENTS, ["Physics"], 3) == {"Physics", "Mathematics"}
-
-    def test_unknown_root(self):
-        with pytest.raises(KeyError):
-            descendants(MUTUAL_PARENTS, ["Chemistry"], 1)
-
-    def test_article_root_rejected(self):
-        g = CategoryGraph.from_edges([("a1", "Cat", "article")])
-        with pytest.raises(ValueError, match="article"):
-            descendants(g, ["a1"], 1)
-
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_monotone_in_depth(self, seed, depth):
-        g = CategoryGraph.from_edges(random_hierarchy(seed, cyclic=True))
-        shallow = descendants(g, ["c0"], depth)
-        deep = descendants(g, ["c0"], depth + 1)
-        assert shallow <= deep
-
-
 class TestCountMembers:
     def test_single_category(self):
         g = CategoryGraph.from_edges(
@@ -215,6 +177,18 @@ class TestCountMembers:
 
     def test_empty_roots(self):
         assert count_members(MUTUAL_PARENTS, [], 3) == {"articles": 0, "categories": 0}
+
+    def test_cycle_terminates(self):
+        assert count_members(MUTUAL_PARENTS, ["Physics"], 3) == {"articles": 0, "categories": 2}
+
+    def test_unknown_root(self):
+        with pytest.raises(KeyError):
+            count_members(MUTUAL_PARENTS, ["Chemistry"], 1)
+
+    def test_article_root_rejected(self):
+        g = CategoryGraph.from_edges([("a1", "Cat", "article")])
+        with pytest.raises(ValueError, match="article"):
+            count_members(g, ["a1"], 1)
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=5))
     @settings(max_examples=30, deadline=None)
@@ -262,7 +236,7 @@ class TestTermination:
                 edges.append((f"c{a}", f"c{b}", "category"))
         g = CategoryGraph.from_edges(edges)
         start = time.perf_counter()
-        result = descendants(g, ["c0"], 10**9)
+        result = count_members_by_level(g, ["c0"], 10**9)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
-        assert result
+        assert result[-1][0] >= 1
