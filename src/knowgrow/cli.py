@@ -157,6 +157,12 @@ def cmd_forecast(args) -> Report:
     return "forecast", [], payload, [f"{series.month_at(len(series))}: {series.values[-1]:,.0f}"]
 
 
+# the keys of a metrics payload, but "clustering", which --no-clustering leaves out
+METRICS_KEYS = ("n", "arcs", "self_loops", "duplicates_dropped", "density", "mean_degree",
+                "degree_entropy", "normalized_structural_entropy", "effective_diameter",
+                "avg_shortest_path")
+
+
 def cmd_metrics(args) -> Report:
     ds, g = load_edge_list(args.edges, undirected=args.undirected)
     params = {
@@ -166,7 +172,8 @@ def cmd_metrics(args) -> Report:
         "undirected": args.undirected,
         "clustering": not args.no_clustering,
     }
-    cached = cache_get("metrics", ds.digest, params)
+    keys = {*METRICS_KEYS, *(() if args.no_clustering else ("clustering",))}
+    cached = cache_get("metrics", ds.digest, params, keys)
     if cached is not None:
         payload = json.loads(cached)["payload"]
     else:
@@ -482,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         kind, inputs, payload, summary = args.func(args)
         if args.json:
             save_report(payload, args.json, kind, inputs)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

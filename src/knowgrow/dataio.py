@@ -27,7 +27,10 @@ every other line must have the format's field count and no empty field (an
 error names the line), and a Dataset's ``rows`` is the number of records
 read.  It returns field offsets into the file's bytes and the line of each
 record, so loaders intern fields without making strings and map a graph
-fault to its line.
+fault to its line.  `_intern` is the one sort of the fields: it gives each
+distinct field an id in first-appearance order and a rank in the order of
+the field followed by a TAB, and an edge list's digest rows are written in
+the order of those ranks.
 Digests canonicalize before hashing: edge lists hash their sorted
 ``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
 writes), citation files their sorted lines, series and rankings hash in
@@ -225,53 +228,41 @@ def _table(path: str | Path, n_fields: tuple[int, ...]):
     return data, starts, ends, records + 1
 
 
-def _cells(buf: np.ndarray, starts: np.ndarray, width: np.ndarray, size: int, end: int):
-    """The ``(fields, size)`` table of the fields ``buf[starts:starts + width]``,
-    each followed by the byte ``end`` and then zeros.
-
-    ``buf`` must hold ``size`` bytes from every start on.  The bytes past each
-    field are cleared one column at a time, so no ``(fields, size)`` mask is built.
-    """
-    cells = sliding_window_view(buf, size)[starts]
-    for j in range(size):
-        column = cells[:, j]
-        column[width == j] = end
-        column[width < j] = 0
-    return cells
-
-
-def _size_classes(width: np.ndarray):
-    """``(size, members)`` of each nonempty class of fields ``width`` bytes long:
-    a class holds the fields below ``size = 2**c`` bytes (at least 8), and no
-    shorter class holds them, so each field and one more byte fit its class."""
-    top = max(3, int(width.max(initial=0)).bit_length())
-    for c in range(3, top + 1):
-        lo = 0 if c == 3 else 1 << (c - 1)
-        member = np.flatnonzero((width >= lo) & (width < 1 << c))
-        if len(member):
-            yield 1 << c, member
-
-
-def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
     """Int32 ids of the fields ``data[starts:ends]`` in first-appearance order,
-    and each id's first field.
+    each id's first field, and each id's rank among the sorted fields, each
+    field followed by a TAB (the order of a row's source).
 
-    Fields are compared in classes of like length (`_size_classes`), so a
-    long field widens only its own class.
+    Fields are sorted in classes of like length, so a long field widens only
+    its own class: a class holds the fields below ``size = 2**c`` bytes (at
+    least 8), and no shorter class holds them, so each field and its TAB fit
+    a ``size``-byte cell, zero padded.  No field holds a TAB, so two cells are
+    equal only for equal fields, and a cell sorts as its field and TAB do.
     """
     shape, starts = starts.shape, starts.ravel()
     width = np.subtract(ends.ravel(), starts, dtype=np.int32)
-    pad = 1 << max(3, int(width.max(initial=0)).bit_length())
-    buf = np.concatenate([np.frombuffer(data, np.uint8), np.zeros(pad, np.uint8)])
-    key, firsts, count = np.empty(len(width), np.int32), [], 0
-    for size, member in _size_classes(width):
-        # each field ended by a 1, so that trailing NULs count
-        cells = _cells(buf, starts[member], width[member], size, 1)
+    top = max(3, int(width.max(initial=0)).bit_length())
+    buf = np.concatenate([np.frombuffer(data, np.uint8), np.zeros(1 << top, np.uint8)])
+    key, firsts, heads, count = np.empty(len(width), np.int32), [], [], 0
+    for c in range(3, top + 1):
+        size, lo = 1 << c, 0 if c == 3 else 1 << (c - 1)
+        member = np.flatnonzero((width >= lo) & (width < size))
+        if not len(member):
+            continue
+        # the bytes past each field are set one column at a time, so no
+        # (fields, size) mask is built
+        cells, w = sliding_window_view(buf, size)[starts[member]], width[member]
+        for j in range(size):
+            column = cells[:, j]
+            column[w == j] = TAB
+            column[w < j] = 0
+        del w, column
         cells = cells.view(">u8" if size == 8 else f"S{size}").ravel()  # one word sorts as an int
         order = np.argsort(cells)
         cells = cells[order]
         new = np.ones(len(cells), bool)
         np.not_equal(cells[1:], cells[:-1], out=new[1:])
+        heads.append(cells[new])
         del cells
         ids = np.cumsum(new, dtype=np.int32)
         ids += count - 1
@@ -280,11 +271,22 @@ def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarr
         firsts.append(member[np.minimum.reduceat(order, np.flatnonzero(new))])
         count += len(firsts[-1])
     del buf, width
+    # the classes merge at the narrower one's width: a wider cell cut there
+    # holds no TAB, so it equals no cell of the narrower class
+    rank = [np.arange(len(h)) for h in heads]
+    for c, wide in enumerate(heads):
+        for c2, narrow in enumerate(heads[:c]):
+            cut = wide.view(np.uint8).reshape(len(wide), -1)[:, : narrow.itemsize]
+            cut = np.ascontiguousarray(cut).view(narrow.dtype).ravel()
+            rank[c] += np.searchsorted(narrow, cut)
+            rank[c2] += np.searchsorted(cut, narrow)
+    del heads
     first = np.concatenate(firsts or [np.empty(0, np.int64)])
     order = np.argsort(first)
     ids = np.empty(len(order), np.int32)
     ids[order] = np.arange(len(order), dtype=np.int32)
-    return np.take(ids, key, out=key).reshape(shape), first[order]
+    rank = np.concatenate(rank or [np.empty(0, np.int64)])[order]
+    return np.take(ids, key, out=key).reshape(shape), first[order], rank
 
 
 def _column(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -314,7 +316,7 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     data, starts, ends = _table(path, (2,))[:3]  # lines unneeded: freed now, for peak RSS
     if not len(starts):
         raise DataFormatError(path, None, "edge list is empty")
-    arcs, first = _intern(data, starts, ends)
+    arcs, first, rank = _intern(data, starts, ends)
     starts, ends = starts.flat[first], ends.flat[first]
     names = _column(data, starts, ends)
     width = ends - starts
@@ -324,8 +326,11 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     rows = len(arcs)
     del arcs  # freed before the digest rows are written
     kind = "undirected_edge_list" if undirected else "edge_list"
+    # a source sorts as in its row, "a\x01\tb" < "a\tc"; a target sorts alone,
+    # in that same order unless a name holds a byte below TAB
+    rank_dst = _label_rank(labels) if names.min() < TAB else rank
     digest = hashlib.sha256()
-    for block in _arc_rows(names, width, graph.src, graph.dst):
+    for block in _arc_rows(names, width, rank, rank_dst, graph.src, graph.dst):
         digest.update(block)
     ds = Dataset(kind, str(path), digest.hexdigest(), rows)
     if graph.duplicate_count:
@@ -333,90 +338,46 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     return ds, graph
 
 
-def _sorted_ranks(tables: list[np.ndarray], members: list[np.ndarray], width: np.ndarray,
-                  n: int) -> np.ndarray:
-    """Rank of each name among all ``n`` in the order Python sorts the byte
-    strings that the tables hold.
-
-    Each table holds its class's strings, zero padded; numpy compares such
-    cells with the padding, so a class sorts by its cells and then by
-    ``width``.  Two classes compare at the narrower one's width, where the
-    wider string's cut sorts after each string it equals: that string is its prefix.
-    """
-    keys = [t.view(f"S{t.shape[1]}").ravel() for t in tables]
-    orders = [np.lexsort((width[m], k)) for m, k in zip(members, keys)]
-    keys = [k[o] for k, o in zip(keys, orders)]
-    rank = np.empty(n, np.int64)
-    for member, order in zip(members, orders):
-        rank[member[order]] = np.arange(len(order))
-    for c, wide in enumerate(tables):
-        for c2 in range(c):  # the narrower classes
-            cut = np.ascontiguousarray(wide[orders[c], : tables[c2].shape[1]])
-            cut = cut.view(keys[c2].dtype).ravel()
-            rank[members[c][orders[c]]] += np.searchsorted(keys[c2], cut, side="right")
-            rank[members[c2][orders[c2]]] += np.searchsorted(cut, keys[c2], side="left")
+def _label_rank(labels: list[str], end: str = "") -> np.ndarray:
+    """Rank of each label followed by ``end`` in sorted order, which for
+    `str` is the order of their UTF-8 bytes."""
+    rank = np.empty(len(labels), np.int64)
+    rank[sorted(range(len(labels)), key=lambda i: labels[i] + end)] = np.arange(len(labels))
     return rank
 
 
-def _arc_rows(names: np.ndarray, width: np.ndarray, src: np.ndarray, dst: np.ndarray):
+def _arc_rows(names: np.ndarray, width: np.ndarray, rank_src: np.ndarray, rank_dst: np.ndarray,
+              src: np.ndarray, dst: np.ndarray):
     """Blocks of the sorted ``src<TAB>dst`` rows, each ended by a newline.
 
     Name ``i`` is ``width[i]`` bytes of ``names``, which holds each name followed
-    by a TAB.  Each row is gathered from tables of fixed-width cells, one
-    per size class, and compacted with a width mask.
+    by a TAB.  The rows sort by the ``rank_src`` of their source, then by the
+    ``rank_dst`` of their target; each block is gathered from ``names``.
     """
     n = len(width)
-    buf = np.concatenate([names, np.zeros(8 + 2 * int(width.max(initial=0)), np.uint8)])
     at = np.cumsum(width + 1) - (width + 1)
-    tables, members = [], []
-    cls, row = np.empty(n, np.int8), np.empty(n, np.int64)
-    for size, member in _size_classes(width):
-        cls[member], row[member] = len(tables), np.arange(len(member))
-        tables.append(_cells(buf, at[member], width[member], size, TAB))  # the head cells
-        members.append(member)
-    del buf, at
-    # a source sorts as in its row: "a\x01\tb" < "a\tc"; the names sort alone
-    rank_src = _sorted_ranks(tables, members, width + 1, n)
-    rank_dst = rank_src  # the same order unless a name holds a byte below TAB
-    if n and names.min() < TAB:
-        bare = [t.copy() for t in tables]
-        for t, m in zip(bare, members):
-            t[np.arange(len(m)), width[m]] = 0
-        rank_dst = _sorted_ranks(bare, members, width, n)
-        del bare
     codes = rank_src[src]
     codes *= n
     codes += rank_dst[dst]
     codes.sort()
     by_src, by_dst = np.empty(n, np.int64), np.empty(n, np.int64)
     by_src[rank_src], by_dst[rank_dst] = np.arange(n), np.arange(n)
-    del rank_src, rank_dst
     for lo in range(0, len(codes), 1 << 12):
         s, d = np.divmod(codes[lo : lo + (1 << 12)], n)
-        ids = np.stack([by_src[s], by_dst[d]], axis=1).ravel()  # a head and a tail cell a row
-        size = width[ids] + 1
-        parts = []  # each class's cells, in row order
-        for table in tables:
-            pick = np.flatnonzero(cls[ids] == len(parts))
-            cells = np.take(table, row[ids[pick]], axis=0)
-            tail = np.flatnonzero(pick % 2)
-            cells.reshape(-1)[tail * table.shape[1] + size[pick[tail]] - 1] = NL
-            parts.append(cells[np.arange(table.shape[1]) < size[pick, None]])
-        if len(parts) > 1:  # placed by the class of each byte
-            out, of = np.empty(int(size.sum()), np.uint8), np.repeat(cls[ids], size)
-            for c, part in enumerate(parts):
-                out[of == c] = part
-            parts = [out]
-        yield parts[0].tobytes()
+        ids = np.stack([by_src[s], by_dst[d]], axis=1).ravel()  # a source and a target a row
+        block = _column(names, at[ids], at[ids] + width[ids])
+        block[np.cumsum(width[ids] + 1)[1::2] - 1] = NL  # each target's TAB
+        yield block.tobytes()
 
 
 def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
     """Serialize to the canonical sorted TSV form (stable across reloads)."""
-    labels = graph.labels if graph.labels is not None else map(str, range(graph.n))
-    names = [label.encode() for label in labels]
-    width = np.fromiter(map(len, names), np.int64, len(names))
-    column = np.frombuffer(b"".join(name + b"\t" for name in names), np.uint8)
-    _atomic_write(path, b"".join(_arc_rows(column, width, graph.src, graph.dst)) or b"\n")
+    labels = graph.labels if graph.labels is not None else list(map(str, range(graph.n)))
+    names = np.frombuffer("".join(label + "\t" for label in labels).encode(), np.uint8)
+    width = np.fromiter((len(label.encode()) for label in labels), np.int64, len(labels))
+    rows = _arc_rows(names, width, _label_rank(labels, "\t"), _label_rank(labels),
+                     graph.src, graph.dst)
+    _atomic_write(path, b"".join(rows) or b"\n")
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
@@ -464,9 +425,9 @@ def load_citation(
     n = len(node_starts)
     # paper ids and citation ends interned together: an id that first
     # appears past the n paper ids is one that no paper has
-    key, first_field = _intern(nodes + edges,
-                               np.concatenate([node_starts[:, 0], starts.ravel() + len(nodes)]),
-                               np.concatenate([node_ends[:, 0], ends.ravel() + len(nodes)]))
+    key, first_field, _ = _intern(nodes + edges,
+                                  np.concatenate([node_starts[:, 0], starts.ravel() + len(nodes)]),
+                                  np.concatenate([node_ends[:, 0], ends.ravel() + len(nodes)]))
     row = np.where(first_field < n, first_field, -1)[key]  # the paper row of each field's id
     ids, years = (_texts(nodes, node_starts[:, k], node_ends[:, k]) for k in (0, 1))
     try:
@@ -544,6 +505,8 @@ def save_report(
 def load_report(path: str | Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a report is a JSON object, not {type(doc).__name__}")
     for key in ("schema_version", "tool_version"):
         if key not in doc:
             raise ValueError(f"{path}: report missing required field {key!r}")
@@ -576,8 +539,10 @@ def cache_key(operation: str, digest: str, params: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def cache_get(operation: str, digest: str, params: dict) -> bytes | None:
-    """Byte-identical prior report from ``$KNOWGROW_CACHE_DIR``, or None on miss/corruption."""
+def cache_get(operation: str, digest: str, params: dict,
+              keys: set[str] | None = None) -> bytes | None:
+    """Byte-identical prior report from ``$KNOWGROW_CACHE_DIR``, or None on
+    miss/corruption; with ``keys``, a payload with other keys is corrupt."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
@@ -589,7 +554,8 @@ def cache_get(operation: str, digest: str, params: dict) -> bytes | None:
         doc = json.loads(data)
     except ValueError:
         doc = None
-    if not (isinstance(doc, dict) and isinstance(doc.get("payload"), dict)):
+    payload = doc.get("payload") if isinstance(doc, dict) else None
+    if not isinstance(payload, dict) or keys is not None and payload.keys() != keys:
         logger.warning("corrupt cache entry %s: treating as miss", entry)
         return None
     return data

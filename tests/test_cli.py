@@ -263,6 +263,12 @@ class TestFit:
         assert run("fit", "--input", tmp_path / "nope.csv") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [("fit", "--input"), ("metrics", "--edges")])
+    def test_directory_input_is_exit_1(self, tmp_path, capsys, command, flag):
+        assert run(command, flag, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_input_reports_line(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("date,value\n2020-01,1\n2020-03,2\n")
@@ -312,6 +318,14 @@ class TestForecast:
         assert run("forecast", "--fit", report, "--until", "2030-01", "--quiet") == 1
         err = capsys.readouterr().err
         assert "fit_result" in err and "'intersect'" in err
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"fit_result"'])
+    def test_fit_report_must_be_an_object(self, tmp_path, capsys, text):
+        report = tmp_path / "r.json"
+        report.write_text(text)
+        assert run("forecast", "--fit", report, "--until", "2030-01") == 1
+        assert capsys.readouterr().err == f"error: {report}: a report is a JSON object, " \
+            f"not {type(json.loads(text)).__name__}\n"
 
     def test_fit_rejects_from(self, articles_csv, tmp_path, capsys):
         fit_json = tmp_path / "fit.json"
@@ -387,6 +401,22 @@ class TestMetricsCache:
         cache_files[0].write_text(json.dumps(doc))
         assert run("metrics", "--edges", edges, "--json", out2, "--quiet") == 0
         assert load_report(out2)["payload"]["density"] == 0.123456
+
+    @pytest.mark.parametrize("payload", [{}, {"n": 3}], ids=["empty", "one-key"])
+    def test_payload_missing_keys_is_recomputed(self, tmp_path, monkeypatch, caplog, payload):
+        edges = tmp_path / "g.tsv"
+        edges.write_text("a\tb\nb\tc\nc\ta\n")
+        fresh, out = tmp_path / "fresh.json", tmp_path / "m.json"
+        assert run("metrics", "--edges", edges, "--json", fresh, "--quiet") == 0
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+        assert run("metrics", "--edges", edges, "--quiet") == 0
+        entry = next((tmp_path / "cache").glob("*.json"))
+        entry.write_text(json.dumps({"payload": payload}))
+        with caplog.at_level("WARNING"):
+            assert run("metrics", "--edges", edges, "--json", out, "--quiet") == 0
+        assert "corrupt cache entry" in caplog.text
+        assert out.read_bytes() == fresh.read_bytes()
+        assert json.loads(entry.read_text())["payload"] == load_report(fresh)["payload"]
 
 
 class TestDisrupt:

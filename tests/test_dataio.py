@@ -464,6 +464,27 @@ class TestLfAndCrlfFilesAgree:
         write_edge_tsv(g, path.with_name("out.tsv"))
         assert path.with_name("out.tsv").read_bytes() == (rows or b"\n")
 
+    # titles of every size class up to 300 bytes, some sharing a prefix of 8,
+    # 16 or 32 bytes, which puts titles of different classes side by side
+    PREFIX = "Category:Science in Ghana by yea"
+    TITLE = st.builds(lambda head, tail, k: (head + tail * k)[:150],
+                      st.sampled_from(["", PREFIX[:8], PREFIX[:16], PREFIX]),
+                      st.text(alphabet="ab \x00\x01éж", max_size=5),
+                      st.sampled_from([1, 2, 8, 60])).filter(bool)
+
+    @given(st.lists(TITLE, min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_intern_ranks_the_fields_each_followed_by_a_tab(self, labels):
+        widths = np.array([len(x.encode()) for x in labels])
+        ends = np.cumsum(widths + 1) - 1
+        ids, first, rank = dataio._intern("".join(x + "\t" for x in labels).encode(),
+                                          ends - widths, ends)
+        distinct = list(dict.fromkeys(labels))
+        assert ids.tolist() == [distinct.index(x) for x in labels]
+        assert first.tolist() == [labels.index(x) for x in distinct]
+        cells = sorted(x.encode() + b"\t" for x in distinct)
+        assert rank.tolist() == [cells.index(x.encode() + b"\t") for x in distinct]
+
     @pytest.mark.parametrize("data, where", [
         (b"a\tb\nb\tc\td\n", r"e\.tsv:2: expected 2 tab-separated fields, got 3"),
         (b"a\tb\nb\t\n", r"e\.tsv:2: empty field 2"),
