@@ -157,10 +157,12 @@ def cmd_forecast(args) -> Report:
     return "forecast", [], payload, [f"{series.month_at(len(series))}: {series.values[-1]:,.0f}"]
 
 
-# the keys of a metrics payload, but "clustering", which --no-clustering leaves out
-METRICS_KEYS = ("n", "arcs", "self_loops", "duplicates_dropped", "density", "mean_degree",
-                "degree_entropy", "normalized_structural_entropy", "effective_diameter",
-                "avg_shortest_path")
+# the shape of a metrics payload, but "clustering", which --no-clustering leaves out
+BY_DIRECTION = dict.fromkeys(("in", "out", "total"), float)
+METRICS_SHAPE = {"n": int, "arcs": int, "self_loops": int, "duplicates_dropped": int,
+                 "density": float, "mean_degree": float, "degree_entropy": BY_DIRECTION,
+                 "normalized_structural_entropy": BY_DIRECTION, "effective_diameter": int,
+                 "avg_shortest_path": float}
 
 
 def cmd_metrics(args) -> Report:
@@ -172,12 +174,11 @@ def cmd_metrics(args) -> Report:
         "undirected": args.undirected,
         "clustering": not args.no_clustering,
     }
-    keys = {*METRICS_KEYS, *(() if args.no_clustering else ("clustering",))}
-    cached = cache_get("metrics", ds.digest, params, keys)
+    shape = METRICS_SHAPE if args.no_clustering else {**METRICS_SHAPE, "clustering": float}
+    cached = cache_get("metrics", ds.digest, params, shape)
     if cached is not None:
         payload = json.loads(cached)["payload"]
     else:
-        directions = ("in", "out", "total")
         payload = {
             "n": g.n,
             "arcs": g.arc_count,
@@ -185,9 +186,9 @@ def cmd_metrics(args) -> Report:
             "duplicates_dropped": g.duplicate_count,
             "density": density(g),
             "mean_degree": mean_degree(g),
-            "degree_entropy": {d: degree_entropy(g, d) for d in directions},
+            "degree_entropy": {d: degree_entropy(g, d) for d in BY_DIRECTION},
             "normalized_structural_entropy": {d: normalized_structural_entropy(g, d)
-                                              for d in directions},
+                                              for d in BY_DIRECTION},
             "effective_diameter": effective_diameter(g, args.quantile, args.sources, args.seed),
             "avg_shortest_path": avg_shortest_path(g, args.sources, args.seed),
         }

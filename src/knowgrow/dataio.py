@@ -242,6 +242,9 @@ def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarr
     shape, starts = starts.shape, starts.ravel()
     width = np.subtract(ends.ravel(), starts, dtype=np.int32)
     top = max(3, int(width.max(initial=0)).bit_length())
+    # a class's distinct cells are kept for the merge only if another class
+    # is occupied: the classes of the shortest and the longest field differ
+    merge = top > max(3, int(width.min(initial=0)).bit_length())
     buf = np.concatenate([np.frombuffer(data, np.uint8), np.zeros(1 << top, np.uint8)])
     key, firsts, heads, count = np.empty(len(width), np.int32), [], [], 0
     for c in range(3, top + 1):
@@ -262,7 +265,8 @@ def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarr
         cells = cells[order]
         new = np.ones(len(cells), bool)
         np.not_equal(cells[1:], cells[:-1], out=new[1:])
-        heads.append(cells[new])
+        if merge:
+            heads.append(cells[new])
         del cells
         ids = np.cumsum(new, dtype=np.int32)
         ids += count - 1
@@ -273,7 +277,7 @@ def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarr
     del buf, width
     # the classes merge at the narrower one's width: a wider cell cut there
     # holds no TAB, so it equals no cell of the narrower class
-    rank = [np.arange(len(h)) for h in heads]
+    rank = [np.arange(len(f)) for f in firsts]
     for c, wide in enumerate(heads):
         for c2, narrow in enumerate(heads[:c]):
             cut = wide.view(np.uint8).reshape(len(wide), -1)[:, : narrow.itemsize]
@@ -306,7 +310,8 @@ def _texts(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
 
 
 def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
-    """Edge list TSV -> SnapshotGraph with labels interned in file order.
+    """Edge list TSV -> SnapshotGraph with labels interned in file order; the
+    graph keeps the labels' bytes and decodes them when they are first read.
 
     ``undirected=True`` mirrors every arc, for edge lists that store one
     line per undirected edge, and the graph records that it is symmetric;
@@ -321,14 +326,13 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     names = _column(data, starts, ends)
     width = ends - starts
     del data, starts, ends, first
-    labels = names.tobytes().decode().split("\t")[:-1]
-    graph = SnapshotGraph.from_edges(arcs, n=len(labels), labels=labels, mirror=undirected)
+    graph = SnapshotGraph.from_edges(arcs, n=len(width), names=names, mirror=undirected)
     rows = len(arcs)
     del arcs  # freed before the digest rows are written
     kind = "undirected_edge_list" if undirected else "edge_list"
     # a source sorts as in its row, "a\x01\tb" < "a\tc"; a target sorts alone,
     # in that same order unless a name holds a byte below TAB
-    rank_dst = _label_rank(labels) if names.min() < TAB else rank
+    rank_dst = _label_rank(graph.labels) if names.min() < TAB else rank
     digest = hashlib.sha256()
     for block in _arc_rows(names, width, rank, rank_dst, graph.src, graph.dst):
         digest.update(block)
@@ -539,10 +543,18 @@ def cache_key(operation: str, digest: str, params: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _fits(value, shape) -> bool:
+    """Whether a JSON value has ``shape``: a type, or a dict of each key's shape."""
+    if isinstance(shape, dict):
+        return (isinstance(value, dict) and value.keys() == shape.keys()
+                and all(_fits(value[k], sub) for k, sub in shape.items()))
+    return type(value) is shape  # so neither True nor 1 reads as a float
+
+
 def cache_get(operation: str, digest: str, params: dict,
-              keys: set[str] | None = None) -> bytes | None:
+              shape: dict | None = None) -> bytes | None:
     """Byte-identical prior report from ``$KNOWGROW_CACHE_DIR``, or None on
-    miss/corruption; with ``keys``, a payload with other keys is corrupt."""
+    miss/corruption; with ``shape`` (see `_fits`), a payload of another shape is corrupt."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
@@ -555,7 +567,7 @@ def cache_get(operation: str, digest: str, params: dict,
     except ValueError:
         doc = None
     payload = doc.get("payload") if isinstance(doc, dict) else None
-    if not isinstance(payload, dict) or keys is not None and payload.keys() != keys:
+    if not isinstance(payload, dict) or shape is not None and not _fits(payload, shape):
         logger.warning("corrupt cache entry %s: treating as miss", entry)
         return None
     return data

@@ -1,12 +1,15 @@
 """Structural metrics on directed snapshot graphs.
 
-The graph container is a compact CSR adjacency over dense integer node ids;
-loaders intern arbitrary string labels.  Metrics follow the conventions of
-scale-free network analysis: directed density E/(N(N-1)), Shannon entropy
-of the degree histogram, BFS-sampled effective diameter and mean distance
-over reachable ordered pairs, mean local clustering on the undirected
-projection, and maximum-likelihood tail fits (discrete power law with
-KS-minimizing k_min in the style of Clauset et al., and lognormal).
+The graph container holds arcs over dense integer node ids, with numpy CSR
+adjacency arrays ``(indptr, indices)``; scipy is imported only for the
+sparse products of the clustering coefficient.  Loaders intern string
+labels, which a graph keeps as bytes and decodes only when read.  Metrics
+follow the conventions of scale-free network analysis: directed density
+E/(N(N-1)), Shannon entropy of the degree histogram, BFS-sampled effective
+diameter and mean distance over reachable ordered pairs, mean local
+clustering on the undirected projection, and maximum-likelihood tail fits
+(discrete power law with KS-minimizing k_min in the style of Clauset et
+al., and lognormal).
 
 Both distance metrics read one seeded traversal: a histogram of distances
 from the sampled sources (every node when exhaustive), computed once per
@@ -17,20 +20,17 @@ A graph built from mirrored arcs records that it is ``symmetric``:
 ``from_edges(..., mirror=True)`` (the ``--undirected`` edge-list loader) and
 ``ba.generate``.  Its out-adjacency is then also its in-adjacency and its
 undirected projection, so the BFS and the clustering coefficient reuse
-``out_csr()`` instead of building a transpose or ``out.maximum(out.T)``.
+``out_csr()`` instead of building in-rows or a mirrored graph.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
 from ._brent import bounded_min, hits_bound
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "SnapshotGraph",
@@ -59,17 +59,18 @@ class SnapshotGraph:
     Arcs are deduplicated and self-loops are dropped from the adjacency at
     construction; both removals are counted and reported.  All metric
     edge counts therefore refer to the cleaned arc set.  ``symmetric``
-    records that every arc's reverse is an arc too.
+    records that every arc's reverse is an arc too.  ``names`` holds the
+    UTF-8 bytes of the node labels, each followed by a TAB.
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
-    labels: list[str] | None = None
+    names: np.ndarray | None = field(default=None, repr=False)
     self_loop_count: int = 0
     duplicate_count: int = 0
     symmetric: bool = False
-    _out: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _out: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _distances: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -77,11 +78,11 @@ class SnapshotGraph:
         cls,
         edges: np.ndarray | list[tuple[int, int]],
         n: int | None = None,
-        labels: list[str] | None = None,
+        names: np.ndarray | None = None,
         mirror: bool = False,
     ) -> "SnapshotGraph":
-        """Graph of the ``(src, dst)`` rows; ``mirror=True`` adds every row's
-        reverse arc too, and records the graph as symmetric."""
+        """Graph of the ``(src, dst)`` rows, sorted by ``(src, dst)``; ``mirror=True``
+        adds every row's reverse arc too, and records the graph as symmetric."""
         arr = np.asarray(edges).reshape(-1, 2)
         if n is None:
             n = int(arr.max()) + 1 if arr.size else 1
@@ -108,20 +109,38 @@ class SnapshotGraph:
             n=n,
             src=codes.astype(index),
             dst=dst,
-            labels=labels,
+            names=names,
             self_loop_count=self_loops,
             duplicate_count=len(arr) * (1 + mirror) - self_loops - len(dst),
             symmetric=mirror,
         )
 
+    @cached_property
+    def labels(self) -> list[str] | None:
+        """The node labels, decoded from ``names`` when first read."""
+        return None if self.names is None else self.names.tobytes().decode().split("\t")[:-1]
+
     @property
     def arc_count(self) -> int:
         return int(len(self.src))
 
-    def out_csr(self) -> sparse.csr_matrix:
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``: node v's out-neighbours are ``indices[indptr[v]:indptr[v + 1]]``.
+
+        Arcs sorted by source, as ``from_edges`` leaves them, are the rows
+        as they stand; others (``ba.generate``'s) are sorted first.
+        """
         if self._out is None:
-            self._out = _csr(self.src, self.dst, self.n, np.int8)
+            if np.all(self.src[1:] >= self.src[:-1]):
+                rows = np.arange(self.n + 1, dtype=self.src.dtype)
+                self._out = np.searchsorted(self.src, rows), self.dst
+            else:
+                self._out = _csr(self.src, self.dst, self.n)
         return self._out
+
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the in-adjacency: node v's in-neighbours in row v."""
+        return self.out_csr() if self.symmetric else _csr(self.dst, self.src, self.n)
 
     def degrees(self, direction: str = "total") -> np.ndarray:
         if direction not in _DIRECTIONS:
@@ -134,22 +153,22 @@ class SnapshotGraph:
             return in_deg
         return out_deg + in_deg
 
-    def undirected_csr(self) -> sparse.csr_matrix:
-        """Symmetric 0/1 adjacency of the undirected projection."""
-        out = self.out_csr()
-        return out if self.symmetric else out.maximum(out.T)
+    def undirected_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the undirected projection: the mirrored graph's out-rows."""
+        if self.symmetric:
+            return self.out_csr()
+        return SnapshotGraph.from_edges(np.column_stack([self.src, self.dst]), self.n,
+                                        mirror=True).out_csr()
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int, dtype) -> sparse.csr_matrix:
-    """Canonical n x n CSR matrix of the distinct ``(rows, cols)`` pairs, each entry 1."""
-    from scipy import sparse
-
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the distinct ``(rows, cols)`` pairs over n nodes,
+    each row's columns sorted."""
     codes = rows * np.int64(n) + cols
     codes.sort()
     index = np.int32 if max(n, len(codes)) < 2**31 else np.int64
     indptr = np.searchsorted(codes, np.arange(n + 1) * np.int64(n)).astype(index)
-    indices = np.remainder(codes, n, out=codes).astype(index)
-    return sparse.csr_matrix((np.ones(len(codes), dtype), indices, indptr), shape=(n, n))
+    return indptr, np.remainder(codes, n, out=codes).astype(index)
 
 
 def density(g: SnapshotGraph) -> float:
@@ -208,8 +227,7 @@ def _distance_histogram(g: SnapshotGraph, sources: int, seed: int) -> np.ndarray
         else:
             rng = np.random.default_rng(seed)
             chosen = np.sort(rng.choice(g.n, size=sources, replace=False))
-        out = g.out_csr()
-        inn = out if g.symmetric else out.T.tocsr()
+        out, inn = g.out_csr(), g.in_csr()
         words = min(-(-len(chosen) // 64), max(1, BLOCK_VALUES // (g.n + g.arc_count)))
         hist = np.zeros(g.n, dtype=np.int64)
         for lo in range(0, len(chosen), 64 * words):
@@ -233,27 +251,28 @@ TOP_DOWN_SHARE = 0.2
 BOTTOM_UP_VALUES = 1 << 16
 
 
-def _bfs_sweep(
-    out: sparse.csr_matrix, inn: sparse.csr_matrix, chosen: np.ndarray, hist: np.ndarray
-) -> None:
+def _bfs_sweep(out: tuple[np.ndarray, np.ndarray], inn: tuple[np.ndarray, np.ndarray],
+               chosen: np.ndarray, hist: np.ndarray) -> None:
     """Add the distances from the ``chosen`` sources, 64 per word, to ``hist``.
 
     Multi-source BFS (Then et al., VLDB 2014): source i owns bit i % 64 of
     word i // 64 of every node, so one level advances all sources at once.
     The frontier is kept sparse, as (node * words + word, bits) entries; each
     level takes the cheaper of a top-down and a bottom-up step (Beamer et
-    al., SC 2012).  ``inn`` is the in-adjacency, ``out`` transposed.
+    al., SC 2012).  ``out`` and ``inn`` are the ``(indptr, indices)`` of the
+    out- and in-adjacency.
     """
-    n = out.shape[0]
+    (out_ptr, out_idx), (in_ptr, in_idx) = out, inn
+    n = len(out_ptr) - 1
     words = -(-len(chosen) // 64)
-    outdeg = np.diff(out.indptr)
-    in_rows = np.flatnonzero(np.diff(inn.indptr))  # reduceat copies, not zeroes, empty rows
-    in_starts = np.append(inn.indptr[in_rows], inn.nnz)
+    outdeg = np.diff(out_ptr)
+    in_rows = np.flatnonzero(np.diff(in_ptr))  # reduceat copies, not zeroes, empty rows
+    in_starts = np.append(in_ptr[in_rows], len(in_idx))
     blocks, step = [0], max(1, BOTTOM_UP_VALUES // words)
     while blocks[-1] < len(in_rows):
         last = int(np.searchsorted(in_starts, in_starts[blocks[-1]] + step, side="right")) - 1
         blocks.append(max(last, blocks[-1] + 1))
-    dense_work = (n + out.nnz) * words
+    dense_work = (n + len(out_idx)) * words
     seen = np.zeros(n * words, dtype=np.uint64)
     i = np.arange(len(chosen))
     keys = chosen * words + i // 64
@@ -267,8 +286,8 @@ def _bfs_sweep(
         deg = outdeg[nodes]
         if deg.sum() < TOP_DOWN_SHARE * dense_work:
             ends = np.cumsum(deg)
-            arcs = np.arange(ends[-1]) - np.repeat(ends - deg - out.indptr[nodes], deg)
-            to = out.indices[arcs]
+            arcs = np.arange(ends[-1]) - np.repeat(ends - deg - out_ptr[nodes], deg)
+            to = out_idx[arcs]
             if words > 1:
                 to = to * words + np.repeat(keys % words, deg)
             reached = np.repeat(bits, deg) & ~seen.take(to)
@@ -287,7 +306,7 @@ def _bfs_sweep(
             keys, bits = [np.empty(0, np.int64)], [np.empty(0, np.uint64)]
             for lo, hi in zip(blocks, blocks[1:]):
                 a, b = in_starts[lo], in_starts[hi]
-                new = np.bitwise_or.reduceat(frontier[inn.indices[a:b]], in_starts[lo:hi] - a,
+                new = np.bitwise_or.reduceat(frontier[in_idx[a:b]], in_starts[lo:hi] - a,
                                              axis=0)
                 new &= ~seen.reshape(n, words)[in_rows[lo:hi]]
                 flat = np.flatnonzero(new)
@@ -334,21 +353,28 @@ def clustering_coefficient(g: SnapshotGraph) -> float:
     """
     if g.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
-    a = g.undirected_csr()
-    deg = np.diff(a.indptr)
+    indptr, indices = g.undirected_csr()
+    deg = np.diff(indptr)
     order = np.argsort(deg, kind="stable")
-    rank = np.empty(g.n, a.indices.dtype)
+    rank = np.empty(g.n, indices.dtype)
     rank[order] = np.arange(g.n)
-    lo, hi = np.repeat(rank, deg), rank[a.indices]  # each edge twice, as rank pairs
+    lo, hi = np.repeat(rank, deg), rank[indices]  # each edge twice, as rank pairs
     up = lo < hi
     lo, hi = lo[up], hi[up]
     del up
-    u = _csr(lo, hi, g.n, np.int32)
+    indptr, indices = _csr(lo, hi, g.n)
     del lo, hi
+    # scipy is imported only now: importing it while lo and hi are held lifts the peak RSS
+    from scipy import sparse
+
+    u = sparse.csr_matrix((np.ones(len(indices), np.int32), indices, indptr), shape=(g.n, g.n))
     low = (u @ u).multiply(u)  # each triangle once, at its (lowest, highest) pair
+    by_rank = np.asarray(low.sum(axis=1) + low.sum(axis=0).T).ravel()
+    del low  # freed before the second product
     mid = (u.T.tocsr() @ u).multiply(u)  # and once at its (middle, highest) pair
-    tri = np.zeros(g.n)
-    tri[order] = np.asarray(low.sum(axis=1) + low.sum(axis=0).T + mid.sum(axis=1)).ravel()
+    by_rank += np.asarray(mid.sum(axis=1)).ravel()
+    tri = np.empty(g.n)
+    tri[order] = by_rank
     pairs = deg * (deg - 1.0) / 2
     return float(np.divide(tri, pairs, out=np.zeros(g.n), where=deg >= 2).mean())
 

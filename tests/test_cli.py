@@ -102,25 +102,30 @@ def test_growth_command_loads_no_scipy(tmp_path, monkeypatch, case):
     assert not _scipy(modules)
 
 
-# command: (arguments, input files, scipy modules it must load); bounded
-# Brent is in-package, so none of them loads scipy.optimize
+# command: (arguments, input files, scipy modules it must load, or None for no
+# scipy at all); bounded Brent is in-package, so none of them loads scipy.optimize
 COMMAND_IMPORTS = {
     "ba": (["--nodes", "300", "--m", "2"], {}, {"scipy.sparse", "scipy.special"}),
     "distfit": (["--input", "d.txt", "--family", "powerlaw", "--kmin", "1"],
                 {"d.txt": "\n".join(map(str, range(1, 201)))}, {"scipy.special"}),
-    "metrics": (["--edges", "e.tsv", "--no-clustering"], {"e.tsv": "a\tb\nb\tc\nc\ta\n"},
-                {"scipy.sparse"}),
+    "metrics": (["--edges", "e.tsv"], {"e.tsv": "a\tb\nb\tc\nc\ta\n"}, {"scipy.sparse"}),
+    # ingest and the BFS read numpy CSR arrays: only clustering loads scipy
+    "metrics --no-clustering": (["--edges", "e.tsv", "--no-clustering"],
+                                {"e.tsv": "a\tb\nb\tc\nc\ta\n"}, None),
 }
 
 
-@pytest.mark.parametrize("command", sorted(COMMAND_IMPORTS))
-def test_command_loads_no_optimize(tmp_path, monkeypatch, command):
-    args, files, loads = COMMAND_IMPORTS[command]
+@pytest.mark.parametrize("case", sorted(COMMAND_IMPORTS))
+def test_command_loads_no_optimize(tmp_path, monkeypatch, case):
+    args, files, loads = COMMAND_IMPORTS[case]
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    modules = _imports("knowgrow.cli", command, *args, "--json", "r.json", "--quiet")
-    assert loads <= modules
+    modules = _imports("knowgrow.cli", case.split()[0], *args, "--json", "r.json", "--quiet")
+    if loads is None:
+        assert not _scipy(modules)
+    else:
+        assert loads <= modules
     assert "scipy.optimize" not in modules
 
 
@@ -412,6 +417,30 @@ class TestMetricsCache:
         assert run("metrics", "--edges", edges, "--quiet") == 0
         entry = next((tmp_path / "cache").glob("*.json"))
         entry.write_text(json.dumps({"payload": payload}))
+        with caplog.at_level("WARNING"):
+            assert run("metrics", "--edges", edges, "--json", out, "--quiet") == 0
+        assert "corrupt cache entry" in caplog.text
+        assert out.read_bytes() == fresh.read_bytes()
+        assert json.loads(entry.read_text())["payload"] == load_report(fresh)["payload"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("degree_entropy", 5), ("density", "0.5"), ("n", 3.0), ("self_loops", False),
+        ("normalized_structural_entropy", {"in": 1.0, "out": 1.0, "total": None}),
+        ("degree_entropy", {"in": 1.0, "out": 1.0}),
+    ], ids=["entropy-number", "density-string", "n-float", "loops-bool", "entropy-null",
+            "entropy-short"])
+    def test_payload_of_other_types_is_recomputed(self, tmp_path, monkeypatch, caplog,
+                                                  key, value):
+        edges = tmp_path / "g.tsv"
+        edges.write_text("a\tb\nb\tc\nc\ta\n")
+        fresh, out = tmp_path / "fresh.json", tmp_path / "m.json"
+        assert run("metrics", "--edges", edges, "--json", fresh, "--quiet") == 0
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+        assert run("metrics", "--edges", edges, "--quiet") == 0
+        entry = next((tmp_path / "cache").glob("*.json"))
+        doc = json.loads(entry.read_text())
+        doc["payload"][key] = value
+        entry.write_text(json.dumps(doc))
         with caplog.at_level("WARNING"):
             assert run("metrics", "--edges", edges, "--json", out, "--quiet") == 0
         assert "corrupt cache entry" in caplog.text

@@ -186,6 +186,13 @@ class TestEdgeLoader:
         assert out1.read_bytes() == out2.read_bytes()
         assert ds1.digest == ds2.digest
 
+    def test_labels_are_decoded_when_first_read(self, tmp_path):
+        g = load_edge_list(write(tmp_path / "e.tsv", "caf\u00e9\tb\nb\ta\n"))[1]
+        assert g.names.tobytes() == "caf\u00e9\tb\ta\t".encode()
+        assert "labels" not in vars(g)  # no metric reads them
+        assert g.labels == ["caf\u00e9", "b", "a"]
+        assert g.labels is g.labels
+
 
 class TestOtherLoaders:
     def test_samples(self, tmp_path):
