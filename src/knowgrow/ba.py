@@ -23,6 +23,7 @@ import numpy as np
 
 from .graph_metrics import (
     SnapshotGraph,
+    _index_dtype,
     clustering_coefficient,
     effective_diameter,
     powerlaw_fit,
@@ -69,7 +70,7 @@ def generate(params: BAParams) -> SnapshotGraph:
         for u in sorted(chosen):
             urn += (u, v)
 
-    ends = np.array(urn, np.int64)
+    ends = np.array(urn, _index_dtype(n))
     del urn
     src, dst = ends[0::2], ends[1::2]
     # arcs are simple, loop-free and mirrored by construction: skip from_edges' dedup

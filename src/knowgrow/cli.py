@@ -5,6 +5,17 @@ codes: 0 success, 1 data/processing error (diagnostic on stderr), 2 usage
 error (argparse).  ``--json`` writes the full machine-readable report,
 ``--plot-csv`` writes the x,y table behind the figure-like output of the
 subcommand, and stdout carries a short human summary unless ``--quiet``.
+
+Each command runs in a fresh process, often without a bytecode cache, so
+numpy and `dataio` are the only eager imports: the domain modules are bound
+with ``knowgrow._lazy`` and a command executes only those it calls
+(``fit``, ``forecast`` and ``segment`` run `fitting`, `growth` and `_brent`;
+``metrics`` and ``distfit`` `graph_metrics` and `_brent`; ``ba`` those two
+and `ba`; ``taxonomy`` `taxonomy`; ``disrupt`` and ``intersect``
+`disruption`; ``--version`` none).  Bind a new module with ``_lazy`` below
+and call it module-qualified, never import it inside a handler: the
+benchmark's tracer wraps functions only in the modules registered once this
+module is imported.
 """
 from __future__ import annotations
 
@@ -14,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, ba as ba_mod
+from . import __version__, _lazy
 from .dataio import (
     Dataset,
     _atomic_write,
@@ -30,24 +41,17 @@ from .dataio import (
     report_bytes,
     save_report,
 )
-from .disruption import YEAR_RANGE, d_index, d_index_all, intersect_analysis, rank
-from .fitting import FitResult, TimeSeries, forecast, segment_break, select
-from .graph_metrics import (
-    avg_shortest_path,
-    clustering_coefficient,
-    degree_entropy,
-    density,
-    effective_diameter,
-    empirical_ccdf,
-    lognormal_fit,
-    mean_degree,
-    normalized_structural_entropy,
-    powerlaw_ccdf,
-    powerlaw_fit,
-)
-from .growth import STANDARD_FAMILIES, family_spec, model_catalog
-from .months import month_index
-from .taxonomy import count_members_by_level, detect_cycles, wag_root_presets
+
+# executed on first attribute access; _brent, which only fitting and
+# graph_metrics call, is registered here so the tracer sees it too
+_brent = _lazy("knowgrow._brent")
+ba = _lazy("knowgrow.ba")
+disruption = _lazy("knowgrow.disruption")
+fitting = _lazy("knowgrow.fitting")
+graph_metrics = _lazy("knowgrow.graph_metrics")
+growth = _lazy("knowgrow.growth")
+months = _lazy("knowgrow.months")
+taxonomy = _lazy("knowgrow.taxonomy")
 
 SERIES_FORMAT = "CSV with header 'date,value'; date is ISO YYYY-MM, months consecutive"
 EDGES_FORMAT = "TSV 'src<TAB>dst', one arc per line, opaque string node ids"
@@ -74,8 +78,8 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
 def _parse_year_range(args) -> tuple[int, int] | None:
     if args.year_min is None and args.year_max is None:
         return None
-    lo = YEAR_RANGE[0] if args.year_min is None else args.year_min
-    hi = YEAR_RANGE[1] if args.year_max is None else args.year_max
+    lo = disruption.YEAR_RANGE[0] if args.year_min is None else args.year_min
+    hi = disruption.YEAR_RANGE[1] if args.year_max is None else args.year_max
     if lo > hi:
         raise ValueError(f"empty year range: --year-min {lo} > --year-max {hi}")
     return lo, hi
@@ -95,15 +99,15 @@ def cmd_fit(args) -> Report:
         positive = all(v > 0 for v in series.values)
         families = [
             f
-            for f in STANDARD_FAMILIES
-            if (positive or not family_spec(f).log_space)
-            and family_spec(f).arity + 2 <= len(series)
+            for f in growth.STANDARD_FAMILIES
+            if (positive or not growth.family_spec(f).log_space)
+            and growth.family_spec(f).arity + 2 <= len(series)
         ]
         if not families:
             raise ValueError(f"no family fits a series of {len(series)} points")
     else:
         families = [args.family]
-    ranked = select(series, families)
+    ranked = fitting.select(series, families)
     best = ranked[0]
     payload = {
         "best": best.to_json(),
@@ -133,23 +137,23 @@ def cmd_forecast(args) -> Report:
         doc = load_report(args.fit)
         if doc.get("kind") != "fit_result":
             raise ValueError(f"--fit needs a fit_result report; {args.fit} is {doc.get('kind')!r}")
-        result = FitResult.from_json(doc["payload"]["best"])
-        series = forecast(result, args.until)
+        result = fitting.FitResult.from_json(doc["payload"]["best"])
+        series = fitting.forecast(result, args.until)
         model = result.model
     else:
-        catalog = model_catalog()
+        catalog = growth.model_catalog()
         if args.model not in catalog:
             raise ValueError(f"unknown catalog model {args.model!r}; have {sorted(catalog)}")
         model = catalog[args.model]
         if not args.from_month:
             raise ValueError("--from is required with --model")
-        t0 = month_index(model.t_origin, args.from_month)
-        t1 = month_index(model.t_origin, args.until)
+        t0 = months.month_index(model.t_origin, args.from_month)
+        t1 = months.month_index(model.t_origin, args.until)
         if t1 < t0:
             raise ValueError("--until precedes --from")
         tt = np.arange(t0, t1 + 1, dtype=float)
         values = np.asarray(model.evaluate(tt), dtype=float)
-        series = TimeSeries(origin=args.from_month, values=tuple(values), label=args.model)
+        series = fitting.TimeSeries(origin=args.from_month, values=tuple(values), label=args.model)
     payload = {"model": model.to_json(), "forecast": series.to_json()}
     if args.plot_csv:
         _write_csv(args.plot_csv, ["date", "value"],
@@ -184,16 +188,17 @@ def cmd_metrics(args) -> Report:
             "arcs": g.arc_count,
             "self_loops": g.self_loop_count,
             "duplicates_dropped": g.duplicate_count,
-            "density": density(g),
-            "mean_degree": mean_degree(g),
-            "degree_entropy": {d: degree_entropy(g, d) for d in BY_DIRECTION},
-            "normalized_structural_entropy": {d: normalized_structural_entropy(g, d)
+            "density": graph_metrics.density(g),
+            "mean_degree": graph_metrics.mean_degree(g),
+            "degree_entropy": {d: graph_metrics.degree_entropy(g, d) for d in BY_DIRECTION},
+            "normalized_structural_entropy": {d: graph_metrics.normalized_structural_entropy(g, d)
                                               for d in BY_DIRECTION},
-            "effective_diameter": effective_diameter(g, args.quantile, args.sources, args.seed),
-            "avg_shortest_path": avg_shortest_path(g, args.sources, args.seed),
+            "effective_diameter": graph_metrics.effective_diameter(g, args.quantile,
+                                                                   args.sources, args.seed),
+            "avg_shortest_path": graph_metrics.avg_shortest_path(g, args.sources, args.seed),
         }
         if not args.no_clustering:
-            payload["clustering"] = clustering_coefficient(g)
+            payload["clustering"] = graph_metrics.clustering_coefficient(g)
         cache_put("metrics", ds.digest, params, report_bytes(payload, "metrics", [ds]))
     if args.plot_csv:
         _write_csv(args.plot_csv, ["degree", "count"],
@@ -207,9 +212,9 @@ def cmd_metrics(args) -> Report:
 
 
 def cmd_ba(args) -> Report:
-    params = ba_mod.BAParams(n=args.nodes, m=args.m, seed=args.seed)
-    g = ba_mod.generate(params)
-    report = ba_mod.compare(g, params, sources=args.sources)
+    params = ba.BAParams(n=args.nodes, m=args.m, seed=args.seed)
+    g = ba.generate(params)
+    report = ba.compare(g, params, sources=args.sources)
     if args.edges_out:
         mask = g.src < g.dst
         rows = [f"{s}\t{d}" for s, d in zip(g.src[mask].tolist(), g.dst[mask].tolist())]
@@ -218,7 +223,7 @@ def cmd_ba(args) -> Report:
         from scipy.special import zeta
 
         deg = g.degrees("out")
-        ks, ccdf_emp = empirical_ccdf(np.sort(deg))
+        ks, ccdf_emp = graph_metrics.empirical_ccdf(np.sort(deg))
         ccdf_theory = 2.0 * params.m**2 * zeta(3.0, ks.astype(float))
         _write_csv(args.plot_csv, ["degree", "ccdf_empirical", "ccdf_reference"],
                    ks, ccdf_emp, ccdf_theory)
@@ -236,15 +241,16 @@ def cmd_ba(args) -> Report:
 def cmd_disrupt(args) -> Report:
     year_range = _parse_year_range(args)
     (dsn, dse), g = load_citation(args.nodes, args.edges)
-    counts, d = d_index_all(g)
-    ordered = rank(g, key=args.key, k=args.top, year_range=year_range)
+    counts, d = disruption.d_index_all(g)
+    ordered = disruption.rank(g, key=args.key, k=args.top, year_range=year_range)
     citations = g.citation_counts()
     payload = {
         "papers": len(g),
         "key": args.key,
         "year_range": list(year_range) if year_range else None,
         "top": [
-            {"paper": pid, "citations": int(citations[g.index[pid]]), **d_index(g, pid).to_json()}
+            {"paper": pid, "citations": int(citations[g.index[pid]]),
+             **disruption.d_index(g, pid).to_json()}
             for pid in ordered
         ],
     }
@@ -265,7 +271,7 @@ def cmd_taxonomy(args) -> Report:
         raise ValueError("provide exactly one of --roots or --preset")
     ds, g = load_category_tsv(args.edges)
     if args.preset:
-        presets = wag_root_presets()
+        presets = taxonomy.wag_root_presets()
         if args.preset not in presets:
             raise ValueError(f"unknown preset {args.preset!r}; have {sorted(presets)}")
         roots = presets[args.preset]
@@ -273,7 +279,7 @@ def cmd_taxonomy(args) -> Report:
         roots = [r.strip() for r in args.roots.split(",") if r.strip()]
         if not roots:
             raise ValueError("--roots names no category")
-    levels = count_members_by_level(g, roots, args.depth)
+    levels = taxonomy.count_members_by_level(g, roots, args.depth)
     categories, articles = levels[-1]
     if args.plot_csv:  # one row per depth; rows past the last repeat it
         depths = np.arange(args.depth + 1)
@@ -281,7 +287,7 @@ def cmd_taxonomy(args) -> Report:
                    depths, *np.array(levels)[np.minimum(depths, len(levels) - 1)].T)
     payload = {"roots": roots, "depth": args.depth, "articles": articles, "categories": categories}
     if args.cycles:
-        payload["cycles"] = detect_cycles(g)
+        payload["cycles"] = taxonomy.detect_cycles(g)
     summary = [
         f"{categories} categories and {articles} distinct articles "
         f"within depth {args.depth} of {len(roots)} roots"
@@ -300,7 +306,7 @@ def cmd_intersect(args) -> Report:
     dsa, a_ids = load_id_list(args.a)
     dsb, b_ids = load_id_list(args.b)
     dsc, ctop = load_id_list(args.ctop)
-    rows = intersect_analysis(set(a_ids), set(b_ids), ctop, percentiles)
+    rows = disruption.intersect_analysis(set(a_ids), set(b_ids), ctop, percentiles)
     payload = {"a_size": len(set(a_ids)), "b_size": len(set(b_ids)),
                "ctop_size": len(ctop), "rows": rows}
     if args.plot_csv:
@@ -320,7 +326,7 @@ def cmd_distfit(args) -> Report:
         raise ValueError("--kmin applies to --family powerlaw only")
     ds, samples = load_samples(args.input)
     if args.family == "lognormal":
-        res = lognormal_fit(samples.astype(float))
+        res = graph_metrics.lognormal_fit(samples.astype(float))
         payload = {"family": "lognormal", "mu": res.mu, "sigma": res.sigma,
                    "ks_distance": res.ks_distance, "n": int(samples.size)}
         summary = [f"lognormal fit: mu={res.mu:.4f} sigma={res.sigma:.4f} ks={res.ks_distance:.4f}"]
@@ -337,7 +343,7 @@ def cmd_distfit(args) -> Report:
             _write_csv(args.plot_csv, ["log_value", "density_empirical", "density_fitted"],
                        centers, counts, fit_pdf)
     else:
-        res = powerlaw_fit(samples, kmin=args.kmin)
+        res = graph_metrics.powerlaw_fit(samples, kmin=args.kmin)
         payload = {"family": "powerlaw", "exponent": res.exponent, "kmin": res.kmin,
                    "ks_distance": res.ks_distance, "n_tail": res.n_tail,
                    "at_bound": res.at_bound}
@@ -348,13 +354,13 @@ def cmd_distfit(args) -> Report:
         if args.plot_csv:
             tail = np.sort(samples[samples >= res.kmin])
             _write_csv(args.plot_csv, ["value", "ccdf_empirical", "ccdf_fitted"],
-                       *powerlaw_ccdf(tail, res.kmin, res.exponent))
+                       *graph_metrics.powerlaw_ccdf(tail, res.kmin, res.exponent))
     return "distfit", [ds], payload, summary
 
 
 def cmd_segment(args) -> Report:
     ds, series = load_series_csv(args.input)
-    split = segment_break(series, args.early_family, args.late_family)
+    split = fitting.segment_break(series, args.early_family, args.late_family)
     payload = split.to_json()
     if args.plot_csv:
         fitted = np.concatenate([split.early_fit.predictions, split.late_fit.predictions])

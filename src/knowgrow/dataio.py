@@ -55,12 +55,14 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import __version__
-from .disruption import CitationError, CitationGraph, PaperError
-from .fitting import TimeSeries
-from .graph_metrics import SnapshotGraph
+from . import __version__, _lazy
 from .months import add_months, month_ordinal
-from .taxonomy import CategoryError, CategoryGraph
+
+# executed when a loader first builds one of their types
+disruption = _lazy("knowgrow.disruption")
+fitting = _lazy("knowgrow.fitting")
+graph_metrics = _lazy("knowgrow.graph_metrics")
+taxonomy = _lazy("knowgrow.taxonomy")
 
 __all__ = [
     "DataFormatError",
@@ -121,7 +123,7 @@ def _read_lines(path: str | Path) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
-def load_series_csv(path: str | Path) -> tuple[Dataset, TimeSeries]:
+def load_series_csv(path: str | Path) -> tuple[Dataset, fitting.TimeSeries]:
     """Series CSV -> TimeSeries labelled with the file stem."""
     lines = _read_lines(path)
     if not lines or lines[0].strip().lower() != "date,value":
@@ -160,7 +162,7 @@ def load_series_csv(path: str | Path) -> tuple[Dataset, TimeSeries]:
         values.append(value)
     if len(values) < 2:
         raise DataFormatError(path, None, "series needs at least 2 rows")
-    series = TimeSeries(origin=months[0], values=tuple(values), label=Path(path).stem)
+    series = fitting.TimeSeries(origin=months[0], values=tuple(values), label=Path(path).stem)
     canonical = [f"{m},{v!r}" for m, v in zip(months, series.values)]
     return Dataset("series", str(path), _digest(canonical), len(values)), series
 
@@ -309,7 +311,9 @@ def _texts(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     return _column(data, starts, ends).tobytes().decode().split("\t")[:-1]
 
 
-def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset, SnapshotGraph]:
+def load_edge_list(
+    path: str | Path, undirected: bool = False
+) -> tuple[Dataset, graph_metrics.SnapshotGraph]:
     """Edge list TSV -> SnapshotGraph with labels interned in file order; the
     graph keeps the labels' bytes and decodes them when they are first read.
 
@@ -326,7 +330,8 @@ def load_edge_list(path: str | Path, undirected: bool = False) -> tuple[Dataset,
     names = _column(data, starts, ends)
     width = ends - starts
     del data, starts, ends, first
-    graph = SnapshotGraph.from_edges(arcs, n=len(width), names=names, mirror=undirected)
+    graph = graph_metrics.SnapshotGraph.from_edges(arcs, n=len(width), names=names,
+                                                   mirror=undirected)
     rows = len(arcs)
     del arcs  # freed before the digest rows are written
     kind = "undirected_edge_list" if undirected else "edge_list"
@@ -374,7 +379,7 @@ def _arc_rows(names: np.ndarray, width: np.ndarray, rank_src: np.ndarray, rank_d
         yield block.tobytes()
 
 
-def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
+def write_edge_tsv(graph: graph_metrics.SnapshotGraph, path: str | Path) -> None:
     """Serialize to the canonical sorted TSV form (stable across reloads)."""
     labels = graph.labels if graph.labels is not None else list(map(str, range(graph.n)))
     names = np.frombuffer("".join(label + "\t" for label in labels).encode(), np.uint8)
@@ -384,14 +389,14 @@ def write_edge_tsv(graph: SnapshotGraph, path: str | Path) -> None:
     _atomic_write(path, b"".join(rows) or b"\n")
 
 
-def load_category_tsv(path: str | Path) -> tuple[Dataset, CategoryGraph]:
+def load_category_tsv(path: str | Path) -> tuple[Dataset, taxonomy.CategoryGraph]:
     data, starts, ends, lines = _table(path, (3,))
     triples = list(zip(*(_texts(data, starts[:, k], ends[:, k]) for k in range(3))))
     if not triples:
         raise DataFormatError(path, None, "category file is empty")
     try:
-        graph = CategoryGraph.from_edges(triples)
-    except CategoryError as exc:
+        graph = taxonomy.CategoryGraph.from_edges(triples)
+    except taxonomy.CategoryError as exc:
         raise DataFormatError(path, int(lines[exc.row]), str(exc)) from None
     canonical = sorted(map("\t".join, triples))
     return Dataset("category", str(path), _digest(canonical), len(triples)), graph
@@ -422,7 +427,7 @@ def load_id_list(path: str | Path) -> tuple[Dataset, list[str]]:
 
 def load_citation(
     nodes_path: str | Path, edges_path: str | Path
-) -> tuple[tuple[Dataset, Dataset], CitationGraph]:
+) -> tuple[tuple[Dataset, Dataset], disruption.CitationGraph]:
     """Citation graph from a nodes file and an edges file."""
     nodes, node_starts, node_ends, node_lines = _table(nodes_path, (2, 3))
     edges, starts, ends, edge_lines = _table(edges_path, (2,))
@@ -435,13 +440,13 @@ def load_citation(
     row = np.where(first_field < n, first_field, -1)[key]  # the paper row of each field's id
     ids, years = (_texts(nodes, node_starts[:, k], node_ends[:, k]) for k in (0, 1))
     try:
-        graph = CitationGraph.from_arrays(
+        graph = disruption.CitationGraph.from_arrays(
             ids, years, row[:n], row[n:],
             lambda end: edges[starts.flat[end] : ends.flat[end]].decode())
-    except PaperError as exc:
+    except disruption.PaperError as exc:
         first = "" if exc.first is None else f", first on line {node_lines[exc.first]}"
         raise DataFormatError(nodes_path, int(node_lines[exc.row]), f"{exc}{first}") from None
-    except CitationError as exc:
+    except disruption.CitationError as exc:
         raise DataFormatError(edges_path, int(edge_lines[exc.row]), str(exc)) from None
     ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(nodes_path), n)
     ds_edges = Dataset("citation", str(edges_path), _citation_digest(edges_path), len(starts))

@@ -52,6 +52,11 @@ __all__ = [
 _DIRECTIONS = ("in", "out", "total")
 
 
+def _index_dtype(n: int) -> type:
+    """The dtype of a graph's arc ends, held for the graph's life: int32 below 2**31 nodes."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 @dataclass
 class SnapshotGraph:
     """Directed graph of one corpus snapshot.
@@ -102,7 +107,7 @@ class SnapshotGraph:
         np.not_equal(codes[1:], codes[:-1], out=first[1:])
         codes = codes[first]
         del first
-        index = np.int32 if n < 2**31 else np.int64  # held for the graph's life
+        index = _index_dtype(n)
         dst = (codes % n).astype(index)
         codes //= n
         return cls(

@@ -38,20 +38,26 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def _imports(module: str, *argv) -> set[str]:
+def _imports(module: str, *argv, executed: bool = False) -> set[str]:
     """Names in ``sys.modules`` after importing ``module`` in a fresh interpreter.
 
     Given ``argv``, the interpreter then runs ``module.main(argv)``, which
-    must return 0; pass ``--quiet`` so stdout holds only the names.
+    must return or exit with 0; pass ``--quiet`` so stdout holds only the
+    names.  ``executed=True`` leaves out the modules registered but not yet
+    run, whose type is still the lazy loader's placeholder.
     """
     src = str(Path(knowgrow.__file__).parents[1])
-    code = f"import sys, {module}"
+    code = f"import sys, types, {module}\n"
     if argv:
-        code += f"; assert {module}.main({[str(a) for a in argv]!r}) == 0"
+        code += (f"try:\n    rc = {module}.main({[str(a) for a in argv]!r})\n"
+                 "except SystemExit as exc:\n    rc = exc.code\nassert rc == 0, rc\n")
+    names = "sys.modules"
+    if executed:
+        names = "(k for k, m in sys.modules.items() if type(m) is types.ModuleType)"
     env = {**os.environ, "PYTHONPATH": src}
     env.pop(CACHE_ENV, None)  # a cache hit would skip the code under test
     out = subprocess.run(
-        [sys.executable, "-c", code + "; print(*sys.modules)"],
+        [sys.executable, "-c", code + f"print(*{names})"],
         capture_output=True, text=True, check=True, env=env,
     )
     return set(out.stdout.split())
@@ -165,6 +171,35 @@ def test_one_output_path(tmp_path, monkeypatch, capsys, command):
     assert load_report(tmp_path / "r.json")["kind"] == kind
     assert run(command, *args) == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in summary)
+
+
+# the package modules each command executes besides knowgrow, cli, dataio and months
+EXECUTES = {
+    "--version": set(),
+    **dict.fromkeys(("fit", "forecast", "segment"), {"fitting", "growth", "_brent"}),
+    **dict.fromkeys(("metrics", "distfit"), {"graph_metrics", "_brent"}),
+    "ba": {"ba", "graph_metrics", "_brent"},
+    "taxonomy": {"taxonomy"},
+    **dict.fromkeys(("disrupt", "intersect"), {"disruption"}),
+}
+
+
+def _knowgrow(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "knowgrow"}
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTES))
+def test_command_executes_only_its_modules(tmp_path, monkeypatch, command):
+    args, files, _ = OUTPUT_PATH.get(command, ([], {}, None))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    executed = _knowgrow(_imports("knowgrow.cli", command, *args, "--quiet", executed=True))
+    base = {"knowgrow", "knowgrow.cli", "knowgrow.dataio", "knowgrow.months"}
+    assert executed == base | {f"knowgrow.{m}" for m in EXECUTES[command]}
+    # the benchmark's tracer wraps functions in the modules registered by
+    # `import knowgrow.cli`: a module first imported later would lose its spans
+    assert executed <= _knowgrow(_imports("knowgrow.cli"))
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
