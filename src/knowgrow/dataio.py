@@ -29,12 +29,12 @@ read.  It returns field offsets into the file's bytes and the line of each
 record, so loaders intern fields without making strings and map a graph
 fault to its line.  `_intern` is the one sort of the fields: it gives each
 distinct field an id in first-appearance order and a rank in the order of
-the field followed by a TAB, and an edge list's digest rows are written in
-the order of those ranks.
+the field followed by a TAB, and the digest rows of edge lists and category
+files are written in the order of those ranks.
 Digests canonicalize before hashing: edge lists hash their sorted
 ``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
-writes), citation files their sorted lines, series and rankings hash in
-sequence order.  Reports are JSON documents embedding
+writes), category and citation files their sorted lines, series and
+rankings hash in sequence order.  Reports are JSON documents embedding
 ``schema_version``, the tool version, and the digests of their inputs,
 keyed by file name (by path where two inputs share a name); writes are
 atomic (temp file + rename).
@@ -339,7 +339,7 @@ def load_edge_list(
     # in that same order unless a name holds a byte below TAB
     rank_dst = _label_rank(graph.labels) if names.min() < TAB else rank
     digest = hashlib.sha256()
-    for block in _arc_rows(names, width, rank, rank_dst, graph.src, graph.dst):
+    for block in _arc_rows(names, width, [(graph.src, rank, 0), (graph.dst, rank_dst, 0)]):
         digest.update(block)
     ds = Dataset(kind, str(path), digest.hexdigest(), rows)
     if graph.duplicate_count:
@@ -350,32 +350,27 @@ def load_edge_list(
 def _label_rank(labels: list[str], end: str = "") -> np.ndarray:
     """Rank of each label followed by ``end`` in sorted order, which for
     `str` is the order of their UTF-8 bytes."""
-    rank = np.empty(len(labels), np.int64)
-    rank[sorted(range(len(labels)), key=lambda i: labels[i] + end)] = np.arange(len(labels))
-    return rank
+    return np.argsort(sorted(range(len(labels)), key=lambda i: labels[i] + end))
 
 
-def _arc_rows(names: np.ndarray, width: np.ndarray, rank_src: np.ndarray, rank_dst: np.ndarray,
-              src: np.ndarray, dst: np.ndarray):
-    """Blocks of the sorted ``src<TAB>dst`` rows, each ended by a newline.
+def _arc_rows(names: np.ndarray, width: np.ndarray, columns):
+    """Blocks of the sorted rows of tab-separated fields, each row ended by a newline.
 
     Name ``i`` is ``width[i]`` bytes of ``names``, which holds each name followed
-    by a TAB.  The rows sort by the ``rank_src`` of their source, then by the
-    ``rank_dst`` of their target; each block is gathered from ``names``.
+    by a TAB.  Each column is ``(ids, rank, first)``: the rows' ids in it, each
+    id's rank, and the name of id 0.  The rows sort by their ranks, column by
+    column, packed into one int64 code; each block is gathered from ``names``.
     """
-    n = len(width)
     at = np.cumsum(width + 1) - (width + 1)
-    codes = rank_src[src]
-    codes *= n
-    codes += rank_dst[dst]
+    shape = [len(rank) for _, rank, _ in columns]
+    codes = np.ravel_multi_index([rank[ids] for ids, rank, _ in columns], shape)
     codes.sort()
-    by_src, by_dst = np.empty(n, np.int64), np.empty(n, np.int64)
-    by_src[rank_src], by_dst[rank_dst] = np.arange(n), np.arange(n)
+    by_rank = [np.argsort(rank) + first for _, rank, first in columns]  # each rank's name
     for lo in range(0, len(codes), 1 << 12):
-        s, d = np.divmod(codes[lo : lo + (1 << 12)], n)
-        ids = np.stack([by_src[s], by_dst[d]], axis=1).ravel()  # a source and a target a row
+        ranks = np.unravel_index(codes[lo : lo + (1 << 12)], shape)
+        ids = np.stack([by[r] for by, r in zip(by_rank, ranks)], axis=1).ravel()
         block = _column(names, at[ids], at[ids] + width[ids])
-        block[np.cumsum(width[ids] + 1)[1::2] - 1] = NL  # each target's TAB
+        block[np.cumsum(width[ids] + 1)[len(shape) - 1 :: len(shape)] - 1] = NL  # last TABs
         yield block.tobytes()
 
 
@@ -384,22 +379,35 @@ def write_edge_tsv(graph: graph_metrics.SnapshotGraph, path: str | Path) -> None
     labels = graph.labels if graph.labels is not None else list(map(str, range(graph.n)))
     names = np.frombuffer("".join(label + "\t" for label in labels).encode(), np.uint8)
     width = np.fromiter((len(label.encode()) for label in labels), np.int64, len(labels))
-    rows = _arc_rows(names, width, _label_rank(labels, "\t"), _label_rank(labels),
-                     graph.src, graph.dst)
+    rows = _arc_rows(names, width, [(graph.src, _label_rank(labels, "\t"), 0),
+                                    (graph.dst, _label_rank(labels), 0)])
     _atomic_write(path, b"".join(rows) or b"\n")
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, taxonomy.CategoryGraph]:
+    """Category TSV -> CategoryGraph, node names interned in file order apart
+    from the kinds; only the distinct names and kinds are decoded, and a fault
+    of the hierarchy names the first line of its triple.  The digest rows (the
+    sorted lines, duplicates kept) are written from the ranks: in a line, each
+    field but the last is followed by a TAB, as in its rank."""
     data, starts, ends, lines = _table(path, (3,))
-    triples = list(zip(*(_texts(data, starts[:, k], ends[:, k]) for k in range(3))))
-    if not triples:
+    if not len(starts):
         raise DataFormatError(path, None, "category file is empty")
+    links, first, rank = _intern(data, starts[:, :2], ends[:, :2])
+    kind, kind_first, kind_rank = _intern(data, starts[:, 2], ends[:, 2])
+    starts = np.concatenate([starts[:, :2].flat[first], starts[kind_first, 2]])
+    ends = np.concatenate([ends[:, :2].flat[first], ends[kind_first, 2]])
+    names, width, n = _column(data, starts, ends), ends - starts, len(first)
+    texts = names.tobytes().decode().split("\t")[:-1]  # each node, then each kind
     try:
-        graph = taxonomy.CategoryGraph.from_edges(triples)
+        graph = taxonomy.CategoryGraph.from_edges(links, kind, texts[:n], texts[n:])
     except taxonomy.CategoryError as exc:
         raise DataFormatError(path, int(lines[exc.row]), str(exc)) from None
-    canonical = sorted(map("\t".join, triples))
-    return Dataset("category", str(path), _digest(canonical), len(triples)), graph
+    digest = hashlib.sha256()
+    for block in _arc_rows(names, width, [(links[:, 0], rank, 0), (links[:, 1], rank, 0),
+                                          (kind, kind_rank, n)]):
+        digest.update(block)
+    return Dataset("category", str(path), digest.hexdigest(), len(links)), graph
 
 
 def load_samples(path: str | Path) -> tuple[Dataset, np.ndarray]:

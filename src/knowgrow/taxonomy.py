@@ -5,8 +5,9 @@ editors create multi-parent links freely and occasionally close loops
 (two categories that are each other's parent).  This module keeps the
 defective structure as-is -- cycles are detected and reported, never
 repaired.  The hierarchy is one 0/1 child -> parent CSR over articles and
-categories; strong components and member levels come from scipy's csgraph,
-so every search terminates on any input.
+categories, built with numpy from the node ids `dataio._intern` gives the
+loaded names; there is no name -> id dict.  Strong components and member
+levels come from scipy's csgraph, so every search terminates on any input.
 
 Depth semantics: the roots sit at level 0, so ``depth=3`` means "three
 levels below the top categories".  An article attached to a category at
@@ -55,55 +56,54 @@ class CategoryGraph:
     """
 
     names: list[str]
-    index: dict[str, int]
     is_category: np.ndarray
     up: sparse.csr_matrix
 
     @classmethod
-    def from_edges(cls, edges: list[tuple[str, str, str]]) -> "CategoryGraph":
-        """Build from ``(child, parent, kind-of-child)`` triples.
+    def from_edges(cls, links: np.ndarray, kind: np.ndarray, names: list[str],
+                   kinds: list[str]) -> "CategoryGraph":
+        """Build from each input row's ``(child, parent)`` ids and kind of child,
+        an index into ``kinds``.  Ids index ``names`` and follow first appearance
+        in ``child, parent, child, ...`` order, as `dataio._intern` gives them.
 
-        Node ids follow first appearance in ``child, parent, child, ...``
-        order.  Parents are categories by construction; declaring a node as
-        an article and also using it as a parent is rejected, which enforces
-        the "articles have no children" invariant.  A repeated triple makes
-        one link.  Of several faults, the first in edge order is raised as a
-        :class:`CategoryError`.
+        A parent is a category and a child is of its declared kind; each node
+        keeps the kind of its first appearance, so an article cannot be a
+        parent.  The first row with an unknown kind or a node of two kinds
+        raises a :class:`CategoryError`.  A repeated link is kept once.
         """
         from scipy import sparse
 
-        index: dict[str, int] = {}
-        is_category: list[bool] = []  # fixed where each node first appears
-        links: list[int] = []  # child0, parent0, child1, ... ids
-        for triple in dict.fromkeys(edges):
-            child, parent, kind = triple
-            if kind not in _KINDS:
-                raise CategoryError(f"unknown node kind {kind!r} (expected article/category)",
-                                    edges.index(triple))
-            # a child is used as its declared kind, a parent as a category
-            for name, used in ((child, kind == CATEGORY), (parent, True)):
-                i = index.setdefault(name, len(index))
-                if i == len(is_category):
-                    is_category.append(used)
-                elif is_category[i] != used:
-                    have, want = (CATEGORY if c else ARTICLE for c in (is_category[i], used))
-                    raise CategoryError(f"node {name!r} used both as {have} and as {want}",
-                                        edges.index(triple))
-                links.append(i)
-        ids = np.asarray(links, np.int64)
-        n, child, parent = len(index), ids[0::2], ids[1::2]
+        n, known = len(names), np.array([k in _KINDS for k in kinds])
+        # a child is used as its declared kind, a parent as a category
+        declared = np.array([k == CATEGORY for k in kinds])[kind]
+        used = np.column_stack([declared, np.ones(len(kind), bool)])
+        top = np.maximum.accumulate(links.ravel())  # rises at each node's first place
+        is_category = used.ravel()[np.flatnonzero(np.diff(top, prepend=-1))]
+        clash = used != is_category[links]
+        faults = np.flatnonzero(~known[kind] | clash.any(axis=1))
+        if len(faults):
+            row = int(faults[0])
+            if not known[kind[row]]:
+                raise CategoryError(
+                    f"unknown node kind {kinds[kind[row]]!r} (expected article/category)", row)
+            i = int(links[row, 0] if clash[row, 0] else links[row, 1])  # the child first
+            have, want = (CATEGORY, ARTICLE) if is_category[i] else (ARTICLE, CATEGORY)
+            raise CategoryError(f"node {names[i]!r} used both as {have} and as {want}", row)
+        _, once = np.unique(links[:, 0].astype(np.int64) * n + links[:, 1], return_index=True)
+        child, parent = links[np.sort(once)].T
         indptr = np.concatenate([[0], np.cumsum(np.bincount(child, minlength=n))])
         parents = parent[np.argsort(child, kind="stable")]
         up = sparse.csr_matrix((np.ones(len(parents), np.int8), parents, indptr), shape=(n, n))
-        return cls(list(index), index, np.asarray(is_category, bool), up)
+        return cls(names, is_category, up)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def require_category(self, name: str) -> int:
-        i = self.index.get(name)
-        if i is None:
-            raise KeyError(f"unknown category: {name!r}")
+        try:
+            i = self.names.index(name)
+        except ValueError:
+            raise KeyError(f"unknown category: {name!r}") from None
         if not self.is_category[i]:
             raise ValueError(f"{name!r} is an article, not a category")
         return i
@@ -111,20 +111,14 @@ class CategoryGraph:
 
 def _cycle_through(start: int, members: set[int], up: sparse.csr_matrix) -> list[int]:
     """One directed cycle through ``start`` inside a strongly connected set."""
-    prev: dict[int, int | None] = {start: None}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
+    prev, order = {start: start}, [start]
+    for u in order:  # the list grows as the search reaches new nodes
         parents = up.indices[up.indptr[u]:up.indptr[u + 1]].tolist()
         if u != start and start in parents:
-            path = []
-            node: int | None = u
-            while node is not None:
-                path.append(node)
-                node = prev[node]
-            return list(reversed(path))
+            path = [u]
+            while path[-1] != start:
+                path.append(prev[path[-1]])
+            return path[::-1]
         for w in parents:
             if w in members and w not in prev:
                 prev[w] = u
@@ -148,12 +142,9 @@ def detect_cycles(g: CategoryGraph) -> list[list[str]]:
     components: dict[int, list[int]] = {}
     for v in np.flatnonzero(on_cycle).tolist():
         components.setdefault(int(labels[v]), []).append(v)
-    cycles = []
-    for comp in components.values():
-        ids = _cycle_through(comp[0], set(comp), g.up) if len(comp) > 1 else comp
-        cycles.append([g.names[i] for i in ids])
-    cycles.sort(key=lambda c: c[0])
-    return cycles
+    cycles = [_cycle_through(c[0], set(c), g.up) if len(c) > 1 else c
+              for c in components.values()]
+    return sorted(([g.names[i] for i in ids] for ids in cycles), key=lambda c: c[0])
 
 
 def _levels(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> np.ndarray:

@@ -5,7 +5,8 @@ package code it checks: fixed-step Simpson quadrature, a high-precision
 decimal exponential integral, deque-based BFS,
 per-focal set enumeration for disruption scores, level-by-level closure
 for category counting, neighbour-pair enumeration for clustering,
-mutual reachability for strong components, a joint trust-region
+mutual reachability for strong components, a per-triple reading of a
+category file's kinds, a joint trust-region
 least-squares refinement over every growth-law parameter at once, an
 exhaustive profile fit of both segments at every split of a series, a
 line-by-line ``str`` reader of tab-separated files, and the canonical rows
@@ -195,6 +196,27 @@ def closure_member_counts(
     for cat in reached:
         articles |= articles_of.get(cat, set())
     return len(articles), len(reached)
+
+
+def category_fault(triples: list[tuple[str, str, str]]) -> tuple[int, str] | None:
+    """``(row, message)`` of the first faulty triple of a category file, or None.
+
+    The distinct triples are read in order.  A child is used as its declared
+    kind and a parent as a category, and each name keeps the use it first
+    had.  The first triple whose kind is neither ``article`` nor ``category``,
+    or whose child or (then) parent is used otherwise, is at fault; its row
+    is that of the triple's first copy.
+    """
+    use: dict[str, str] = {}
+    for triple in dict.fromkeys(triples):
+        child, parent, kind = triple
+        if kind not in ("article", "category"):
+            return triples.index(triple), f"unknown node kind {kind!r} (expected article/category)"
+        for name, used in ((child, kind), (parent, "category")):
+            have = use.setdefault(name, used)
+            if have != used:
+                return triples.index(triple), f"node {name!r} used both as {have} and as {used}"
+    return None
 
 
 def joint_least_squares_sse(

@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from knowgrow import ba
+from knowgrow.dataio import load_category_tsv
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +27,11 @@ def random_digraph(rng: np.random.Generator, n: int, n_edges: int):
     keep = src != dst
     edges = np.unique(np.column_stack([src[keep], dst[keep]]), axis=0)
     return edges
+
+
+def category_graph(triples: list[tuple[str, str, str]]):
+    """The graph `load_category_tsv` reads from a file of the triples, one a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "categories.tsv"
+        path.write_text("".join(f"{c}\t{p}\t{k}\n" for c, p, k in triples), encoding="utf-8")
+        return load_category_tsv(path)[1]

@@ -24,9 +24,9 @@ from knowgrow.graph_metrics import (
     powerlaw_fit,
 )
 from knowgrow.growth import QUASI_LINEAR_FAMILIES, STANDARD_FAMILIES, GrowthModel, log_integral, model_catalog
-from knowgrow.taxonomy import CategoryGraph, count_members, count_members_by_level, detect_cycles
+from knowgrow.taxonomy import count_members, count_members_by_level, detect_cycles
 
-from conftest import random_digraph
+from conftest import category_graph, random_digraph
 from _oracles import all_pairs_stats, closure_member_counts, naive_disruption, simpson_li
 
 
@@ -379,7 +379,7 @@ def test_criterion_9_intersection_pipeline():
 
 
 def test_criterion_10_taxonomy():
-    mutual = CategoryGraph.from_edges(
+    mutual = category_graph(
         [("Physics", "Mathematics", "category"), ("Mathematics", "Physics", "category")]
     )
     cycle_ok = detect_cycles(mutual) == [["Physics", "Mathematics"]]
@@ -397,7 +397,7 @@ def test_criterion_10_taxonomy():
     for j in range(n_articles):
         for p in rng.choice(n_cats, size=int(rng.integers(1, 3)), replace=False):
             edges.append((f"a{j}", f"c{p}", "article"))
-    g = CategoryGraph.from_edges(edges)
+    g = category_graph(edges)
     got = count_members(g, ["c0", "c1"], 3)
     articles, cats = closure_member_counts(edges, ["c0", "c1"], 3)
     counts_ok = got == {"articles": articles, "categories": cats}

@@ -230,6 +230,35 @@ class TestOtherLoaders:
         ds, g = load_category_tsv(p)
         assert len(g) == 3
 
+    # traced peak over the file's bytes on a file of the benchmark's shape:
+    # 5000 categories, a hub of 15 000 articles and 15 000 other articles
+    PEAK_PER_FILE_BYTE = TestEdgeLoader.PEAK_PER_FILE_BYTE
+
+    def test_category_ingest_memory_is_bounded_by_the_file(self, tmp_path):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        cats = [f"Category:{v:x}" for v in rng.permutation(5000).tolist()]
+        arts = [f"Article:{v:x}" for v in rng.permutation(30_000).tolist()]
+        lines = []
+        for i in range(1, 5000):  # one or two older parents
+            for p in {int(rng.integers(0, i)) for _ in range(1 + (rng.random() < 0.3))}:
+                lines.append(f"{cats[i]}\t{cats[p]}\tcategory")
+        for a in range(30_000):  # the hub, or any category, and sometimes one more
+            home = 7 if a < 15_000 else int(rng.integers(0, 5000))
+            for c in {home, int(rng.integers(0, 5000))} if rng.random() < 0.2 else {home}:
+                lines.append(f"{arts[a]}\t{cats[c]}\tarticle")
+        rng.shuffle(lines)
+        p = write(tmp_path / "c.tsv", "\n".join(lines) + "\n")
+        load_category_tsv(write(tmp_path / "warm.tsv", "a\tb\tarticle\n"))  # imports scipy
+        tracemalloc.start()
+        try:
+            load_category_tsv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_PER_FILE_BYTE * p.stat().st_size
+
     def test_citation_pair(self, tmp_path):
         nodes = write(tmp_path / "n.tsv", "a\t2000\nb\t1990\tphysics\n")
         edges = write(tmp_path / "e.tsv", "a\tb\n")
@@ -310,6 +339,19 @@ class TestGoldenDigests:
         assert load_category_tsv(p)[0].digest == (
             "3132b6698d1ac86f53a5e0277b17d81fba17a1205fafb67c5d2e17fdb2dee559"
         )
+
+    def test_category_digest_is_that_of_the_sorted_lines(self, tmp_path):
+        # "Quantum\x01field\t" sorts before "Quantum\t"; one line is repeated
+        lines = ["Physics\tNatural sciences\tcategory", "Quantum\x01field\tPhysics\tcategory",
+                 "Quantum\tPhysics\tcategory", "Niels Bohr\tQuantum\x01field\tarticle",
+                 "Erwin Schrödinger\tQuantum\tarticle", "Café physics\tPhysics\tcategory",
+                 "Erwin Schrödinger\tQuantum\tarticle", "Zürich\tCafé physics\tarticle"]
+        expected = hashlib.sha256(("\n".join(sorted(lines)) + "\n").encode()).hexdigest()
+        p = tmp_path / "c.tsv"
+        for order in (lines, lines[::-1]):  # each field padded with spaces to strip
+            p.write_text("".join(" " + line.replace("\t", " \t  ") + " \n" for line in order))
+            ds = load_category_tsv(p)[0]
+            assert (ds.digest, ds.rows) == (expected, len(lines))
 
     def test_category_crlf_blank_line_spaces_and_accents(self, tmp_path):
         p = tmp_path / "c.tsv"

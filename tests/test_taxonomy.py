@@ -6,23 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knowgrow.dataio import DataFormatError
 from knowgrow.taxonomy import (
-    CategoryError,
-    CategoryGraph,
     count_members,
     count_members_by_level,
     detect_cycles,
     wag_root_presets,
 )
 
-from _oracles import closure_member_counts, cyclic_components, topological_order_exists
+from conftest import category_graph
+from _oracles import (
+    category_fault,
+    closure_member_counts,
+    cyclic_components,
+    topological_order_exists,
+)
 
 
 def cat_edges(*pairs):
     return [(c, p, "category") for c, p in pairs]
 
 
-MUTUAL_PARENTS = CategoryGraph.from_edges(
+MUTUAL_PARENTS = category_graph(
     cat_edges(("Physics", "Mathematics"), ("Mathematics", "Physics"))
 )
 
@@ -48,47 +53,72 @@ def random_hierarchy(seed: int, n_cats: int = 50, n_articles: int = 80, cyclic: 
 class TestConstruction:
     def test_article_as_parent_rejected(self):
         with pytest.raises(ValueError, match="article"):
-            CategoryGraph.from_edges(
+            category_graph(
                 [("X", "Cat", "article"), ("Child", "X", "category")]
             )
 
     def test_kind_conflict_rejected(self):
         with pytest.raises(ValueError, match="both"):
-            CategoryGraph.from_edges(
+            category_graph(
                 [("X", "Cat", "article"), ("X", "Other", "category")]
             )
 
-    def test_fault_row_is_the_first_input_row_of_its_triple(self):
+    def test_fault_line_is_the_first_line_of_its_triple(self):
         edges = [("X", "Cat", "article"), ("X", "Cat", "article"), ("Cat", "Top", "category"),
                  ("Child", "X", "category"), ("Child", "X", "category"), ("B", "A", "page")]
-        with pytest.raises(CategoryError, match="'X' used both") as info:
-            CategoryGraph.from_edges(edges)
-        assert info.value.row == 3
-        with pytest.raises(CategoryError, match="kind 'page'") as info:
-            CategoryGraph.from_edges(edges[:3] + edges[5:])
-        assert info.value.row == 3
+        with pytest.raises(DataFormatError, match="'X' used both") as info:
+            category_graph(edges)
+        assert info.value.line == 4
+        with pytest.raises(DataFormatError, match="kind 'page'") as info:
+            category_graph(edges[:3] + edges[5:])
+        assert info.value.line == 4
 
-    @pytest.mark.parametrize("edges, message, row", [
+    @pytest.mark.parametrize("edges, message, line", [
         ([("A", "Root", "category"), ("B", "A", "page"), ("X", "A", "article"),
-          ("Y", "X", "category")], "unknown node kind 'page' (expected article/category)", 1),
+          ("Y", "X", "category")], "unknown node kind 'page' (expected article/category)", 2),
         ([("X", "Root", "article"), ("X", "Y", "category"), ("B", "A", "page")],
-         "node 'X' used both as article and as category", 1),
+         "node 'X' used both as article and as category", 2),
         ([("X", "Root", "article"), ("New", "X", "category")],
-         "node 'X' used both as article and as category", 1),
+         "node 'X' used both as article and as category", 2),
         ([("X", "Root", "article"), ("B", "Root", "category"), ("X", "B", "page")],
-         "unknown node kind 'page' (expected article/category)", 2),
-    ], ids=["unknown-then-clash", "clash-then-unknown", "clash-on-parent", "unknown-on-known"])
-    def test_first_fault_in_edge_order(self, edges, message, row):
-        with pytest.raises(CategoryError) as info:
-            CategoryGraph.from_edges(edges)
-        assert (str(info.value), info.value.row) == (message, row)
+         "unknown node kind 'page' (expected article/category)", 3),
+        ([("A", "Root", "category\x00")],
+         "unknown node kind 'category\\x00' (expected article/category)", 1),
+    ], ids=["unknown-then-clash", "clash-then-unknown", "clash-on-parent", "unknown-on-known",
+            "trailing-nul"])
+    def test_first_fault_in_edge_order(self, edges, message, line):
+        with pytest.raises(DataFormatError) as info:
+            category_graph(edges)
+        assert (str(info.value), info.value.line) == (f"{info.value.path}:{line}: {message}", line)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_first_fault_matches_the_per_triple_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = random_hierarchy(seed, n_cats=12, n_articles=15, cyclic=True)
+        faults = [("c1", "c2", "page"), ("a1", "c3", "category"), ("c4", "a2", "category"),
+                  ("c5", "c6", "article"), ("a3", "a3", "article"), ("c7", "c7", "page"),
+                  ("c8", "c9", "category\x00")]
+        for _ in range(int(rng.integers(0, 3))):
+            edges.insert(int(rng.integers(0, len(edges) + 1)), faults[rng.integers(len(faults))])
+        for _ in range(int(rng.integers(0, 4))):  # repeated lines, before or after their first
+            edges.insert(int(rng.integers(0, len(edges) + 1)), edges[rng.integers(len(edges))])
+        expected = category_fault(edges)
+        if expected is None:
+            assert len(category_graph(edges)) == len({n for c, p, _ in edges for n in (c, p)})
+            return
+        with pytest.raises(DataFormatError) as info:
+            category_graph(edges)
+        row, message = expected
+        assert (str(info.value), info.value.line) == (f"{info.value.path}:{row + 1}: {message}",
+                                                       row + 1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            CategoryGraph.from_edges([("A", "B", "page")])
+            category_graph([("A", "B", "page")])
 
     def test_repeated_triples_link_once_in_first_order(self):
-        g = CategoryGraph.from_edges(
+        g = category_graph(
             [("C", "A", "category"), ("B", "A", "category"), ("a2", "A", "article"),
              ("C", "A", "category"), ("a1", "A", "article"), ("a2", "A", "article"),
              ("C", "B", "category"), ("B", "A", "category"),
@@ -101,7 +131,7 @@ class TestConstruction:
         count_members(g, ["A"], 2)
 
         def parents(name):
-            i = g.index[name]
+            i = g.names.index(name)
             return [g.names[p] for p in g.up.indices[g.up.indptr[i]:g.up.indptr[i + 1]]]
 
         assert g.up.nnz == 7
@@ -117,27 +147,27 @@ class TestDetectCycles:
         assert detect_cycles(MUTUAL_PARENTS) == [["Physics", "Mathematics"]]
 
     def test_pure_tree(self):
-        g = CategoryGraph.from_edges(
+        g = category_graph(
             cat_edges(("Algebra", "Mathematics"), ("Linear algebra", "Algebra"))
             + [("a1", "Linear algebra", "article")]
         )
         assert detect_cycles(g) == []
 
     def test_three_cycle(self):
-        g = CategoryGraph.from_edges(cat_edges(("A", "B"), ("B", "C"), ("C", "A")))
+        g = category_graph(cat_edges(("A", "B"), ("B", "C"), ("C", "A")))
         cycles = detect_cycles(g)
         assert len(cycles) == 1
         assert sorted(cycles[0]) == ["A", "B", "C"]
 
     def test_self_parent(self):
-        g = CategoryGraph.from_edges(cat_edges(("Loop", "Loop"), ("X", "Loop")))
+        g = category_graph(cat_edges(("Loop", "Loop"), ("X", "Loop")))
         assert detect_cycles(g) == [["Loop"]]
 
     @given(st.integers(min_value=0, max_value=10_000), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_empty_iff_topological_order_exists(self, seed, cyclic):
         edges = random_hierarchy(seed, cyclic=cyclic)
-        g = CategoryGraph.from_edges(edges)
+        g = category_graph(edges)
         cat_names = sorted({p for _, p, _ in edges} | {c for c, _, k in edges if k == "category"})
         cat_only = [(c, p) for c, p, k in edges if k == "category"]
         assert (detect_cycles(g) == []) == topological_order_exists(cat_names, cat_only)
@@ -148,27 +178,27 @@ class TestDetectCycles:
         edges = random_hierarchy(seed, cyclic=True)
         rng = np.random.default_rng(seed)
         edges += cat_edges(*((f"c{i}", f"c{i}") for i in rng.integers(0, 50, size=3)))
-        g = CategoryGraph.from_edges(edges)
+        g = category_graph(edges)
         comps = cyclic_components([(c, p) for c, p, k in edges if k == "category"])
         cycles = detect_cycles(g)
         assert len(cycles) == len(comps)
         for cycle in cycles:
-            ids = [g.index[name] for name in cycle]
+            ids = [g.names.index(name) for name in cycle]
             assert all(g.up[a, b] == 1 for a, b in zip(ids, ids[1:] + ids[:1]))
             comp = next(c for c in comps if cycle[0] in c)
             assert set(cycle) <= comp
-            assert ids[0] == min(g.index[name] for name in comp)
+            assert ids[0] == min(g.names.index(name) for name in comp)
 
 
 class TestCountMembers:
     def test_single_category(self):
-        g = CategoryGraph.from_edges(
+        g = category_graph(
             [("a1", "Cat", "article"), ("a2", "Cat", "article"), ("a3", "Cat", "article")]
         )
         assert count_members(g, ["Cat"], 0) == {"articles": 3, "categories": 1}
 
     def test_multi_parent_article_counted_once(self):
-        g = CategoryGraph.from_edges(
+        g = category_graph(
             [("Biochemistry", "Biology", "article"), ("Biochemistry", "Chemistry", "article"),
              ("other", "Biology", "article")]
         )
@@ -186,7 +216,7 @@ class TestCountMembers:
             count_members(MUTUAL_PARENTS, ["Chemistry"], 1)
 
     def test_article_root_rejected(self):
-        g = CategoryGraph.from_edges([("a1", "Cat", "article")])
+        g = category_graph([("a1", "Cat", "article")])
         with pytest.raises(ValueError, match="article"):
             count_members(g, ["a1"], 1)
 
@@ -194,7 +224,7 @@ class TestCountMembers:
     @settings(max_examples=30, deadline=None)
     def test_matches_relaxation_oracle(self, seed, depth):
         edges = random_hierarchy(seed, cyclic=True)
-        g = CategoryGraph.from_edges(edges)
+        g = category_graph(edges)
         got = count_members(g, ["c0", "c1"], depth)
         articles, cats = closure_member_counts(edges, ["c0", "c1"], depth)
         assert got == {"articles": articles, "categories": cats}
@@ -203,13 +233,13 @@ class TestCountMembers:
     @settings(max_examples=20, deadline=None)
     def test_levels_match_oracle_at_every_depth(self, seed):
         edges = random_hierarchy(seed, cyclic=True)
-        g = CategoryGraph.from_edges(edges)
+        g = category_graph(edges)
         expected = [closure_member_counts(edges, ["c0", "c1"], k)[::-1] for k in range(8)]
         assert count_members_by_level(g, ["c0", "c1"], 7) == expected
 
     def test_deep_closure_equals_transitive_closure(self):
         edges = random_hierarchy(123, n_cats=300, n_articles=700, cyclic=True)
-        g = CategoryGraph.from_edges(edges)
+        g = category_graph(edges)
         got = count_members(g, ["c0"], 10**6)
         articles, cats = closure_member_counts(edges, ["c0"], 10**6)
         assert got == {"articles": articles, "categories": cats}
@@ -234,7 +264,7 @@ class TestTermination:
             a, b = rng.integers(0, 800, size=2)
             if a != b:
                 edges.append((f"c{a}", f"c{b}", "category"))
-        g = CategoryGraph.from_edges(edges)
+        g = category_graph(edges)
         start = time.perf_counter()
         result = count_members_by_level(g, ["c0"], 10**9)
         elapsed = time.perf_counter() - start
