@@ -41,8 +41,8 @@ def main() -> None:
     print(f"{args.papers} papers, {len(defined)} with defined disruption scores; "
           f"mean d = {defined.mean():+.4f}")
 
-    ctop = rank(g, key="citations")
-    top_d = set(rank(g, key="disruption", k=args.set_size))
+    ctop = [ids[i] for i in rank(g, g.citation_counts())]
+    top_d = {ids[i] for i in rank(g, d, k=args.set_size)}
     rng = np.random.default_rng(args.seed + 1)
     sampled = set(rng.choice(ids, size=args.set_size, replace=False).tolist())
 

@@ -240,24 +240,26 @@ def cmd_ba(args) -> Report:
 
 def cmd_disrupt(args) -> Report:
     year_range = _parse_year_range(args)
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     (dsn, dse), g = load_citation(args.nodes, args.edges)
     counts, d = disruption.d_index_all(g)
-    ordered = disruption.rank(g, key=args.key, k=args.top, year_range=year_range)
     citations = g.citation_counts()
+    rows = disruption.rank(g, d if args.key == "disruption" else citations, args.top, year_range)
     payload = {
         "papers": len(g),
         "key": args.key,
         "year_range": list(year_range) if year_range else None,
         "top": [
-            {"paper": pid, "citations": int(citations[g.index[pid]]),
-             **disruption.d_index(g, pid).to_json()}
-            for pid in ordered
+            {"paper": g.ids[i], "citations": int(citations[i]), "n_i": n_i, "n_j": n_j,
+             "n_k": n_k, "d": float(d[i]), "defined": n_i + n_j + n_k > 0}
+            for i, (n_i, n_j, n_k) in zip(rows.tolist(), counts[rows].tolist())
         ],
     }
     if args.plot_csv:
         hist, edges = np.histogram(d[counts.sum(axis=1) > 0], bins=40, range=(-1.0, 1.0))
         _write_csv(args.plot_csv, ["d_bin_left", "count"], edges[:-1], hist)
-    summary = [f"{len(g)} papers; top {len(ordered)} by {args.key}:"]
+    summary = [f"{len(g)} papers; top {len(rows)} by {args.key}:"]
     for entry in payload["top"][:10]:
         summary.append(
             f"  {entry['paper']}: citations={entry['citations']} d={entry['d']:+.4f}"
@@ -269,7 +271,6 @@ def cmd_disrupt(args) -> Report:
 def cmd_taxonomy(args) -> Report:
     if bool(args.roots) == bool(args.preset):
         raise ValueError("provide exactly one of --roots or --preset")
-    ds, g = load_category_tsv(args.edges)
     if args.preset:
         presets = taxonomy.wag_root_presets()
         if args.preset not in presets:
@@ -279,6 +280,7 @@ def cmd_taxonomy(args) -> Report:
         roots = [r.strip() for r in args.roots.split(",") if r.strip()]
         if not roots:
             raise ValueError("--roots names no category")
+    ds, g = load_category_tsv(args.edges)
     levels = taxonomy.count_members_by_level(g, roots, args.depth)
     categories, articles = levels[-1]
     if args.plot_csv:  # one row per depth; rows past the last repeat it

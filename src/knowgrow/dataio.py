@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import os
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -80,8 +80,6 @@ __all__ = [
     "cache_get",
     "cache_put",
 ]
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 CACHE_ENV = "KNOWGROW_CACHE_DIR"
@@ -343,7 +341,7 @@ def load_edge_list(
         digest.update(block)
     ds = Dataset(kind, str(path), digest.hexdigest(), rows)
     if graph.duplicate_count:
-        logger.warning("%s: dropped %d duplicate arcs", path, graph.duplicate_count)
+        print(f"{path}: dropped {graph.duplicate_count} duplicate arcs", file=sys.stderr)
     return ds, graph
 
 
@@ -459,7 +457,7 @@ def load_citation(
     ds_nodes = Dataset("citation", str(nodes_path), _citation_digest(nodes_path), n)
     ds_edges = Dataset("citation", str(edges_path), _citation_digest(edges_path), len(starts))
     if graph.duplicate_count:
-        logger.warning("%s: dropped %d duplicate citations", edges_path, graph.duplicate_count)
+        print(f"{edges_path}: dropped {graph.duplicate_count} duplicate citations", file=sys.stderr)
     return (ds_nodes, ds_edges), graph
 
 
@@ -581,7 +579,7 @@ def cache_get(operation: str, digest: str, params: dict,
         doc = None
     payload = doc.get("payload") if isinstance(doc, dict) else None
     if not isinstance(payload, dict) or shape is not None and not _fits(payload, shape):
-        logger.warning("corrupt cache entry %s: treating as miss", entry)
+        print(f"corrupt cache entry {entry}: treating as miss", file=sys.stderr)
         return None
     return data
 

@@ -1,7 +1,7 @@
 """Disruption index over citation graphs and ranked-set intersections.
 
 The disruption index of a focal paper classifies the papers engaging with
-its citation neighbourhood (Funk & Owen-Smith 2017): among later works,
+its citation neighbourhood (Funk & Owen-Smith 2017):
 
 - ``n_i`` cite the focal paper but none of its references,
 - ``n_j`` cite the focal paper and at least one reference,
@@ -11,17 +11,20 @@ and ``d = (n_i - n_j) / (n_i + n_j + n_k)`` in [-1, 1].  A paper nobody
 engages with (zero denominator) is reported with ``d = 0`` and
 ``defined=False`` rather than dropped, which keeps rankings stable.
 
+The counts take in every paper of the graph, whatever its publication
+year.  Funk & Owen-Smith count only works published after the focal paper;
+no such cutoff is applied here (a year window is an open item in
+ROADMAP.md).  A year range given to :func:`rank` filters the ranked
+papers, not the papers counted.
+
 The counts come from the bibliographic coupling ``A @ A.T`` (Kessler 1963)
 of the citing -> cited matrix ``A``.  Scoring every paper costs the sum
 over references of their citation count squared; :func:`row_blocks` of
 ``BLOCK_WORK`` coupling pairs bound memory.  Duplicate citations count once.
-
-No publication-year cutoff is applied when collecting the engaging papers;
-callers who want one can filter the ranking by year range.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
@@ -34,8 +37,6 @@ __all__ = [
     "CitationGraph",
     "PaperError",
     "CitationError",
-    "DScore",
-    "d_index",
     "d_index_all",
     "rank",
     "intersect_analysis",
@@ -78,11 +79,9 @@ class CitationGraph:
 
     ids: list[str]
     years: np.ndarray
-    index: dict[str, int]
     cites: sparse.csr_matrix
     cited_by: sparse.csr_matrix
     duplicate_count: int
-    _counts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, papers, edges) -> "CitationGraph":
@@ -132,8 +131,7 @@ class CitationGraph:
 
         # boolean values: repeated citations merge, coupling products cannot wrap
         cites = sparse.csr_matrix((np.ones(len(srcs), bool), (srcs, dsts)), shape=(n, n))
-        return cls(ids, year, dict(zip(ids, range(n))), cites, cites.T.tocsr(),
-                   len(srcs) - cites.nnz)
+        return cls(ids, year, cites, cites.T.tocsr(), len(srcs) - cites.nnz)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -148,19 +146,6 @@ def _year(spelled) -> int:
         return int(spelled)
     digits = spelled.isascii() and spelled.isdigit()
     return min(int(spelled), 1 << 62) if digits else NOT_A_YEAR
-
-
-@dataclass(frozen=True)
-class DScore:
-    paper: str
-    n_i: int
-    n_j: int
-    n_k: int
-    d: float
-    defined: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _counts(g: CitationGraph, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,43 +166,26 @@ def _d(counts: np.ndarray) -> np.ndarray:
     return np.divide(counts[:, 0] - counts[:, 1], total, out=np.zeros(len(counts)), where=total > 0)
 
 
-def _scored(g: CitationGraph) -> np.ndarray:
-    """Counts of every paper, in blocks of ``BLOCK_WORK`` coupling pairs; kept on ``g``."""
-    if g._counts is None:
-        work = g.cites @ g.citation_counts()
-        g._counts = np.concatenate([np.column_stack(_counts(g, lo, hi))
-                                    for lo, hi in row_blocks(work, BLOCK_WORK)])
-    return g._counts
-
-
-def d_index(g: CitationGraph, focal: str) -> DScore:
-    """Disruption score of one focal paper, from the kept row once ``g`` is scored."""
-    if focal not in g.index:
-        raise KeyError(f"unknown paper id {focal!r}")
-    i = g.index[focal]
-    row = g._counts[i : i + 1] if g._counts is not None else np.column_stack(_counts(g, i, i + 1))
-    n_i, n_j, n_k = row[0].tolist()
-    return DScore(focal, n_i, n_j, n_k, float(_d(row)[0]), n_i + n_j + n_k > 0)
-
-
 def d_index_all(g: CitationGraph) -> tuple[np.ndarray, np.ndarray]:
     """``(counts, d)`` of every paper in index order: row ``i`` is ``g.ids[i]``.
 
-    ``counts`` holds the int64 rows ``(n_i, n_j, n_k)``; ``d`` is defined
-    where a row sums to more than 0.  The counts are kept on ``g``, so a
-    later ``rank(g, "disruption")`` or ``d_index`` does not score again.
+    ``counts`` holds the int64 rows ``(n_i, n_j, n_k)``, scored in blocks of
+    ``BLOCK_WORK`` coupling pairs; ``d`` is defined where a row sums to more
+    than 0.
     """
-    counts = _scored(g)
+    work = g.cites @ g.citation_counts()
+    counts = np.concatenate([np.column_stack(_counts(g, lo, hi))
+                             for lo, hi in row_blocks(work, BLOCK_WORK)])
     return counts, _d(counts)
 
 
 def rank(
     g: CitationGraph,
-    key: str = "citations",
+    values: np.ndarray,
     k: int | None = None,
     year_range: tuple[int, int] | None = None,
-) -> list[str]:
-    """Paper ids in descending order of citations or disruption.
+) -> np.ndarray:
+    """Rows of ``g`` in descending order of ``values``, one value per paper.
 
     Ties break by ascending id; ``year_range`` (inclusive) filters by
     publication year before ranking.  ``k`` truncates the result and may
@@ -225,20 +193,13 @@ def rank(
     """
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
-    if key == "citations":
-        values = g.citation_counts()
-    elif key == "disruption":
-        values = _d(_scored(g))
-    else:
-        raise ValueError(f"unknown ranking key {key!r} (expected citations|disruption)")
     candidates = np.arange(len(g))
     if year_range is not None:
         lo, hi = year_range
         candidates = np.flatnonzero((lo <= g.years) & (g.years <= hi))
     # by id, then a stable sort by descending value keeps ties in id order
     by_id = np.array(sorted(candidates.tolist(), key=g.ids.__getitem__), dtype=np.int64)
-    ordered = by_id[np.argsort(-values[by_id], kind="stable")]
-    return [g.ids[i] for i in ordered[:k].tolist()]
+    return by_id[np.argsort(-values[by_id], kind="stable")][:k]
 
 
 def intersect_analysis(

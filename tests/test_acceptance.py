@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from knowgrow import ba
-from knowgrow.disruption import CitationGraph, d_index, d_index_all, intersect_analysis, rank
+from knowgrow.disruption import CitationGraph, d_index_all, intersect_analysis, rank
 from knowgrow.fitting import fit_points, select_points
 from knowgrow.graph_metrics import (
     SnapshotGraph,
@@ -238,9 +238,8 @@ def test_criterion_6_disruption_oracle():
         g = CitationGraph.build(papers, edges)
         counts, d = d_index_all(g)
         ids = [p for p, _ in papers]
-        for pid in ids:
+        for i, pid in enumerate(g.ids):
             expected = naive_disruption(ids, edges, pid)
-            i = g.index[pid]
             checked += 1
             if (*counts[i].tolist(), d[i]) != expected:
                 mismatches += 1
@@ -253,7 +252,8 @@ def test_criterion_6_disruption_oracle():
         [("f", 1990), ("r", 1980), ("c1", 2000), ("c2", 2000), ("c3", 2000)],
         [("f", "r")] + [(c, x) for c in ("c1", "c2", "c3") for x in ("f", "r")],
     )
-    extremes = d_index(g_max, "f").d == 1.0 and d_index(g_min, "f").d == -1.0
+    extremes = (d_index_all(g_max)[1][g_max.ids.index("f")] == 1.0
+                and d_index_all(g_min)[1][g_min.ids.index("f")] == -1.0)
     criterion(
         6,
         "d_index_all equals brute-force enumeration on 50 random DAGs; extremes hit +-1",
@@ -334,8 +334,8 @@ def test_criterion_9_intersection_pipeline():
                 edges.append((f"p{i:05d}", f"p{j:05d}"))
     g = CitationGraph.build(papers, edges)
 
-    ctop = rank(g, key="citations")
-    d1200 = set(rank(g, key="disruption", k=1200))
+    ctop = [g.ids[i] for i in rank(g, g.citation_counts())]
+    d1200 = {g.ids[i] for i in rank(g, d_index_all(g)[1], k=1200)}
     ids = [p for p, _ in papers]
     w_like = set(rng.choice(sorted(hot), size=300, replace=False).tolist())
     w1200 = {f"p{i:05d}" for i in w_like} | set(

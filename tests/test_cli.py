@@ -443,7 +443,7 @@ class TestMetricsCache:
         assert load_report(out2)["payload"]["density"] == 0.123456
 
     @pytest.mark.parametrize("payload", [{}, {"n": 3}], ids=["empty", "one-key"])
-    def test_payload_missing_keys_is_recomputed(self, tmp_path, monkeypatch, caplog, payload):
+    def test_payload_missing_keys_is_recomputed(self, tmp_path, monkeypatch, capsys, payload):
         edges = tmp_path / "g.tsv"
         edges.write_text("a\tb\nb\tc\nc\ta\n")
         fresh, out = tmp_path / "fresh.json", tmp_path / "m.json"
@@ -452,9 +452,8 @@ class TestMetricsCache:
         assert run("metrics", "--edges", edges, "--quiet") == 0
         entry = next((tmp_path / "cache").glob("*.json"))
         entry.write_text(json.dumps({"payload": payload}))
-        with caplog.at_level("WARNING"):
-            assert run("metrics", "--edges", edges, "--json", out, "--quiet") == 0
-        assert "corrupt cache entry" in caplog.text
+        assert run("metrics", "--edges", edges, "--json", out, "--quiet") == 0
+        assert capsys.readouterr().err == f"corrupt cache entry {entry}: treating as miss\n"
         assert out.read_bytes() == fresh.read_bytes()
         assert json.loads(entry.read_text())["payload"] == load_report(fresh)["payload"]
 
@@ -464,7 +463,7 @@ class TestMetricsCache:
         ("degree_entropy", {"in": 1.0, "out": 1.0}),
     ], ids=["entropy-number", "density-string", "n-float", "loops-bool", "entropy-null",
             "entropy-short"])
-    def test_payload_of_other_types_is_recomputed(self, tmp_path, monkeypatch, caplog,
+    def test_payload_of_other_types_is_recomputed(self, tmp_path, monkeypatch, capsys,
                                                   key, value):
         edges = tmp_path / "g.tsv"
         edges.write_text("a\tb\nb\tc\nc\ta\n")
@@ -476,9 +475,8 @@ class TestMetricsCache:
         doc = json.loads(entry.read_text())
         doc["payload"][key] = value
         entry.write_text(json.dumps(doc))
-        with caplog.at_level("WARNING"):
-            assert run("metrics", "--edges", edges, "--json", out, "--quiet") == 0
-        assert "corrupt cache entry" in caplog.text
+        assert run("metrics", "--edges", edges, "--json", out, "--quiet") == 0
+        assert capsys.readouterr().err == f"corrupt cache entry {entry}: treating as miss\n"
         assert out.read_bytes() == fresh.read_bytes()
         assert json.loads(entry.read_text())["payload"] == load_report(fresh)["payload"]
 
@@ -574,6 +572,11 @@ class TestDisrupt:
         assert run("disrupt", "--nodes", nodes, "--edges", edges, *bounds, "--quiet") == 1
         assert f"error: empty year range: {message}" in capsys.readouterr().err
 
+    def test_top_below_one_is_rejected_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert run("disrupt", "--nodes", missing, "--edges", missing, "--top", 0) == 1
+        assert capsys.readouterr().err == "error: --top must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("rows, message", [
         ("a\t2000\nb\t2001\na\t2002\n", "nodes.tsv:3: duplicate paper id 'a', first on line 1"),
         ("a\t2000\nb\t1800\n", "nodes.tsv:2: year 1800 of 'b' outside (1900, 2100)"),
@@ -664,6 +667,11 @@ class TestTaxonomy:
         assert run("taxonomy", "--edges", hierarchy, "--preset", "wag_core") == 1
         err = capsys.readouterr().err
         assert "unknown category" in err
+
+    def test_unknown_preset_is_rejected_before_reading(self, tmp_path, capsys):
+        assert run("taxonomy", "--edges", tmp_path / "missing.tsv", "--preset", "nope") == 1
+        assert capsys.readouterr().err == (
+            "error: unknown preset 'nope'; have ['wag_broad', 'wag_core']\n")
 
     def test_unknown_root_message_is_not_requoted(self, hierarchy, capsys):
         assert run("taxonomy", "--edges", hierarchy, "--roots", "Nope") == 1

@@ -266,15 +266,14 @@ class TestOtherLoaders:
         assert len(g) == 2
         assert dsn.digest != dse.digest
 
-    def test_citation_duplicates_dropped_with_warning(self, tmp_path, caplog):
+    def test_citation_duplicates_dropped_with_warning(self, tmp_path, capsys):
         nodes = write(tmp_path / "n.tsv", "a\t2000\nb\t1990\n")
         edges = write(tmp_path / "e.tsv", "a\tb\na\tb\n")
-        with caplog.at_level("WARNING"):
-            (_, dse), g = load_citation(nodes, edges)
+        (_, dse), g = load_citation(nodes, edges)
         assert dse.rows == 2
         assert g.duplicate_count == 1
         assert g.citation_counts().tolist() == [0, 1]
-        assert "dropped 1 duplicate citations" in caplog.text
+        assert capsys.readouterr().err == f"{edges}: dropped 1 duplicate citations\n"
 
     @pytest.mark.parametrize(
         "node_text, edge_text, where",
@@ -717,15 +716,14 @@ class TestCache:
         "corrupt", [b"{not json", b'{"payload": "\xc3\x28"}', b"[1,2]", b'{"payload": 5}'],
         ids=["not-json", "not-utf8", "not-an-object", "payload-not-an-object"],
     )
-    def test_corrupt_entry_is_miss(self, tmp_path, monkeypatch, caplog, corrupt):
+    def test_corrupt_entry_is_miss(self, tmp_path, monkeypatch, capsys, corrupt):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         data = report_bytes({"x": 1}, "metrics")
         cache_put("metrics", "abc", {}, data)
         entry = next(tmp_path.glob("*.json"))
         entry.write_bytes(corrupt)
-        with caplog.at_level("WARNING"):
-            assert cache_get("metrics", "abc", {}) is None
-        assert "corrupt" in caplog.text
+        assert cache_get("metrics", "abc", {}) is None
+        assert capsys.readouterr().err == f"corrupt cache entry {entry}: treating as miss\n"
 
     def test_disabled_without_configuration(self, monkeypatch):
         monkeypatch.delenv(CACHE_ENV, raising=False)

@@ -1,6 +1,4 @@
 """Disruption scores against brute-force enumeration, ranking, intersections."""
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from knowgrow.disruption import (
     CitationError,
     CitationGraph,
     PaperError,
-    d_index,
     d_index_all,
     intersect_analysis,
     rank,
@@ -23,6 +20,19 @@ from _oracles import naive_disruption
 
 def build(papers, edges):
     return CitationGraph.build(papers, edges)
+
+
+def score(g, pid):
+    """``(n_i, n_j, n_k, d, defined)`` of one paper, read from the scored rows."""
+    counts, d = d_index_all(g)
+    i = g.ids.index(pid)
+    return (*counts[i].tolist(), d[i], counts[i].sum() > 0)
+
+
+def ranked(g, key="citations", k=None, year_range=None):
+    """Ids ranked by citations or disruption."""
+    values = d_index_all(g)[1] if key == "disruption" else g.citation_counts()
+    return [g.ids[i] for i in rank(g, values, k, year_range)]
 
 
 def random_citation_dag(seed: int, max_nodes: int = 200, max_edges: int = 2000):
@@ -103,61 +113,35 @@ class TestDIndex:
             [("f", 1990), ("c1", 2000), ("c2", 2000), ("c3", 2000)],
             [("c1", "f"), ("c2", "f"), ("c3", "f")],
         )
-        s = d_index(g, "f")
-        assert (s.n_i, s.n_j, s.n_k) == (3, 0, 0)
-        assert s.d == 1.0
+        assert score(g, "f") == (3, 0, 0, 1.0, True)
 
     def test_all_citers_consolidating(self):
         g = build(
             [("f", 1990), ("r", 1980), ("c1", 2000), ("c2", 2000), ("c3", 2000)],
             [("f", "r")] + [(c, x) for c in ("c1", "c2", "c3") for x in ("f", "r")],
         )
-        s = d_index(g, "f")
-        assert (s.n_i, s.n_j, s.n_k) == (0, 3, 0)
-        assert s.d == -1.0
+        assert score(g, "f") == (0, 3, 0, -1.0, True)
 
     def test_mixed_fixture(self):
         # 2 cite focal only, 1 cites both, 1 cites the reference only
+        edges = [("f", "r"), ("i1", "f"), ("i2", "f"), ("j1", "f"), ("j1", "r"), ("k1", "r")]
         g = build(
             [("f", 1990), ("r", 1980), ("i1", 2000), ("i2", 2000), ("j1", 2000), ("k1", 2000)],
-            [("f", "r"), ("i1", "f"), ("i2", "f"), ("j1", "f"), ("j1", "r"), ("k1", "r")],
+            edges,
         )
-        s = d_index(g, "f")
-        assert (s.n_i, s.n_j, s.n_k) == (2, 1, 1)
-        assert s.d == pytest.approx(0.25)
-        oracle = naive_disruption([p for p in g.ids], [("f", "r"), ("i1", "f"), ("i2", "f"),
-                                                       ("j1", "f"), ("j1", "r"), ("k1", "r")], "f")
-        assert (s.n_i, s.n_j, s.n_k, s.d) == oracle
+        s = score(g, "f")
+        assert s[:3] == (2, 1, 1)
+        assert s[3] == pytest.approx(0.25)
+        assert s[:4] == naive_disruption(g.ids, edges, "f")
 
     def test_chain_excludes_focal_from_nk(self):
         g = build([("a", 2000), ("b", 1990), ("c", 1980)], [("a", "b"), ("b", "c")])
-        s = d_index(g, "b")
         # a cites b but not c; b itself is not a subsequent work of b
-        assert (s.n_i, s.n_j, s.n_k) == (1, 0, 0)
-        assert s.d == 1.0
+        assert score(g, "b") == (1, 0, 0, 1.0, True)
 
     def test_zero_denominator_flagged(self):
         g = build([("solo", 2000), ("other", 2001)], [])
-        s = d_index(g, "solo")
-        assert s.d == 0.0
-        assert not s.defined
-
-    def test_unknown_focal(self):
-        g = build([("a", 2000)], [])
-        with pytest.raises(KeyError):
-            d_index(g, "zzz")
-
-    def test_batch_matches_single(self):
-        papers, edges = random_citation_dag(5, max_nodes=60, max_edges=300)
-        g = build(papers, edges)
-        counts, d = d_index_all(g)
-        assert counts.shape == (len(papers), 3) and counts.dtype == np.int64
-        fresh = build(papers, edges)  # unscored: d_index runs the single-paper kernel
-        for pid, _ in papers:
-            i = g.index[pid]
-            batch = (pid, *counts[i].tolist(), d[i], counts[i].sum() > 0)
-            assert batch == astuple(d_index(fresh, pid)) == astuple(d_index(g, pid))
-        assert fresh._counts is None
+        assert score(g, "solo") == (0, 0, 0, 0.0, False)
 
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=25, deadline=None)
@@ -165,10 +149,11 @@ class TestDIndex:
         papers, edges = random_citation_dag(seed, max_nodes=60, max_edges=400)
         g = build(papers, edges)
         counts, d = d_index_all(g)
+        assert counts.shape == (len(papers), 3) and counts.dtype == np.int64
         ids = [p for p, _ in papers]
-        for pid in ids:
+        assert g.ids == ids
+        for i, pid in enumerate(ids):
             expected = naive_disruption(ids, edges, pid)
-            i = g.index[pid]
             assert tuple(counts[i].tolist()) == expected[:3]
             if counts[i].sum() > 0:
                 assert d[i] == pytest.approx(expected[3])
@@ -177,10 +162,8 @@ class TestDIndex:
     def test_adding_focal_only_citer_increases_d(self):
         papers = [("f", 1990), ("r", 1980), ("j1", 2000), ("k1", 2000)]
         edges = [("f", "r"), ("j1", "f"), ("j1", "r"), ("k1", "r")]
-        g1 = build(papers, edges)
-        d1 = d_index(g1, "f").d
-        g2 = build(papers + [("new", 2005)], edges + [("new", "f")])
-        d2 = d_index(g2, "f").d
+        d1 = score(build(papers, edges), "f")[3]
+        d2 = score(build(papers + [("new", 2005)], edges + [("new", "f")]), "f")[3]
         assert d2 > d1
 
     def test_extremes_characterization(self):
@@ -215,14 +198,12 @@ class TestCouplingKernel:
             papers, edges = random_citation_graph(seed)
             g = build(papers, edges)
             ids = [p for p, _ in papers]
+            assert g.ids == ids
             counts, d = d_index_all(g)
-            for pid in ids:
+            for i, pid in enumerate(ids):
                 expected = naive_disruption(ids, edges, pid)
-                i = g.index[pid]
                 assert tuple(counts[i].tolist()) == expected[:3]
                 assert d[i] == pytest.approx(expected[3])
-                batch = (pid, *counts[i].tolist(), d[i], counts[i].sum() > 0)
-                assert astuple(d_index(g, pid)) == batch
 
     def test_duplicate_citation_counts_once(self):
         papers = [("f", 1990), ("r", 1980), ("c", 2000), ("e", 2001)]
@@ -230,22 +211,23 @@ class TestCouplingKernel:
         g = build(papers, edges)
         assert g.duplicate_count == 1
         assert g.citation_counts().tolist() == [1, 2, 0, 0]
-        s = d_index(g, "f")
-        assert (s.n_i, s.n_j, s.n_k, s.d) == naive_disruption(["f", "r", "c", "e"], edges, "f")
-        assert rank(g, "citations") == ["r", "f", "c", "e"]
+        assert score(g, "f")[:4] == naive_disruption(["f", "r", "c", "e"], edges, "f")
+        assert ranked(g) == ["r", "f", "c", "e"]
 
-    def test_rank_reuses_scores(self, monkeypatch):
+    def test_rank_orders_by_d_then_id(self):
         papers, edges = random_citation_graph(3)
         g = build(papers, edges)
-        counts, d = d_index_all(g)
+        _, d = d_index_all(g)
+        row = {pid: i for i, pid in enumerate(g.ids)}
+        assert ranked(g, "disruption") == sorted(g.ids, key=lambda p: (-d[row[p]], p))
 
-        def fail(*args):
-            raise AssertionError("scored twice")
 
-        monkeypatch.setattr(disruption, "_counts", fail)
-        ordered = rank(g, "disruption")
-        assert ordered == sorted(g.ids, key=lambda p: (-d[g.index[p]], p))
-        assert [d_index(g, p).d for p in g.ids] == d.tolist()
+# partial ranges (empty where lo > hi), ranges past every year and beyond int64
+YEAR_RANGES = st.one_of(
+    st.none(),
+    st.tuples(st.integers(1940, 2020), st.integers(1940, 2020)),
+    st.sampled_from([(2101, 2200), (-10**30, 10**30), (10**30, 10**31), (-10**30, 1975)]),
+)
 
 
 class TestRank:
@@ -257,46 +239,71 @@ class TestRank:
     def test_citations_hand_sorted(self):
         g = build(*self.FIXTURE)
         # in-degrees: w=3, x=1, z=1, y=0; tie x/z broken by id
-        assert rank(g, "citations") == ["w", "x", "z", "y"]
+        assert ranked(g) == ["w", "x", "z", "y"]
 
     def test_k_larger_than_population(self):
         g = build(*self.FIXTURE)
-        assert len(rank(g, "citations", k=100)) == 4
+        assert len(ranked(g, k=100)) == 4
 
     def test_tie_broken_by_id(self):
         g = build([("b", 2000), ("a", 2000), ("c", 2001)], [("c", "a"), ("b", "a")])
-        assert rank(g, "citations", k=3) == ["a", "b", "c"]
+        assert ranked(g, k=3) == ["a", "b", "c"]
+
+    def test_ties_break_by_code_point_not_case_or_length(self):
+        # every value ties: the order is Python's str order, "É" (U+00C9) before "é" (U+00E9)
+        ids = ["éé", "É", "é", "Éé", "ÉÉ", "éÉ", "e", "E"]
+        g = build([(pid, 2000) for pid in ids], [])
+        assert ranked(g) == ["E", "e", "É", "ÉÉ", "Éé", "é", "éÉ", "éé"]
+        assert ranked(g, "disruption", k=3) == ["E", "e", "É"]
 
     def test_year_filter(self):
         g = build(*self.FIXTURE)
-        assert rank(g, "citations", year_range=(2000, 2001)) == ["w", "x"]
+        assert ranked(g, year_range=(2000, 2001)) == ["w", "x"]
 
     @pytest.mark.parametrize("key", ["citations", "disruption"])
     def test_year_bounds_beyond_int64(self, key):
         g = build(*self.FIXTURE)
-        assert rank(g, key, year_range=(-10**30, 10**30)) == rank(g, key)
-        assert rank(g, key, year_range=(2001, 10**30)) == rank(g, key, year_range=(2001, 2100))
-        assert rank(g, key, year_range=(-10**30, 1960)) == ["z"]
-        assert rank(g, key, year_range=(10**30, 10**31)) == []
+        assert ranked(g, key, year_range=(-10**30, 10**30)) == ranked(g, key)
+        assert ranked(g, key, year_range=(2001, 10**30)) == ranked(g, key, year_range=(2001, 2100))
+        assert ranked(g, key, year_range=(-10**30, 1960)) == ["z"]
+        assert ranked(g, key, year_range=(10**30, 10**31)) == []
 
     def test_invariant_to_edge_order(self):
         papers, edges = self.FIXTURE
         g1 = build(papers, edges)
         g2 = build(papers, list(reversed(edges)))
-        assert rank(g1, "citations") == rank(g2, "citations")
+        assert ranked(g1) == ranked(g2)
 
     def test_disruption_key(self):
         g = build(*self.FIXTURE)
-        ordered = rank(g, "disruption", k=2)
         _, d = d_index_all(g)
-        assert d[g.index[ordered[0]]] >= d[g.index[ordered[1]]]
+        rows = rank(g, d, k=2)
+        assert rows.dtype == np.int64 and len(rows) == 2
+        assert d[rows[0]] >= d[rows[1]]
 
     def test_k_validation(self):
         g = build(*self.FIXTURE)
-        with pytest.raises(ValueError):
-            rank(g, "citations", k=0)
-        with pytest.raises(ValueError, match="key"):
-            rank(g, "pagerank")
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank(g, g.citation_counts(), k=0)
+
+    @given(seed=st.integers(0, 10_000), cyclic=st.booleans(),
+           key=st.sampled_from(["citations", "disruption"]),
+           size=st.sampled_from(["none", "one", "n", "more"]), year_range=YEAR_RANGES)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sorted_reference(self, seed, cyclic, key, size, year_range):
+        if cyclic:
+            papers, edges = random_citation_graph(seed)
+        else:
+            papers, edges = random_citation_dag(seed, max_nodes=60, max_edges=400)
+        g = build(papers, edges)
+        values = d_index_all(g)[1] if key == "disruption" else g.citation_counts()
+        n = len(g)
+        k = {"none": None, "one": 1, "n": n, "more": n + 7}[size]
+        lo, hi = year_range or (-10**30, 10**30)
+        years, vals, ids = g.years.tolist(), values.tolist(), g.ids
+        expected = sorted((i for i in range(n) if lo <= years[i] <= hi),
+                          key=lambda i: (-vals[i], ids[i]))[:k]
+        assert rank(g, values, k, year_range).tolist() == expected
 
 
 class TestIntersect:
