@@ -29,6 +29,7 @@ from . import __version__, _lazy
 from .dataio import (
     Dataset,
     _atomic_write,
+    _write_edges,
     cache_get,
     cache_put,
     load_category_tsv,
@@ -72,7 +73,7 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
     """One CSV row per position of ``columns``, which must be of equal length."""
     lines = [",".join(header)]
     lines.extend(",".join(map(_csv_cell, row)) for row in zip(*columns, strict=True))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 def _parse_year_range(args) -> tuple[int, int] | None:
@@ -216,9 +217,7 @@ def cmd_ba(args) -> Report:
     g = ba.generate(params)
     report = ba.compare(g, params, sources=args.sources)
     if args.edges_out:
-        mask = g.src < g.dst
-        rows = [f"{s}\t{d}" for s, d in zip(g.src[mask].tolist(), g.dst[mask].tolist())]
-        _atomic_write(args.edges_out, ("\n".join(rows) + "\n").encode())
+        _write_edges(args.edges_out, g)
     if args.plot_csv:
         from scipy.special import zeta
 

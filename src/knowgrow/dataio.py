@@ -30,12 +30,12 @@ record, so loaders intern fields without making strings and map a graph
 fault to its line.  `_intern` is the one sort of the fields: it gives each
 distinct field an id in first-appearance order and a rank in the order of
 the field followed by a TAB, and the digest rows of edge lists and category
-files are written in the order of those ranks.
-Digests canonicalize before hashing: edge lists hash their sorted
-``src<TAB>dst`` label rows (order-insensitive, the rows ``write_edge_tsv``
-writes), category and citation files their sorted lines, series and
-rankings hash in sequence order.  Reports are JSON documents embedding
-``schema_version``, the tool version, and the digests of their inputs,
+files are written in the order of those ranks by `_rows`, the one writer of
+TAB-separated rows.  Digests canonicalize before hashing: edge lists hash
+their sorted ``src<TAB>dst`` label rows (order-insensitive), category and
+citation files their sorted lines, series and rankings hash in sequence
+order.  Reports are JSON documents embedding ``schema_version``, the tool
+version, and the digests of their inputs,
 keyed by file name (by path where two inputs share a name); writes are
 atomic (temp file + rename).
 """
@@ -73,7 +73,6 @@ __all__ = [
     "load_samples",
     "load_id_list",
     "load_citation",
-    "write_edge_tsv",
     "save_report",
     "load_report",
     "verify_report_inputs",
@@ -294,18 +293,16 @@ def _intern(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarr
 
 
 def _column(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The bytes of the (at least one) fields ``data[starts:ends]``, each followed by a TAB."""
+    """The bytes of the fields ``data[starts:ends]``, each followed by a TAB."""
     size = ends - starts + 1  # each field and the byte after it
-    at = np.cumsum(size)
-    column = np.frombuffer(data, np.uint8)[np.repeat(starts - at + size, size) + np.arange(at[-1])]
-    column[at - 1] = TAB
+    at = np.cumsum(size) - size  # each field's start in the column
+    column = np.frombuffer(data, np.uint8)[np.repeat(starts - at, size) + np.arange(size.sum())]
+    column[at + size - 1] = TAB
     return column
 
 
 def _texts(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     """The fields ``data[starts:ends]``, decoded."""
-    if not len(starts):
-        return []
     return _column(data, starts, ends).tobytes().decode().split("\t")[:-1]
 
 
@@ -345,41 +342,45 @@ def load_edge_list(
     return ds, graph
 
 
-def _label_rank(labels: list[str], end: str = "") -> np.ndarray:
-    """Rank of each label followed by ``end`` in sorted order, which for
-    `str` is the order of their UTF-8 bytes."""
-    return np.argsort(sorted(range(len(labels)), key=lambda i: labels[i] + end))
+def _label_rank(labels: list[str]) -> np.ndarray:
+    """Rank of each label in sorted order, which for `str` is the order of their UTF-8 bytes."""
+    return np.argsort(sorted(range(len(labels)), key=labels.__getitem__))
 
 
 def _arc_rows(names: np.ndarray, width: np.ndarray, columns):
-    """Blocks of the sorted rows of tab-separated fields, each row ended by a newline.
-
-    Name ``i`` is ``width[i]`` bytes of ``names``, which holds each name followed
-    by a TAB.  Each column is ``(ids, rank, first)``: the rows' ids in it, each
-    id's rank, and the name of id 0.  The rows sort by their ranks, column by
-    column, packed into one int64 code; each block is gathered from ``names``.
-    """
-    at = np.cumsum(width + 1) - (width + 1)
+    """`_rows` of the rows sorted by rank, column by column.  Each column is
+    ``(ids, rank, first)``: the rows' ids in it, each id's rank, and the name
+    of id 0; the ranks are packed into one int64 code per row."""
     shape = [len(rank) for _, rank, _ in columns]
     codes = np.ravel_multi_index([rank[ids] for ids, rank, _ in columns], shape)
     codes.sort()
     by_rank = [np.argsort(rank) + first for _, rank, first in columns]  # each rank's name
-    for lo in range(0, len(codes), 1 << 12):
-        ranks = np.unravel_index(codes[lo : lo + (1 << 12)], shape)
-        ids = np.stack([by[r] for by, r in zip(by_rank, ranks)], axis=1).ravel()
+    blocks = (np.unravel_index(codes[lo : lo + 4096], shape) for lo in range(0, len(codes), 4096))
+    return _rows(names, width, (np.stack([by[r] for by, r in zip(by_rank, ranks)], axis=1)
+                                for ranks in blocks))
+
+
+def _rows(names: np.ndarray, width: np.ndarray, blocks):
+    """The bytes of each block of ``(rows, k)`` name ids, one TAB-separated line per row;
+    name ``i`` is ``width[i]`` bytes of ``names``, which holds each name and a TAB."""
+    at = np.cumsum(width + 1) - (width + 1)
+    for ids in blocks:
+        k, ids = ids.shape[1], ids.ravel()
         block = _column(names, at[ids], at[ids] + width[ids])
-        block[np.cumsum(width[ids] + 1)[len(shape) - 1 :: len(shape)] - 1] = NL  # last TABs
+        block[np.cumsum(width[ids] + 1)[k - 1 :: k] - 1] = NL  # last TABs
         yield block.tobytes()
 
 
-def write_edge_tsv(graph: graph_metrics.SnapshotGraph, path: str | Path) -> None:
-    """Serialize to the canonical sorted TSV form (stable across reloads)."""
-    labels = graph.labels if graph.labels is not None else list(map(str, range(graph.n)))
-    names = np.frombuffer("".join(label + "\t" for label in labels).encode(), np.uint8)
-    width = np.fromiter((len(label.encode()) for label in labels), np.int64, len(labels))
-    rows = _arc_rows(names, width, [(graph.src, _label_rank(labels, "\t"), 0),
-                                    (graph.dst, _label_rank(labels), 0)])
-    _atomic_write(path, b"".join(rows) or b"\n")
+def _write_edges(path: str | Path, g: graph_metrics.SnapshotGraph) -> None:
+    """One ``src<TAB>dst`` line of decimal node ids per arc with ``src < dst``, in
+    arc order: for a `ba.generate` graph, each undirected edge in arrival order."""
+    cells = np.char.add(np.arange(g.n).astype(f"S{len(str(g.n))}"), b"\t")
+    names = cells.view(np.uint8)  # each id, its TAB and zero padding, dropped below
+    mask = g.src < g.dst
+    src, dst = g.src[mask], g.dst[mask]
+    blocks = (np.stack([src[lo : lo + 4096], dst[lo : lo + 4096]], 1)
+              for lo in range(0, len(src), 4096))
+    _atomic_write(path, _rows(names[names != 0], np.char.str_len(cells) - 1, blocks))
 
 
 def load_category_tsv(path: str | Path) -> tuple[Dataset, taxonomy.CategoryGraph]:
@@ -481,13 +482,13 @@ _LOADERS = {
 # reports
 
 
-def _atomic_write(path: str | Path, data: bytes) -> None:
+def _atomic_write(path: str | Path, chunks) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -514,7 +515,7 @@ def save_report(
     payload: dict, path: str | Path, kind: str, inputs: list[Dataset] | None = None
 ) -> None:
     """Write a versioned JSON report; floats round-trip losslessly."""
-    _atomic_write(path, report_bytes(payload, kind, inputs))
+    _atomic_write(path, [report_bytes(payload, kind, inputs)])
 
 
 def load_report(path: str | Path) -> dict:
@@ -589,5 +590,5 @@ def cache_put(operation: str, digest: str, params: dict, data: bytes) -> bool:
     root = os.environ.get(CACHE_ENV)
     if not root:
         return False
-    _atomic_write(Path(root) / f"{cache_key(operation, digest, params)}.json", data)
+    _atomic_write(Path(root) / f"{cache_key(operation, digest, params)}.json", [data])
     return True

@@ -243,6 +243,13 @@ GOLDEN_OUTPUTS = {
         {},
         {"e.tsv": "83cbc8895502debc0c9a439405e219654aa98e935b254993cef317f0dcd62890"},
     ),
+    # labels of 5 digits; for m >= 4 the seed clique is written source-major
+    # (0,1 0,2 0,3 1,2 ...), which a sort by (dst, src) would reorder
+    "ba-edges-out-wide": (
+        ["ba", "--nodes", 12000, "--m", 4, "--seed", 3, "--edges-out", "e.tsv"],
+        {},
+        {"e.tsv": "2e6464ca120ecc2530972d9db054030971c51af2cb14210def1c9a42aaccbe24"},
+    ),
 }
 
 
