@@ -1,15 +1,16 @@
 """Structural metrics on directed snapshot graphs.
 
 The graph container holds arcs over dense integer node ids, with numpy CSR
-adjacency arrays ``(indptr, indices)``; scipy is imported only for the
-sparse products of the clustering coefficient.  Loaders intern string
-labels, which a graph keeps as bytes and decodes only when read.  Metrics
-follow the conventions of scale-free network analysis: directed density
-E/(N(N-1)), Shannon entropy of the degree histogram, BFS-sampled effective
-diameter and mean distance over reachable ordered pairs, mean local
-clustering on the undirected projection, and maximum-likelihood tail fits
-(discrete power law with KS-minimizing k_min in the style of Clauset et
-al., and lognormal).
+adjacency arrays ``(indptr, indices)``; the traversals and the triangle
+count run on numpy alone, and scipy is imported only for the special
+functions of the tail fits.  Loaders intern string labels, which a graph
+keeps as bytes and decodes only when read.  Metrics follow the
+conventions of scale-free network analysis: directed density E/(N(N-1)),
+Shannon entropy of the degree histogram, BFS-sampled effective diameter
+and mean distance over reachable ordered pairs, mean local clustering on
+the undirected projection, and maximum-likelihood tail fits (discrete
+power law with KS-minimizing k_min in the style of Clauset et al., and
+lognormal).
 
 Both distance metrics read one seeded traversal: a histogram of distances
 from the sampled sources (every node when exhaustive), computed once per
@@ -150,13 +151,9 @@ class SnapshotGraph:
     def degrees(self, direction: str = "total") -> np.ndarray:
         if direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        out_deg = np.bincount(self.src, minlength=self.n)
-        in_deg = np.bincount(self.dst, minlength=self.n)
-        if direction == "out":
-            return out_deg
-        if direction == "in":
-            return in_deg
-        return out_deg + in_deg
+        if direction == "total":
+            return self.degrees("out") + self.degrees("in")
+        return np.bincount(self.src if direction == "out" else self.dst, minlength=self.n)
 
     def undirected_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the undirected projection: the mirrored graph's out-rows."""
@@ -347,41 +344,56 @@ def avg_shortest_path(g: SnapshotGraph, sources: int = 64, seed: int = 0) -> flo
     return int(hist @ np.arange(g.n)) / total if total else 0.0
 
 
+# the triangle count checks the 2-paths of the oriented graph in blocks of
+# about this many (the 2-paths through one arc are never split)
+WEDGE_VALUES = 1 << 16
+
+
 def clustering_coefficient(g: SnapshotGraph) -> float:
     """Mean local clustering of the undirected projection.
 
-    Nodes of degree < 2 contribute 0.  Triangles are counted in one pass
-    over the degree-oriented adjacency (Schank & Wagner 2005): ``u`` keeps
-    each edge from its lower to its higher (degree, id) rank, so every row
-    of ``u`` is O(sqrt(edges)) long and no product needs memory blocks.
-    Counts are int32; int8 wraps past 127 shared neighbours.
+    Nodes of degree < 2 contribute 0.  Triangles are counted over the
+    degree-oriented adjacency (Schank & Wagner 2005): each edge points from
+    its lower to its higher (degree, id) rank, so every node has
+    O(sqrt(edges)) out-arcs.  Each 2-path a -> b -> c is checked for the arc
+    a -> c by a binary search of the sorted arc codes a * n + c, about
+    ``WEDGE_VALUES`` 2-paths at a time; a triangle is found once, at its
+    lowest-ranked node, and credits each of its three nodes.
     """
     if g.n < 3:
         raise ValueError("clustering needs at least 3 nodes")
+    n = g.n
     indptr, indices = g.undirected_csr()
     deg = np.diff(indptr)
     order = np.argsort(deg, kind="stable")
-    rank = np.empty(g.n, indices.dtype)
-    rank[order] = np.arange(g.n)
+    rank = np.empty(n, indices.dtype)
+    rank[order] = np.arange(n)
     lo, hi = np.repeat(rank, deg), rank[indices]  # each edge twice, as rank pairs
     up = lo < hi
-    lo, hi = lo[up], hi[up]
-    del up
-    indptr, indices = _csr(lo, hi, g.n)
-    del lo, hi
-    # scipy is imported only now: importing it while lo and hi are held lifts the peak RSS
-    from scipy import sparse
-
-    u = sparse.csr_matrix((np.ones(len(indices), np.int32), indices, indptr), shape=(g.n, g.n))
-    low = (u @ u).multiply(u)  # each triangle once, at its (lowest, highest) pair
-    by_rank = np.asarray(low.sum(axis=1) + low.sum(axis=0).T).ravel()
-    del low  # freed before the second product
-    mid = (u.T.tocsr() @ u).multiply(u)  # and once at its (middle, highest) pair
-    by_rank += np.asarray(mid.sum(axis=1)).ravel()
-    tri = np.empty(g.n)
+    codes = lo[up] * np.int64(n) + hi[up]  # the oriented arcs a -> b, as a * n + b
+    del rank, lo, hi, up
+    codes.sort()
+    starts = np.searchsorted(codes, np.arange(n + 1) * np.int64(n))
+    width = np.diff(starts)  # out-arcs per rank
+    heads = (codes % n).astype(indices.dtype)
+    block = np.cumsum(width[heads]) // WEDGE_VALUES  # that of each arc's last 2-path
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(block)]
+    del block
+    by_rank = np.zeros(n, np.int64)
+    for first, last in zip(bounds, bounds[1:]):  # the arcs a -> b of one block
+        b = heads[first:last]
+        w = width[b]
+        before = np.cumsum(w) - w
+        arcs = np.arange(w.sum()) + np.repeat(starts[b] - before, w)  # b -> c
+        key = np.repeat(codes[first:last] - b, w) + heads[arcs]  # a * n + c
+        hit = codes.take(np.searchsorted(codes, key), mode="clip") == key
+        key = key[hit]
+        for nodes in (key // n, np.repeat(b, w)[hit], key % n):
+            np.add.at(by_rank, nodes, 1)
+    tri = np.empty(n)
     tri[order] = by_rank
     pairs = deg * (deg - 1.0) / 2
-    return float(np.divide(tri, pairs, out=np.zeros(g.n), where=deg >= 2).mean())
+    return float(np.divide(tri, pairs, out=np.zeros(n), where=deg >= 2).mean())
 
 
 # ---------------------------------------------------------------------------

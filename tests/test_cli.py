@@ -109,13 +109,13 @@ def test_growth_command_loads_no_scipy(tmp_path, monkeypatch, case):
 
 
 # command: (arguments, input files, scipy modules it must load, or None for no
-# scipy at all); bounded Brent is in-package, so none of them loads scipy.optimize
+# scipy at all); bounded Brent is in-package, so none of them loads scipy.optimize,
+# and the graph commands count triangles in numpy, so none loads scipy.sparse
 COMMAND_IMPORTS = {
-    "ba": (["--nodes", "300", "--m", "2"], {}, {"scipy.sparse", "scipy.special"}),
+    "ba": (["--nodes", "300", "--m", "2"], {}, {"scipy.special"}),
     "distfit": (["--input", "d.txt", "--family", "powerlaw", "--kmin", "1"],
                 {"d.txt": "\n".join(map(str, range(1, 201)))}, {"scipy.special"}),
-    "metrics": (["--edges", "e.tsv"], {"e.tsv": "a\tb\nb\tc\nc\ta\n"}, {"scipy.sparse"}),
-    # ingest and the BFS read numpy CSR arrays: only clustering loads scipy
+    "metrics": (["--edges", "e.tsv"], {"e.tsv": "a\tb\nb\tc\nc\ta\n"}, None),
     "metrics --no-clustering": (["--edges", "e.tsv", "--no-clustering"],
                                 {"e.tsv": "a\tb\nb\tc\nc\ta\n"}, None),
 }
@@ -132,6 +132,7 @@ def test_command_loads_no_optimize(tmp_path, monkeypatch, case):
         assert not _scipy(modules)
     else:
         assert loads <= modules
+        assert "scipy.sparse" not in modules
     assert "scipy.optimize" not in modules
 
 

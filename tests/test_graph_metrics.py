@@ -23,7 +23,8 @@ from knowgrow.graph_metrics import (
 )
 
 from conftest import random_digraph
-from _oracles import all_pairs_stats, bfs_distances, local_clustering, sample_discrete_powerlaw
+from _oracles import (all_pairs_stats, bfs_distances, local_clustering, sample_discrete_powerlaw,
+                      spgemm_clustering)
 
 
 def graph(edges, n=None):
@@ -358,6 +359,28 @@ class TestClustering:
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
             clustering_coefficient(graph([(0, 1)], n=2))
+
+    @pytest.mark.parametrize("block", [1, 7, graph_metrics.WEDGE_VALUES])
+    def test_equals_the_sparse_product_count(self, rng, monkeypatch, block):
+        # the same per-node triangle counts give the same mean bit for bit,
+        # with every block boundary crossed at blocks of 1 and 7 2-paths
+        from knowgrow import ba
+
+        monkeypatch.setattr(graph_metrics, "WEDGE_VALUES", block)
+        cases = [ba.generate(ba.BAParams(n=300, m=3, seed=4)), STAR,
+                 graph(np.empty((0, 2), int), n=5)]
+        for _ in range(20):
+            n = int(rng.integers(3, 80))
+            cases.append(graph(random_digraph(rng, n, int(rng.integers(n, 8 * n))), n=n))
+        k = 200
+        cases.append(graph([(0, 1)] + [(h, leaf) for h in (0, 1) for leaf in range(2, k + 2)]))
+        for n, half in [(30, 1), (30, 3), (40, 5)]:
+            ring = [(i, (i + d) % n) for i in range(n) for d in range(1, half + 1)]
+            triangles = [(v + a, v + b) for v in range(n, n + 30, 3)
+                         for a, b in ((0, 1), (0, 2), (1, 2))]
+            cases += [graph(ring, n=n), graph(ring + triangles, n=n + 30)]
+        for g in cases:
+            assert clustering_coefficient(g) == spgemm_clustering(g)
 
     def test_ba_graph_near_reference(self):
         from knowgrow import ba
