@@ -14,8 +14,9 @@ from knowgrow.disruption import CitationGraph, d_index_all, intersect_analysis, 
 
 def build_corpus(n: int, seed: int) -> tuple[CitationGraph, list[str]]:
     rng = np.random.default_rng(seed)
-    papers = [(f"p{i:05d}", 1950 + int(rng.integers(0, 60))) for i in range(n)]
-    edges = []
+    ids = [f"p{i:05d}" for i in range(n)]
+    years = [str(1950 + int(rng.integers(0, 60))) for _ in range(n)]
+    ends = []  # the citing and cited paper of each citation in turn
     seen = set()
     for i in range(1, n):
         for j in rng.integers(0, i, size=5):
@@ -24,8 +25,9 @@ def build_corpus(n: int, seed: int) -> tuple[CitationGraph, list[str]]:
                 j = int(rng.integers(0, min(i, n // 20)))  # concentrate citations
             if i != j and (i, j) not in seen:
                 seen.add((i, j))
-                edges.append((f"p{i:05d}", f"p{j:05d}"))
-    return CitationGraph.build(papers, edges), [p for p, _ in papers]
+                ends += (i, j)
+    return CitationGraph.build(ids, years, np.arange(n), np.array(ends, np.int64),
+                               lambda end: ids[ends[end]]), ids
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from knowgrow.fitting import forecast, select_points
+from knowgrow.fitting import forecast, select
 from knowgrow.growth import QUASI_LINEAR_FAMILIES, model_catalog
 from knowgrow.months import month_index
 
@@ -38,7 +38,7 @@ def article_forecast_table(until_year: int) -> None:
     origin = "2021-01"
     t = np.array([month_index(origin, m) for m in ARTICLE_TOTALS], dtype=float)
     y = np.array(list(ARTICLE_TOTALS.values()), dtype=float)
-    ranked = select_points(t, y, QUASI_LINEAR_FAMILIES, t_origin=origin)
+    ranked = select(t, y, QUASI_LINEAR_FAMILIES, t_origin=origin)
     best = ranked[0]
     print(f"article totals refit: picked {best.model.family} "
           f"(mape {best.mape:.2e}); projections:")

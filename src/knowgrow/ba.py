@@ -3,7 +3,7 @@
 The generator grows a graph from an m-clique; every arriving node attaches
 to m distinct existing nodes with probability proportional to degree,
 sampled O(1) per draw from an urn of edge endpoints.  The urn is the edge
-list itself, one flat list of edge ends in arrival order.  Duplicate
+list itself, one flat typed array of edge ends in arrival order.  Duplicate
 targets are rejected and redrawn.  The result is exposed as a directed
 :class:`~knowgrow.graph_metrics.SnapshotGraph` with mirrored arcs, recorded
 as symmetric, so the one metrics engine serves both real and simulated
@@ -16,6 +16,7 @@ P(k) = 2 m^2 k^-3) and ``compare`` tabulates empirical-to-reference ratios.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain, count
 
@@ -56,22 +57,24 @@ def generate(params: BAParams) -> SnapshotGraph:
     undirected degrees.
     """
     n, m = params.n, params.m
+    dtype = _index_dtype(n)
     rng = np.random.default_rng(params.seed)
     # the seeded uniform stream, drawn in blocks of 2^16 as Python floats
     draws = chain.from_iterable(rng.random(1 << 16).tolist() for _ in count())
     # the urn is the edge list: ends 2i and 2i+1 are edge i, in arrival order
-    urn = [end for i in range(m) for j in range(i + 1, m) for end in (i, j)]
+    urn = array(np.dtype(dtype).char,
+                [end for i in range(m) for j in range(i + 1, m) for end in (i, j)])
     for v in range(m, n):
         chosen = [] if urn else [0]  # m = 1: the single seed node carries no edges yet
         while len(chosen) < m:
             u = urn[int(next(draws) * len(urn))]
             if u not in chosen:
                 chosen.append(u)
-        for u in sorted(chosen):
-            urn += (u, v)
+        for u in sorted(chosen):  # two appends: array.extend of a tuple is slower
+            urn.append(u)
+            urn.append(v)
 
-    ends = np.array(urn, _index_dtype(n))
-    del urn
+    ends = np.frombuffer(urn, dtype)
     src, dst = ends[0::2], ends[1::2]
     # arcs are simple, loop-free and mirrored by construction: skip from_edges' dedup
     return SnapshotGraph(n=n, src=np.concatenate([src, dst]), dst=np.concatenate([dst, src]),

@@ -108,7 +108,7 @@ def cmd_fit(args) -> Report:
             raise ValueError(f"no family fits a series of {len(series)} points")
     else:
         families = [args.family]
-    ranked = fitting.select(series, families)
+    ranked = fitting.select(series.t, series.y, families, series.origin)
     best = ranked[0]
     payload = {
         "best": best.to_json(),
@@ -280,7 +280,7 @@ def cmd_taxonomy(args) -> Report:
         if not roots:
             raise ValueError("--roots names no category")
     ds, g = load_category_tsv(args.edges)
-    levels = taxonomy.count_members_by_level(g, roots, args.depth)
+    levels = taxonomy.count_members(g, roots, args.depth)
     categories, articles = levels[-1]
     if args.plot_csv:  # one row per depth; rows past the last repeat it
         depths = np.arange(args.depth + 1)

@@ -447,7 +447,7 @@ def load_citation(
     row = np.where(first_field < n, first_field, -1)[key]  # the paper row of each field's id
     ids, years = (_texts(nodes, node_starts[:, k], node_ends[:, k]) for k in (0, 1))
     try:
-        graph = disruption.CitationGraph.from_arrays(
+        graph = disruption.CitationGraph.build(
             ids, years, row[:n], row[n:],
             lambda end: edges[starts.flat[end] : ends.flat[end]].decode())
     except disruption.PaperError as exc:

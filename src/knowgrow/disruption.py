@@ -17,15 +17,16 @@ no such cutoff is applied here (a year window is an open item in
 ROADMAP.md).  A year range given to :func:`rank` filters the ranked
 papers, not the papers counted.
 
-The counts come from the bibliographic coupling ``A @ A.T`` (Kessler 1963)
-of the citing -> cited matrix ``A``.  Scoring every paper costs the sum
-over references of their citation count squared; :func:`row_blocks` of
-``BLOCK_WORK`` coupling pairs bound memory.  Duplicate citations count once.
+:meth:`CitationGraph.build` builds a graph from the arrays that
+`dataio.load_citation` reads.  The counts come from the bibliographic
+coupling ``A @ A.T`` (Kessler 1963) of the citing -> cited matrix ``A``.
+Scoring every paper costs the sum over references of their citation count
+squared; :func:`row_blocks` of ``BLOCK_WORK`` coupling pairs bound memory.
+Duplicate citations count once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -84,28 +85,13 @@ class CitationGraph:
     duplicate_count: int
 
     @classmethod
-    def build(cls, papers, edges) -> "CitationGraph":
-        """Build from ``(id, year[, field])`` rows and ``(citing, cited)`` pairs.
-
-        A year is an integer or ASCII digits.  The first faulty paper row,
-        then the first faulty pair, raises.
-        """
-        table = [row[:2] for row in papers]
-        ids = [row[0] for row in table]
-        first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # each id's first row
-        ends = [end for pair in edges for end in pair]
-        return cls.from_arrays(ids, [row[1] for row in table],
-                               np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)),
-                               np.fromiter(map(first.get, ends, repeat(-1)), np.int64, len(ends)),
-                               ends.__getitem__)
-
-    @classmethod
-    def from_arrays(cls, ids: list[str], years: list, firsts: np.ndarray, ends: np.ndarray,
-                    end_name: Callable[[int], str]) -> "CitationGraph":
+    def build(cls, ids: list[str], years: list[str], firsts: np.ndarray, ends: np.ndarray,
+              end_name: Callable[[int], str]) -> "CitationGraph":
         """Build from paper ids and years, the first row of each row's id, and citations.
 
-        ``ends`` holds the paper row of each citing and cited end in turn, -1
-        for an id no paper has, which ``end_name`` spells.
+        A year is ASCII digits.  ``ends`` holds the paper row of each citing
+        and cited end in turn, -1 for an id no paper has, which ``end_name``
+        spells.  The first faulty paper row, then the first faulty pair, raises.
         """
         from scipy import sparse
 
@@ -140,10 +126,8 @@ class CitationGraph:
         return np.diff(self.cited_by.indptr)
 
 
-def _year(spelled) -> int:
-    """An integer year, or ASCII digits as one; `NOT_A_YEAR` for anything else."""
-    if not isinstance(spelled, str):
-        return int(spelled)
+def _year(spelled: str) -> int:
+    """ASCII digits as an integer year; `NOT_A_YEAR` for anything else."""
     digits = spelled.isascii() and spelled.isdigit()
     return min(int(spelled), 1 << 62) if digits else NOT_A_YEAR
 

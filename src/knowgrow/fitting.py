@@ -9,7 +9,8 @@ golden-section/parabolic search (:func:`knowgrow._brent.bounded_min`).
 Because the linear coefficients are solved exactly for every value of the
 nonlinear one, the profile optimum is the joint least-squares fit (variable
 projection, Golub & Pereyra 1973).  No randomness is involved, so fits are
-exactly reproducible.
+exactly reproducible.  :func:`fit_points` fits one family to (month index,
+value) points and :func:`select` fits and ranks several.
 """
 from __future__ import annotations
 
@@ -27,10 +28,8 @@ __all__ = [
     "TimeSeries",
     "FitResult",
     "SegmentSplit",
-    "fit",
     "fit_points",
     "select",
-    "select_points",
     "forecast",
     "segment_break",
 ]
@@ -205,10 +204,16 @@ def fit_points(
     t_origin: str | None = None,
     _grid_size: int = GRID_SIZE,
 ) -> FitResult:
-    """Fit one family to explicit (month index, value) points.
+    """Fit one growth-law family to (month index, value) points.
 
-    This is the engine behind :func:`fit`; use it directly when observations
-    are calendar-anchored but not contiguous.
+    ``t`` holds month indices, 1 at ``t_origin`` as in :attr:`TimeSeries.t`,
+    and need not be contiguous.  On noiseless data generated by the
+    same family the parameters are recovered essentially exactly; the
+    ``converged`` flag reports whether the bounded scalar refinement of the
+    nonlinear parameter met its tolerance (always ``True`` for families
+    without one), and ``at_bound`` whether it ended at an end of its search
+    range, where the true optimum may lie beyond (always ``False`` for
+    families without one).
     """
     spec = family_spec(family)
     t = np.asarray(t, dtype=float)
@@ -272,26 +277,13 @@ def fit_points(
     )
 
 
-def fit(series: TimeSeries, family: str) -> FitResult:
-    """Fit one growth-law family to a monthly series.
-
-    On noiseless data generated by the same family the parameters are
-    recovered essentially exactly; the ``converged`` flag reports whether
-    the bounded scalar refinement of the nonlinear parameter met its
-    tolerance (always ``True`` for families without one), and ``at_bound``
-    whether it ended at an end of its search range, where the true optimum
-    may lie beyond (always ``False`` for families without one).
-    """
-    return fit_points(series.t, series.y, family, t_origin=series.origin)
-
-
-def select_points(
+def select(
     t: np.ndarray,
     y: np.ndarray,
     families: list[str] | tuple[str, ...],
     t_origin: str | None = None,
 ) -> list[FitResult]:
-    """Fit every family and rank ascending by MAPE.
+    """Fit every family to the points with :func:`fit_points`; rank ascending by MAPE.
 
     Results whose MAPE lies within ``MAPE_TIE_WINDOW`` of the best remaining
     one form a tie group ordered by parameter count, then family name; the
@@ -309,10 +301,6 @@ def select_points(
         ranked.extend(group)
         results = [r for r in results if r.mape - floor >= MAPE_TIE_WINDOW]
     return ranked
-
-
-def select(series: TimeSeries, families: list[str] | tuple[str, ...]) -> list[FitResult]:
-    return select_points(series.t, series.y, families, t_origin=series.origin)
 
 
 def forecast(fit_result: FitResult, until: str) -> TimeSeries:

@@ -11,7 +11,8 @@ levels come from scipy's csgraph, so every search terminates on any input.
 
 Depth semantics: the roots sit at level 0, so ``depth=3`` means "three
 levels below the top categories".  An article attached to a category at
-level k counts from depth k on.
+level k counts from depth k on; :func:`count_members` returns the counts at
+every depth up to the one asked for.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ __all__ = [
     "CategoryError",
     "detect_cycles",
     "count_members",
-    "count_members_by_level",
     "wag_root_presets",
 ]
 
@@ -163,14 +163,17 @@ def _levels(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> np.nda
     return dist - ~g.is_category
 
 
-def count_members_by_level(
+def count_members(
     g: CategoryGraph, roots: set[str] | list[str], depth: int
 ) -> list[tuple[int, int]]:
     """Cumulative ``(categories, articles)`` within each depth 0..``depth``.
 
-    Row ``k`` holds what :func:`count_members` counts at depth ``k``; all
-    rows come from one search.  No member lies deeper than ``len(g)``, so
-    the rows stop there: each deeper row would repeat the last.
+    Row ``k`` counts the categories within ``k`` levels of the roots and the
+    distinct articles attached to any of them: articles attached directly
+    to the roots count too, and an article under several matched
+    categories counts once.  All rows come from one search.  No member lies
+    deeper than ``len(g)``, so the rows stop there: each deeper row would
+    repeat the last.
     """
     depth = min(depth, len(g))
     levels = _levels(g, roots, depth)
@@ -180,17 +183,6 @@ def count_members_by_level(
         for kind in (g.is_category, ~g.is_category)
     ]
     return list(zip(*columns))
-
-
-def count_members(g: CategoryGraph, roots: set[str] | list[str], depth: int) -> dict:
-    """Distinct articles attached to any category within ``depth`` of roots.
-
-    Articles attached directly to the roots count too (level-0 categories
-    are members), and an article under several matched categories counts
-    once.  Returns the last row of :func:`count_members_by_level` as a dict.
-    """
-    categories, articles = count_members_by_level(g, roots, depth)[-1]
-    return {"articles": articles, "categories": categories}
 
 
 def wag_root_presets() -> dict[str, list[str]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from knowgrow import ba
-from knowgrow.dataio import load_category_tsv
+from knowgrow.dataio import load_category_tsv, load_citation
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +35,14 @@ def category_graph(triples: list[tuple[str, str, str]]):
         path = Path(tmp) / "categories.tsv"
         path.write_text("".join(f"{c}\t{p}\t{k}\n" for c, p, k in triples), encoding="utf-8")
         return load_category_tsv(path)[1]
+
+
+def citation_graph(papers: list[tuple], edges: list[tuple[str, str]]):
+    """The graph `load_citation` reads from files of the ``(id, year[, field])``
+    paper rows and the ``(citing, cited)`` pairs, one a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        nodes, cites = Path(tmp) / "papers.tsv", Path(tmp) / "cites.tsv"
+        for path, rows in ((nodes, papers), (cites, edges)):
+            path.write_text("".join("\t".join(map(str, row)) + "\n" for row in rows),
+                            encoding="utf-8")
+        return load_citation(nodes, cites)[1]

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, determinism, report and CSV outputs."""
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -201,6 +202,42 @@ def test_command_executes_only_its_modules(tmp_path, monkeypatch, command):
     # the benchmark's tracer wraps functions in the modules registered by
     # `import knowgrow.cli`: a module first imported later would lose its spans
     assert executed <= _knowgrow(_imports("knowgrow.cli"))
+
+
+# command: the (module, attribute) that the benchmark's tracer wraps and the command calls once
+TRACED = {
+    "taxonomy": ("knowgrow.taxonomy", "count_members"),
+    "disrupt": ("knowgrow.disruption", "CitationGraph.build"),
+    "fit": ("knowgrow.fitting", "select"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED))
+def test_command_calls_its_traced_function(tmp_path, monkeypatch, command):
+    # the spy goes where perfbench/tracer.py puts its wrappers: on the module
+    # attribute, or on the class's own entry as a classmethod
+    module, attr = TRACED[command]
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        owner = getattr(owner, cls_name)
+    raw = owner.__dict__[attr]
+    is_cm = isinstance(raw, classmethod)
+    fn = raw.__func__ if is_cm else raw
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, classmethod(spy) if is_cm else spy)
+    args, files, _ = OUTPUT_PATH[command]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert run(command, *args, "--quiet") == 0
+    assert len(calls) == 1
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):

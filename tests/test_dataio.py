@@ -25,7 +25,7 @@ from knowgrow.dataio import (
     save_report,
     verify_report_inputs,
 )
-from knowgrow.fitting import FitResult, fit
+from knowgrow.fitting import FitResult, fit_points
 from knowgrow.graph_metrics import SnapshotGraph
 from knowgrow.months import parse_month
 
@@ -632,7 +632,7 @@ class TestReports:
                 ) + "\n",
             )
         )
-        result = fit(series, "linear")
+        result = fit_points(series.t, series.y, "linear", series.origin)
         path = tmp_path / "fit.json"
         save_report(result.to_json(), path, "fit_result", [ds])
         doc = load_report(path)

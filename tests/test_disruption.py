@@ -15,11 +15,8 @@ from knowgrow.disruption import (
     rank,
 )
 
+from conftest import citation_graph
 from _oracles import naive_disruption
-
-
-def build(papers, edges):
-    return CitationGraph.build(papers, edges)
 
 
 def score(g, pid):
@@ -55,18 +52,18 @@ def random_citation_dag(seed: int, max_nodes: int = 200, max_edges: int = 2000):
 class TestBuild:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            build([("a", 2000)], [("a", "ghost")])
+            citation_graph([("a", 2000)], [("a", "ghost")])
 
     def test_self_citation_rejected(self):
         with pytest.raises(ValueError, match="self"):
-            build([("a", 2000)], [("a", "a")])
+            citation_graph([("a", 2000)], [("a", "a")])
 
     def test_errors_name_the_id_and_unknown_ids_come_first(self):
         papers = [("a", 2000), ("b", 2001)]
         with pytest.raises(ValueError, match="self-citation on 'b'"):
-            build(papers, [("a", "b"), ("b", "b")])
+            citation_graph(papers, [("a", "b"), ("b", "b")])
         with pytest.raises(ValueError, match="unknown paper id 'ghost'"):
-            build(papers, [("b", "b"), ("a", "ghost")])
+            citation_graph(papers, [("b", "b"), ("a", "ghost")])
 
     @pytest.mark.parametrize("edges, row", [
         ([("a", "b"), ("b", "b")], 1),
@@ -74,49 +71,51 @@ class TestBuild:
         ([("b", "b"), ("a", "ghost")], 1),
     ], ids=["self", "unknown", "unknown-first"])
     def test_edge_errors_carry_the_pair_row(self, edges, row):
+        names = [end for pair in edges for end in pair]
+        ends = np.array([{"a": 0, "b": 1}.get(end, -1) for end in names])
         with pytest.raises(CitationError) as info:
-            build([("a", 2000), ("b", 2001)], edges)
+            CitationGraph.build(["a", "b"], ["2000", "2001"], np.arange(2), ends, names.__getitem__)
         assert info.value.row == row
 
     def test_year_range(self):
         with pytest.raises(ValueError, match="year"):
-            build([("a", 1850)], [])
+            citation_graph([("a", 1850)], [])
 
     def test_year_that_is_not_an_integer_names_its_row(self):
         with pytest.raises(PaperError, match="not a year: '19x0'") as info:
-            build([("a", "19x0")], [])
+            CitationGraph.build(["a"], ["19x0"], np.arange(1), np.array([], np.int64), str)
         assert info.value.row == 0
 
     def test_duplicate_id(self):
         with pytest.raises(ValueError, match="duplicate"):
-            build([("a", 2000), ("a", 2001)], [])
+            citation_graph([("a", 2000), ("a", 2001)], [])
 
     def test_rows_with_and_without_a_field_and_arrays_build_alike(self):
-        rows = build([("a", 2000), ("b", "1990", "physics")], [("a", "b")])
-        arrays = CitationGraph.from_arrays(["a", "b"], ["2000", "1990"], np.arange(2),
-                                           np.array([0, 1]), str)
+        rows = citation_graph([("a", 2000), ("b", "1990", "physics")], [("a", "b")])
+        arrays = CitationGraph.build(["a", "b"], ["2000", "1990"], np.arange(2),
+                                     np.array([0, 1]), str)
         for g in (rows, arrays):
             assert (g.ids, g.years.tolist(), g.cites.toarray().tolist()) == (
                 ["a", "b"], [2000, 1990], [[False, True], [False, False]])
 
     def test_no_papers(self):
-        g = build([], [])
+        g = citation_graph([], [])
         assert (len(g), g.cites.shape, g.duplicate_count) == (0, (0, 0), 0)
         with pytest.raises(CitationError, match="unknown paper id 'a'") as info:
-            build([], [("a", "b")])
+            CitationGraph.build([], [], np.arange(0), np.array([-1, -1]), ["a", "b"].__getitem__)
         assert info.value.row == 0
 
 
 class TestDIndex:
     def test_all_citers_focal_only(self):
-        g = build(
+        g = citation_graph(
             [("f", 1990), ("c1", 2000), ("c2", 2000), ("c3", 2000)],
             [("c1", "f"), ("c2", "f"), ("c3", "f")],
         )
         assert score(g, "f") == (3, 0, 0, 1.0, True)
 
     def test_all_citers_consolidating(self):
-        g = build(
+        g = citation_graph(
             [("f", 1990), ("r", 1980), ("c1", 2000), ("c2", 2000), ("c3", 2000)],
             [("f", "r")] + [(c, x) for c in ("c1", "c2", "c3") for x in ("f", "r")],
         )
@@ -125,7 +124,7 @@ class TestDIndex:
     def test_mixed_fixture(self):
         # 2 cite focal only, 1 cites both, 1 cites the reference only
         edges = [("f", "r"), ("i1", "f"), ("i2", "f"), ("j1", "f"), ("j1", "r"), ("k1", "r")]
-        g = build(
+        g = citation_graph(
             [("f", 1990), ("r", 1980), ("i1", 2000), ("i2", 2000), ("j1", 2000), ("k1", 2000)],
             edges,
         )
@@ -135,19 +134,19 @@ class TestDIndex:
         assert s[:4] == naive_disruption(g.ids, edges, "f")
 
     def test_chain_excludes_focal_from_nk(self):
-        g = build([("a", 2000), ("b", 1990), ("c", 1980)], [("a", "b"), ("b", "c")])
+        g = citation_graph([("a", 2000), ("b", 1990), ("c", 1980)], [("a", "b"), ("b", "c")])
         # a cites b but not c; b itself is not a subsequent work of b
         assert score(g, "b") == (1, 0, 0, 1.0, True)
 
     def test_zero_denominator_flagged(self):
-        g = build([("solo", 2000), ("other", 2001)], [])
+        g = citation_graph([("solo", 2000), ("other", 2001)], [])
         assert score(g, "solo") == (0, 0, 0, 0.0, False)
 
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=25, deadline=None)
     def test_oracle_equivalence_random_dags(self, seed):
         papers, edges = random_citation_dag(seed, max_nodes=60, max_edges=400)
-        g = build(papers, edges)
+        g = citation_graph(papers, edges)
         counts, d = d_index_all(g)
         assert counts.shape == (len(papers), 3) and counts.dtype == np.int64
         ids = [p for p, _ in papers]
@@ -162,13 +161,13 @@ class TestDIndex:
     def test_adding_focal_only_citer_increases_d(self):
         papers = [("f", 1990), ("r", 1980), ("j1", 2000), ("k1", 2000)]
         edges = [("f", "r"), ("j1", "f"), ("j1", "r"), ("k1", "r")]
-        d1 = score(build(papers, edges), "f")[3]
-        d2 = score(build(papers + [("new", 2005)], edges + [("new", "f")]), "f")[3]
+        d1 = score(citation_graph(papers, edges), "f")[3]
+        d2 = score(citation_graph(papers + [("new", 2005)], edges + [("new", "f")]), "f")[3]
         assert d2 > d1
 
     def test_extremes_characterization(self):
         papers, edges = random_citation_dag(77, max_nodes=80, max_edges=500)
-        g = build(papers, edges)
+        g = citation_graph(papers, edges)
         counts, d = d_index_all(g)
         for (n_i, n_j, n_k), value in zip(counts.tolist(), d.tolist()):
             if value == 1.0:
@@ -196,7 +195,7 @@ class TestCouplingKernel:
         monkeypatch.setattr(disruption, "BLOCK_WORK", budget)
         for seed in range(5):
             papers, edges = random_citation_graph(seed)
-            g = build(papers, edges)
+            g = citation_graph(papers, edges)
             ids = [p for p, _ in papers]
             assert g.ids == ids
             counts, d = d_index_all(g)
@@ -208,7 +207,7 @@ class TestCouplingKernel:
     def test_duplicate_citation_counts_once(self):
         papers = [("f", 1990), ("r", 1980), ("c", 2000), ("e", 2001)]
         edges = [("f", "r"), ("c", "f"), ("c", "f"), ("e", "r")]
-        g = build(papers, edges)
+        g = citation_graph(papers, edges)
         assert g.duplicate_count == 1
         assert g.citation_counts().tolist() == [1, 2, 0, 0]
         assert score(g, "f")[:4] == naive_disruption(["f", "r", "c", "e"], edges, "f")
@@ -216,7 +215,7 @@ class TestCouplingKernel:
 
     def test_rank_orders_by_d_then_id(self):
         papers, edges = random_citation_graph(3)
-        g = build(papers, edges)
+        g = citation_graph(papers, edges)
         _, d = d_index_all(g)
         row = {pid: i for i, pid in enumerate(g.ids)}
         assert ranked(g, "disruption") == sorted(g.ids, key=lambda p: (-d[row[p]], p))
@@ -237,32 +236,32 @@ class TestRank:
     )
 
     def test_citations_hand_sorted(self):
-        g = build(*self.FIXTURE)
+        g = citation_graph(*self.FIXTURE)
         # in-degrees: w=3, x=1, z=1, y=0; tie x/z broken by id
         assert ranked(g) == ["w", "x", "z", "y"]
 
     def test_k_larger_than_population(self):
-        g = build(*self.FIXTURE)
+        g = citation_graph(*self.FIXTURE)
         assert len(ranked(g, k=100)) == 4
 
     def test_tie_broken_by_id(self):
-        g = build([("b", 2000), ("a", 2000), ("c", 2001)], [("c", "a"), ("b", "a")])
+        g = citation_graph([("b", 2000), ("a", 2000), ("c", 2001)], [("c", "a"), ("b", "a")])
         assert ranked(g, k=3) == ["a", "b", "c"]
 
     def test_ties_break_by_code_point_not_case_or_length(self):
         # every value ties: the order is Python's str order, "É" (U+00C9) before "é" (U+00E9)
         ids = ["éé", "É", "é", "Éé", "ÉÉ", "éÉ", "e", "E"]
-        g = build([(pid, 2000) for pid in ids], [])
+        g = citation_graph([(pid, 2000) for pid in ids], [])
         assert ranked(g) == ["E", "e", "É", "ÉÉ", "Éé", "é", "éÉ", "éé"]
         assert ranked(g, "disruption", k=3) == ["E", "e", "É"]
 
     def test_year_filter(self):
-        g = build(*self.FIXTURE)
+        g = citation_graph(*self.FIXTURE)
         assert ranked(g, year_range=(2000, 2001)) == ["w", "x"]
 
     @pytest.mark.parametrize("key", ["citations", "disruption"])
     def test_year_bounds_beyond_int64(self, key):
-        g = build(*self.FIXTURE)
+        g = citation_graph(*self.FIXTURE)
         assert ranked(g, key, year_range=(-10**30, 10**30)) == ranked(g, key)
         assert ranked(g, key, year_range=(2001, 10**30)) == ranked(g, key, year_range=(2001, 2100))
         assert ranked(g, key, year_range=(-10**30, 1960)) == ["z"]
@@ -270,19 +269,19 @@ class TestRank:
 
     def test_invariant_to_edge_order(self):
         papers, edges = self.FIXTURE
-        g1 = build(papers, edges)
-        g2 = build(papers, list(reversed(edges)))
+        g1 = citation_graph(papers, edges)
+        g2 = citation_graph(papers, list(reversed(edges)))
         assert ranked(g1) == ranked(g2)
 
     def test_disruption_key(self):
-        g = build(*self.FIXTURE)
+        g = citation_graph(*self.FIXTURE)
         _, d = d_index_all(g)
         rows = rank(g, d, k=2)
         assert rows.dtype == np.int64 and len(rows) == 2
         assert d[rows[0]] >= d[rows[1]]
 
     def test_k_validation(self):
-        g = build(*self.FIXTURE)
+        g = citation_graph(*self.FIXTURE)
         with pytest.raises(ValueError, match="k must be >= 1"):
             rank(g, g.citation_counts(), k=0)
 
@@ -295,7 +294,7 @@ class TestRank:
             papers, edges = random_citation_graph(seed)
         else:
             papers, edges = random_citation_dag(seed, max_nodes=60, max_edges=400)
-        g = build(papers, edges)
+        g = citation_graph(papers, edges)
         values = d_index_all(g)[1] if key == "disruption" else g.citation_counts()
         n = len(g)
         k = {"none": None, "one": 1, "n": n, "more": n + 7}[size]

@@ -13,12 +13,10 @@ from knowgrow.fitting import (
     FitError,
     FitResult,
     TimeSeries,
-    fit,
     fit_points,
     forecast,
     segment_break,
     select,
-    select_points,
     _nl_bounds,
     _split_scores,
 )
@@ -74,7 +72,7 @@ class TestTimeSeries:
 class TestFitRecovery:
     def test_linear_exact(self):
         series = TimeSeries("2007-01", tuple(30.0 * np.arange(1, 61) + 3800.0))
-        r = fit(series, "linear")
+        r = fit_points(series.t, series.y, "linear", series.origin)
         assert r.model.params == pytest.approx((30.0, 3800.0), rel=1e-12)
         assert r.mape <= 1e-12
         assert r.model.t_origin == "2007-01"
@@ -121,7 +119,7 @@ class TestFitRecovery:
     def test_forecast_article_totals_to_predicted_years(self):
         from knowgrow.growth import QUASI_LINEAR_FAMILIES
 
-        ranked = select_points(
+        ranked = select(
             self.ARTICLE_T, self.ARTICLE_Y, QUASI_LINEAR_FAMILIES, t_origin="2021-01"
         )
         fc = forecast(ranked[0], "2024-01")
@@ -161,42 +159,42 @@ class TestFitRecovery:
 class TestSelect:
     def test_nested_model_tie_break(self):
         t = np.arange(1, 61, dtype=float)
-        ranked = select_points(t, 30.0 * t + 3800.0, ["polynomial3", "linear"])
+        ranked = select(t, 30.0 * t + 3800.0, ["polynomial3", "linear"])
         assert ranked[0].model.family == "linear"
 
     def test_t_ln_t_data(self):
         t = np.arange(1, 61, dtype=float)
-        ranked = select_points(t, 5.0 * t * np.log(t) + 100.0, ["linear", "t_ln_t"])
+        ranked = select(t, 5.0 * t * np.log(t) + 100.0, ["linear", "t_ln_t"])
         assert ranked[0].model.family == "t_ln_t"
 
     def test_exponential_data(self):
         t = np.arange(1, 61, dtype=float)
         y = 3.0 * np.exp(0.08 * t) + 50.0
-        ranked = select_points(t, y, ["t_ln_t", "exponential", "sub_exponential"])
+        ranked = select(t, y, ["t_ln_t", "exponential", "sub_exponential"])
         assert ranked[0].model.family == "exponential"
 
     def test_order_invariance(self):
         t = np.arange(1, 41, dtype=float)
         y = 2.0 * t * np.log(t) + 3.0 * t + 7.0
         fams = ["linear", "t_ln_t", "logarithmic", "constant"]
-        baseline = [r.model.family for r in select_points(t, y, fams)]
+        baseline = [r.model.family for r in select(t, y, fams)]
         for perm in itertools.permutations(fams):
-            got = [r.model.family for r in select_points(t, y, list(perm))]
+            got = [r.model.family for r in select(t, y, list(perm))]
             assert got == baseline
 
     def test_empty_family_list(self):
         with pytest.raises(FitError):
-            select_points(T120, T120, [])
+            select(T120, T120, [])
 
     def test_propagates_fit_errors(self):
         with pytest.raises(FitError, match="log space"):
-            select_points(T120, T120 - 10.0, ["linear", "sub_exponential"])
+            select(T120, T120 - 10.0, ["linear", "sub_exponential"])
 
 
 class TestForecast:
     def test_constant_model(self):
         s = TimeSeries("2020-01", (42.0,) * 24)
-        r = fit(s, "constant")
+        r = fit_points(s.t, s.y, "constant", s.origin)
         fc = forecast(r, "2022-06")
         assert fc.origin == "2022-01"
         assert len(fc) == 6
@@ -204,7 +202,8 @@ class TestForecast:
 
     def test_continuous_at_boundary(self):
         y, _ = synthetic("t_over_ln_t")
-        r = fit(TimeSeries("2010-01", tuple(y)), "t_over_ln_t")
+        s = TimeSeries("2010-01", tuple(y))
+        r = fit_points(s.t, s.y, "t_over_ln_t", s.origin)
         fc = forecast(r, "2020-06")
         expected_first = r.model.evaluate(121.0)
         assert fc.values[0] == pytest.approx(expected_first, rel=1e-12)
@@ -214,7 +213,7 @@ class TestForecast:
 
     def test_until_must_extend(self):
         s = TimeSeries("2020-01", tuple(float(v) for v in range(10, 40)))
-        r = fit(s, "linear")
+        r = fit_points(s.t, s.y, "linear", s.origin)
         with pytest.raises(ValueError, match="extend"):
             forecast(r, "2021-01")  # inside the 30-month span
 

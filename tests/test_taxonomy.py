@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from knowgrow.dataio import DataFormatError
 from knowgrow.taxonomy import (
     count_members,
-    count_members_by_level,
     detect_cycles,
     wag_root_presets,
 )
@@ -195,7 +194,7 @@ class TestCountMembers:
         g = category_graph(
             [("a1", "Cat", "article"), ("a2", "Cat", "article"), ("a3", "Cat", "article")]
         )
-        assert count_members(g, ["Cat"], 0) == {"articles": 3, "categories": 1}
+        assert count_members(g, ["Cat"], 0) == [(1, 3)]
 
     def test_multi_parent_article_counted_once(self):
         g = category_graph(
@@ -203,13 +202,13 @@ class TestCountMembers:
              ("other", "Biology", "article")]
         )
         counts = count_members(g, ["Biology", "Chemistry"], 0)
-        assert counts == {"articles": 2, "categories": 2}
+        assert counts == [(2, 2)]
 
     def test_empty_roots(self):
-        assert count_members(MUTUAL_PARENTS, [], 3) == {"articles": 0, "categories": 0}
+        assert count_members(MUTUAL_PARENTS, [], 3)[-1] == (0, 0)
 
     def test_cycle_terminates(self):
-        assert count_members(MUTUAL_PARENTS, ["Physics"], 3) == {"articles": 0, "categories": 2}
+        assert count_members(MUTUAL_PARENTS, ["Physics"], 3)[-1] == (2, 0)
 
     def test_unknown_root(self):
         with pytest.raises(KeyError):
@@ -225,9 +224,9 @@ class TestCountMembers:
     def test_matches_relaxation_oracle(self, seed, depth):
         edges = random_hierarchy(seed, cyclic=True)
         g = category_graph(edges)
-        got = count_members(g, ["c0", "c1"], depth)
+        got = count_members(g, ["c0", "c1"], depth)[-1]
         articles, cats = closure_member_counts(edges, ["c0", "c1"], depth)
-        assert got == {"articles": articles, "categories": cats}
+        assert got == (cats, articles)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -235,14 +234,14 @@ class TestCountMembers:
         edges = random_hierarchy(seed, cyclic=True)
         g = category_graph(edges)
         expected = [closure_member_counts(edges, ["c0", "c1"], k)[::-1] for k in range(8)]
-        assert count_members_by_level(g, ["c0", "c1"], 7) == expected
+        assert count_members(g, ["c0", "c1"], 7) == expected
 
     def test_deep_closure_equals_transitive_closure(self):
         edges = random_hierarchy(123, n_cats=300, n_articles=700, cyclic=True)
         g = category_graph(edges)
-        got = count_members(g, ["c0"], 10**6)
+        got = count_members(g, ["c0"], 10**6)[-1]
         articles, cats = closure_member_counts(edges, ["c0"], 10**6)
-        assert got == {"articles": articles, "categories": cats}
+        assert got == (cats, articles)
 
 
 class TestPresets:
@@ -266,7 +265,7 @@ class TestTermination:
                 edges.append((f"c{a}", f"c{b}", "category"))
         g = category_graph(edges)
         start = time.perf_counter()
-        result = count_members_by_level(g, ["c0"], 10**9)
+        result = count_members(g, ["c0"], 10**9)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
         assert result[-1][0] >= 1
